@@ -1,19 +1,39 @@
 """Boolean functions over a field's index space and their exact transforms.
 
-A TruthTable packs the 2^n values of f into one int (bit i = f(element i)).
-The Walsh spectrum is indexed by field elements beta with the literal
-pairing Tr(beta*x): the fast transform runs the standard butterfly and
-re-indexes the output through the trace form, so paper-style dual formulas
-compare bit for bit.  All arithmetic is integer-exact.
+A TruthTable packs the 2^n values of f into one int: bit i is f at the
+index-i field element (or grid point).  The transforms on the verification
+path work on that packed int, one big-int operation per whole table, with
+the coordinate tables X_j (bit i of X_j is bit j of i) as masks.  Nothing
+is floating point and nothing is sampled.
+
+- Walsh.  The spectrum is indexed by field elements beta with the literal
+  pairing Tr(beta*x), so paper-style dual formulas compare bit for bit.
+  f is first pulled through the trace-dual basis (``walsh_map``), which
+  turns that pairing into the plain dot product on indices.  The fast
+  transform then runs its butterfly on n+2 two's-complement bit planes,
+  one packed int per plane: plane k holds bit k of every W(beta), and the
+  last plane is the sign.  Each level is one ripple-carry add and one
+  subtract over the planes, masked by X_j.  Bentness, the extrema and
+  Parseval are read from the planes, the dual is the sign plane, and the
+  per-beta integers are built only when a caller asks for ``values``.
+- ANF.  The Moebius transform is ``bits ^= (bits & ~X_j) << 2^j`` for each
+  j; the degree is read against the masks of indices of each popcount.
+- Idempotence.  f(x^2) = f(x) compares the table with itself pulled
+  through the squaring map.
+
+Both index maps are F_2-linear and go through gf2n.pull_linear.  The list
+transforms fwht, mobius and walsh_naive are the reference the packed
+kernels are tested against.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .errors import FieldMismatch, NotBent, OddDimension
-from .gf2n import BivariateDomain, Field
+from .gf2n import BivariateDomain, Field, coordinate_tables, pull_linear
 
 Domain = Field | BivariateDomain
 
@@ -56,24 +76,126 @@ class TruthTable:
 
 @dataclass(frozen=True)
 class WalshSpectrum:
+    """Exact spectrum as two's-complement bit planes in beta order.
+
+    Bit beta of planes[k] is bit k of W(beta).  The last plane is the
+    sign bit and has a negative weight: -2^k for k = len(planes) - 1.  The
+    n+2 planes of walsh() hold any value in [-2^n, 2^n].
+    """
     domain: Domain
-    values: tuple[int, ...]
+    planes: tuple[int, ...]
+
+    @staticmethod
+    def from_values(domain: Domain, values) -> "WalshSpectrum":
+        """Pack per-beta integers into the n+2 planes."""
+        values = list(values)
+        planes = tuple(
+            int("".join("1" if (v >> k) & 1 else "0"
+                        for v in reversed(values)), 2)
+            for k in range(domain.n + 2))
+        return WalshSpectrum(domain, planes)
+
+    @functools.cached_property
+    def values(self) -> tuple[int, ...]:
+        """W(beta) for beta = 0 .. 2^n - 1, built on first use."""
+        size = self.domain.size
+        top = len(self.planes) - 1
+        out = [0] * size
+        for k, plane in enumerate(self.planes):
+            weight = -(1 << k) if k == top else 1 << k
+            for i, bit in enumerate(reversed(f"{plane:0{size}b}")):
+                if bit == "1":
+                    out[i] += weight
+        return tuple(out)
+
+    def value(self, beta: int) -> int:
+        """W(beta) alone, read bit by bit from the planes."""
+        top = len(self.planes) - 1
+        v = sum(((p >> beta) & 1) << k for k, p in enumerate(self.planes))
+        return v - ((v >> top) << (top + 1))
 
     def parseval_holds(self) -> bool:
-        return sum(v * v for v in self.values) == 1 << (2 * self.domain.n)
+        """sum W(beta)^2 = 4^n, as sums of weighted plane-pair popcounts."""
+        top = len(self.planes) - 1
+        weights = [1 << k for k in range(top)] + [-(1 << top)]
+        total = sum(wj * wk * (pj & pk).bit_count()
+                    for wj, pj in zip(weights, self.planes)
+                    for wk, pk in zip(weights, self.planes))
+        return total == 1 << (2 * self.domain.n)
 
     def extrema(self) -> tuple[int, int]:
-        mags = [abs(v) for v in self.values]
-        return min(mags), max(mags)
+        """(min, max) of |W(beta)|.
+
+        A bit-sliced negation of the negative entries gives the magnitude
+        planes; each extremum is then fixed bit by bit from the top, by
+        narrowing a mask of the candidates that can still reach it.
+        """
+        sign = self.planes[-1]
+        mags, carry = [], sign
+        for p in self.planes[:-1]:
+            x = p ^ sign
+            mags.append(x ^ carry)
+            carry &= x
+        full = (1 << self.domain.size) - 1
+        lo = hi = 0
+        lo_cand = hi_cand = full
+        for k in reversed(range(len(mags))):
+            t = hi_cand & mags[k]
+            if t:
+                hi_cand, hi = t, hi | (1 << k)
+            t = lo_cand & ~mags[k]
+            if t:
+                lo_cand = t
+            else:
+                lo |= 1 << k
+        return lo, hi
+
+    def off_flat_mask(self) -> int:
+        """Packed mask of the beta with |W(beta)| != 2^(n//2).
+
+        +2^h has plane h set and every other plane clear; -2^h has the
+        planes below h clear and plane h and all above it set.
+        """
+        h = self.domain.n // 2
+        sign = self.planes[-1]
+        off = ((1 << self.domain.size) - 1) ^ self.planes[h]
+        for k, p in enumerate(self.planes[:-1]):
+            if k < h:
+                off |= p
+            elif k > h:
+                off |= p ^ sign
+        return off
+
+
+@functools.cache
+def _weight_classes(n: int) -> tuple[int, ...]:
+    """Masks K_0..K_n on 2^n indices: bit i of K_d is set iff i has d ones."""
+    classes = [1]
+    for j in range(n):
+        h = 1 << j
+        classes = [same | (one_less << h) for same, one_less
+                   in zip(classes + [0], [0] + classes)]
+    return tuple(classes)
 
 
 @dataclass(frozen=True)
 class AnfPoly:
+    """ANF coefficients packed like a table.
+
+    Bit I of coeffs is the coefficient of the monomial prod_{j in I} x_j.
+    """
     n: int
-    monomials: frozenset[int]
+    coeffs: int
+
+    @property
+    def monomials(self) -> frozenset[int]:
+        return frozenset(i for i, c in enumerate(reversed(f"{self.coeffs:b}"))
+                         if c == "1")
 
     def degree(self) -> int:
-        return max((m.bit_count() for m in self.monomials), default=0)
+        classes = _weight_classes(self.n)
+        return next((d for d in range(self.n, 0, -1)
+                     if self.coeffs & classes[d]), 0)
 
 
 def fwht(values: list[int]) -> list[int]:
@@ -94,10 +216,27 @@ def fwht(values: list[int]) -> list[int]:
 def walsh(f: TruthTable) -> WalshSpectrum:
     """Exact spectrum W(beta) = sum_x (-1)^(f(x) + Tr(beta*x))."""
     dom = f.domain
-    signs = [1 - 2 * b for b in f.to_bitlist()]
-    fwht(signs)
-    values = tuple(signs[dom.walsh_index(beta)] for beta in range(dom.size))
-    return WalshSpectrum(dom, values)
+    full = (1 << dom.size) - 1
+    # (-1)^f(M z) in two's complement: +1 is ...01 and -1 is ...11
+    planes = [full, pull_linear(f.bits, dom.walsh_map())]
+    for j, xj in enumerate(coordinate_tables(dom.n)):
+        h = 1 << j
+        lo = full ^ xj
+        planes.append(planes[-1])  # one more bit: |W| grows to 2^(j+1)
+        out = []
+        carry_add, carry_sub = 0, lo  # a - b = a + ~b + 1
+        for p in planes:
+            a = p & lo
+            b = (p >> h) & lo
+            x = a ^ b
+            out_add = x ^ carry_add
+            carry_add = (a & b) | (carry_add & x)
+            y = x ^ lo
+            out_sub = y ^ carry_sub
+            carry_sub = (a & ~b) | (carry_sub & y)
+            out.append(out_add | (out_sub << h))
+        planes = out
+    return WalshSpectrum(dom, tuple(planes))
 
 
 def walsh_naive(f: TruthTable) -> WalshSpectrum:
@@ -109,7 +248,7 @@ def walsh_naive(f: TruthTable) -> WalshSpectrum:
         mask = dom.walsh_index(beta)
         values.append(sum(s if (mask & x).bit_count() % 2 == 0 else -s
                           for x, s in enumerate(signs)))
-    return WalshSpectrum(dom, tuple(values))
+    return WalshSpectrum.from_values(dom, values)
 
 
 def is_bent(spec: WalshSpectrum) -> bool:
@@ -117,19 +256,14 @@ def is_bent(spec: WalshSpectrum) -> bool:
     n = spec.domain.n
     if n % 2 != 0:
         raise OddDimension(f"bentness is undefined for odd n={n}")
-    flat = 1 << (n // 2)
-    return all(v == flat or v == -flat for v in spec.values)
+    return spec.off_flat_mask() == 0
 
 
 def dual(spec: WalshSpectrum) -> TruthTable:
-    """Dual table: W(beta) = 2^(n/2) * (-1)^dual(beta)."""
+    """Dual table: W(beta) = 2^(n/2) * (-1)^dual(beta), the sign plane."""
     if not is_bent(spec):
         raise NotBent("spectrum is not flat; no dual exists")
-    bits = 0
-    for beta, v in enumerate(spec.values):
-        if v < 0:
-            bits |= 1 << beta
-    return TruthTable(spec.domain, bits)
+    return TruthTable(spec.domain, spec.planes[-1])
 
 
 def duality_class(f: TruthTable, fdual: TruthTable) -> DualityClass:
@@ -155,11 +289,16 @@ def mobius(values: list[int]) -> list[int]:
     return values
 
 
+def _moebius_packed(bits: int, n: int) -> int:
+    """Moebius transform of a packed table (its own inverse)."""
+    for j, xj in enumerate(coordinate_tables(n)):
+        bits ^= (bits & ~xj) << (1 << j)
+    return bits
+
+
 def anf(f: TruthTable) -> AnfPoly:
     """Algebraic normal form of f over its index coordinates."""
-    coeffs = mobius(f.to_bitlist())
-    return AnfPoly(f.domain.n,
-                   frozenset(i for i, c in enumerate(coeffs) if c))
+    return AnfPoly(f.domain.n, _moebius_packed(f.bits, f.domain.n))
 
 
 def degree(f: TruthTable) -> int:
@@ -168,17 +307,12 @@ def degree(f: TruthTable) -> int:
 
 
 def from_anf(domain: Domain, poly: AnfPoly) -> TruthTable:
-    coeffs = [1 if i in poly.monomials else 0 for i in range(domain.size)]
-    return TruthTable.from_bits(domain, mobius(coeffs))
+    return TruthTable(domain, _moebius_packed(poly.coeffs, domain.n))
 
 
 def is_idempotent(f: TruthTable) -> bool:
     """True iff f(x^2) = f(x) for every x (field squaring, not index)."""
-    bits = f.bits
-    for i, j in enumerate(f.domain.squaring_perm()):
-        if (bits >> i) & 1 != (bits >> j) & 1:
-            return False
-    return True
+    return pull_linear(f.bits, f.domain.squaring_map()) == f.bits
 
 
 def add(f: TruthTable, g: TruthTable) -> TruthTable:
@@ -209,14 +343,33 @@ def parse_tt(text: str) -> TruthTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 2 or not lines[0].startswith("BF "):
         raise FieldMismatch("not a truth-table file")
-    fields = dict(tok.split("=", 1) for tok in lines[0][3:].split())
-    n = int(fields["n"])
-    mod = int(fields["mod"], 16)
-    if fields.get("grid") == "xy":
+    tokens = lines[0][3:].split()
+    bad = [tok for tok in tokens if "=" not in tok]
+    if bad:
+        raise FieldMismatch(f"header token {bad[0]!r} is not key=value")
+    fields = dict(tok.split("=", 1) for tok in tokens)
+    missing = [key for key in ("n", "mod") if key not in fields]
+    if missing:
+        raise FieldMismatch(f"header lacks {missing[0]}=")
+    try:
+        n = int(fields["n"])
+        mod = int(fields["mod"], 16)
+    except ValueError:
+        raise FieldMismatch(
+            f"bad n={fields['n']!r} or mod={fields['mod']!r}") from None
+    grid = fields.get("grid")
+    if grid == "xy":
+        if n % 2:
+            raise FieldMismatch(f"grid=xy needs an even n, got {n}")
         domain: Domain = BivariateDomain(Field(n // 2, mod))
-    else:
+    elif grid is None:
         domain = Field(n, mod)
-    raw = bytes.fromhex(lines[1].strip())
+    else:
+        raise FieldMismatch(f"unknown grid={grid!r}")
+    try:
+        raw = bytes.fromhex(lines[1].strip())
+    except ValueError:
+        raise FieldMismatch("payload is not hex") from None
     expected = (domain.size + 7) // 8
     if len(raw) != expected:
         raise FieldMismatch(

@@ -25,6 +25,13 @@ from .verify import (
 )
 
 
+_DUALITY_NAMES = {
+    "self": DualityClass.SELF_DUAL,
+    "anti": DualityClass.ANTI_SELF_DUAL,
+    "neither": DualityClass.NEITHER,
+}
+
+
 def _report_line(label: str, rep: VerificationReport) -> str:
     verdict = "PASS" if rep.all_claims_met else "FAIL"
     dual = "-" if rep.dual_match is None else str(rep.dual_match)
@@ -103,14 +110,18 @@ def _parse_expectations(args) -> Expectation | None:
             elif part == "idempotent":
                 claims["idempotent"] = True
             elif part.startswith("degree="):
-                claims["degree"] = int(part.split("=", 1)[1])
+                val = part.split("=", 1)[1]
+                try:
+                    claims["degree"] = int(val)
+                except ValueError:
+                    raise BentkitError(
+                        f"degree must be an integer, got {val!r}") from None
             elif part.startswith("duality="):
                 val = part.split("=", 1)[1].lower()
-                claims["duality"] = {
-                    "self": DualityClass.SELF_DUAL,
-                    "anti": DualityClass.ANTI_SELF_DUAL,
-                    "neither": DualityClass.NEITHER,
-                }[val]
+                if val not in _DUALITY_NAMES:
+                    raise BentkitError(
+                        f"duality must be self, anti or neither, got {val!r}")
+                claims["duality"] = _DUALITY_NAMES[val]
             else:
                 raise BentkitError(f"unknown expectation {part!r}")
     if not claims:
@@ -124,8 +135,7 @@ def _cmd_verify(args) -> int:
     predicted = boolfun.load_tt(args.dual) if args.dual else None
     rep = run_verify(table, exp, predicted_dual=predicted)
     if args.emit_tt and rep.is_bent:
-        dual_table = boolfun.dual(boolfun.walsh(table))
-        boolfun.save_tt(dual_table, args.emit_tt)
+        boolfun.save_tt(rep.computed_dual, args.emit_tt)
     if args.json:
         print(json.dumps(rep.to_dict(), indent=2))
     else:

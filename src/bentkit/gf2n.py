@@ -12,6 +12,8 @@ test) are also ints: bit i is the coefficient of X^i.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import (
     DimensionTooSmall,
     DivisionByZero,
@@ -194,6 +196,59 @@ def coset_min(x: int, kernel) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Packed tables: bit i of an int holds a table's value at index i
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def coordinate_tables(n: int) -> tuple[int, ...]:
+    """X_0..X_(n-1) on 2^n indices: bit i of X_j is bit j of i."""
+    size = 1 << n
+    tables = []
+    for j in range(n):
+        h = 1 << j
+        pattern, width = ((1 << h) - 1) << h, 2 * h
+        while width < size:
+            pattern |= pattern << width
+            width *= 2
+        tables.append(pattern)
+    return tuple(tables)
+
+
+def _delta_swap(bits: int, mask: int, delta: int) -> int:
+    """Swap bit i with bit i + delta for every i in mask."""
+    t = (bits ^ (bits >> delta)) & mask
+    return bits ^ t ^ (t << delta)
+
+
+def pull_linear(bits: int, columns: list[int]) -> int:
+    """The packed table y -> T(M y) of a packed table T.
+
+    M is an invertible F_2-linear map on n-bit indices, given by its
+    column images M e_j = columns[j].  Gauss-Jordan row reduction writes M
+    as a product of coordinate swaps and transvections y_r += y_c; each
+    pulls the table through one masked delta-swap, so the whole map costs
+    O(n^2) big-int operations instead of a loop over the 2^n indices.
+    """
+    n = len(columns)
+    xs = coordinate_tables(n)
+    rows = [sum(((col >> r) & 1) << c for c, col in enumerate(columns))
+            for r in range(n)]
+    # I = E_k...E_1 M, so T(My) = T(E_1...E_k y): pull E_1 first
+    for c in range(n):
+        p = next((r for r in range(c, n) if (rows[r] >> c) & 1), None)
+        if p is None:
+            raise ValueError("index map is not invertible")
+        if p != c:
+            rows[p], rows[c] = rows[c], rows[p]
+            bits = _delta_swap(bits, xs[c] & ~xs[p], (1 << p) - (1 << c))
+        for r in range(n):
+            if r != c and (rows[r] >> c) & 1:
+                rows[r] ^= rows[c]
+                bits = _delta_swap(bits, xs[c] & ~xs[r], 1 << r)
+    return bits
+
+
+# ---------------------------------------------------------------------------
 # The field
 # ---------------------------------------------------------------------------
 
@@ -226,10 +281,11 @@ class Field:
                 r ^= modulus
             red.append(r)
         self._red = red
-        self._sqr_basis = None
+        self._sqr_basis = [self.reduce(1 << (2 * j)) for j in range(n)]
         self._frob_basis = {}
         self._tr_mask_cache = {}
         self._walsh_rows = None
+        self._walsh_map = None
         self._sqr_perm = None
         self._subfield = None
         self._theta = None
@@ -271,8 +327,6 @@ class Field:
 
     def sqr(self, a: int) -> int:
         """Square via the Frobenius linear map."""
-        if self._sqr_basis is None:
-            self._sqr_basis = [self.reduce(1 << (2 * j)) for j in range(self.n)]
         r = 0
         j = 0
         while a:
@@ -467,6 +521,25 @@ class Field:
             i += 1
         return r
 
+    def walsh_map(self) -> list[int]:
+        """Column images of M: z -> sum_i z_i delta_i, the trace-dual basis.
+
+        Tr(delta_i * e_j) = [i == j] for the basis elements e_j = 1 << j,
+        so Tr(beta * M z) = parity(beta & z) and
+        W_f(beta) = sum_z (-1)^(f(M z) + parity(beta & z)): the Walsh
+        spectrum in beta order is the plain cube transform of f pulled
+        through M.
+        """
+        if self._walsh_map is None:
+            rows = [self.trace_mask(1 << i) for i in range(self.n)]
+            self._walsh_map = [solve_f2(rows, 1 << i)[0]
+                               for i in range(self.n)]
+        return self._walsh_map
+
+    def squaring_map(self) -> list[int]:
+        """Column images of the F_2-linear map x -> x^2."""
+        return self._sqr_basis
+
     def squaring_perm(self) -> list[int]:
         """Index permutation x -> x^2 over the whole field."""
         if self._sqr_perm is None:
@@ -523,6 +596,16 @@ class BivariateDomain:
     def walsh_index(self, beta: int) -> int:
         b1, b2 = self.split(beta)
         return (self.base.walsh_index(b1) << self.m) | self.base.walsh_index(b2)
+
+    def _block_diagonal(self, columns: list[int]) -> list[int]:
+        """Columns of a base-field map applied to x and y alike."""
+        return columns + [c << self.m for c in columns]
+
+    def walsh_map(self) -> list[int]:
+        return self._block_diagonal(self.base.walsh_map())
+
+    def squaring_map(self) -> list[int]:
+        return self._block_diagonal(self.base.squaring_map())
 
     def squaring_perm(self) -> list[int]:
         if self._sqr_perm is None:

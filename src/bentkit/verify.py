@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from . import boolfun, constructions, multipoly
 from .boolfun import DualityClass, TruthTable
 from .constructions import ConstructedPair
-from .errors import NoSolution
+from .errors import DimensionTooSmall, NoSolution
 from .gf2n import make_field
 from .multipoly import ReducedPoly
 
@@ -47,6 +47,8 @@ class VerificationReport:
     elapsed: float
     all_claims_met: bool
     failures: list[str] = dc_field(default_factory=list)
+    # the dual computed from the spectrum, for callers; not serialized
+    computed_dual: TruthTable | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -83,18 +85,20 @@ def verify(f: TruthTable, exp: Expectation,
             dual_match = False
             failures.append("predicted dual given but function is not bent")
         else:
-            dual_match = predicted_dual.bits == computed_dual.bits
-            if not dual_match:
-                diff = predicted_dual.bits ^ computed_dual.bits
+            diff = predicted_dual.bits ^ computed_dual.bits
+            dual_match = not diff
+            if diff:
                 beta = (diff & -diff).bit_length() - 1
-                failures.append(f"dual differs first at beta={beta:#x}")
+                failures.append(f"dual differs at {diff.bit_count()} beta, "
+                                f"first at beta={beta:#x}")
 
     if exp.bent is not None and bent != exp.bent:
         if exp.bent:
-            bad = next(i for i, v in enumerate(spec.values)
-                       if abs(v) != flat)
+            off = spec.off_flat_mask()
+            bad = (off & -off).bit_length() - 1
             failures.append(
-                f"expected bent but W({bad:#x}) = {spec.values[bad]}")
+                f"expected bent but W({bad:#x}) = {spec.value(bad)}; "
+                f"{off.bit_count()} beta have |W| != {flat}")
         else:
             failures.append("expected non-bent but the spectrum is flat")
     if exp.degree is not None and deg != exp.degree:
@@ -110,7 +114,8 @@ def verify(f: TruthTable, exp: Expectation,
         is_bent=bent, walsh_min_abs=lo, walsh_max_abs=hi, degree=deg,
         idempotent=idem, duality=dcls, dual_match=dual_match,
         elapsed=time.perf_counter() - start,
-        all_claims_met=not failures, failures=failures)
+        all_claims_met=not failures, failures=failures,
+        computed_dual=computed_dual)
 
 
 def master_identity_holds(pair: ConstructedPair, betas=None) -> bool:
@@ -163,6 +168,9 @@ class CarletEntry:
 
 def demo_carlet(m: int, seed: int = 0) -> list[CarletEntry]:
     """Bent idempotents of every degree 2..m on GF(2^(2m)), verified."""
+    if m < 2:
+        raise DimensionTooSmall(
+            f"m >= 2 required for a degree-2 rung, got {m}")
     field = make_field(2 * m)
     u = field.find_normal(seed, in_subfield=True)
     out = []
@@ -173,7 +181,7 @@ def demo_carlet(m: int, seed: int = 0) -> list[CarletEntry]:
                      Expectation(bent=True, degree=d, idempotent=True),
                      predicted_dual=pair.predicted_dual)
         dual_idem = (rep.is_bent and
-                     boolfun.is_idempotent(boolfun.dual(boolfun.walsh(pair.f))))
+                     boolfun.is_idempotent(rep.computed_dual))
         out.append(CarletEntry(d, pair, rep, dual_idem))
     return out
 

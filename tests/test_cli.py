@@ -184,3 +184,35 @@ def test_usage_error_exits_two(capsys):
         main(["sweep", "--family", "NoSuchFamily", "--m", "2",
               "--trials", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("BF n=4 mod=0x13 xy\n0000\n", "not key=value"),
+    ("BF mod=0x13\n0000\n", "lacks n="),
+    ("BF n=4\n0000\n", "lacks mod="),
+    ("BF n=4 mod=0x13\nzz00\n", "not hex"),
+])
+def test_verify_rejects_malformed_table_files(capsys, tmp_path, text,
+                                              reason):
+    path = tmp_path / "bad.tt"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert "FieldMismatch" in err and reason in err
+
+
+@pytest.mark.parametrize("claim, reason", [
+    ("degree=x", "degree must be an integer"),
+    ("duality=foo", "duality must be self, anti or neither"),
+])
+def test_verify_rejects_malformed_expectations(capsys, tmp_path, claim,
+                                               reason):
+    path = tmp_path / "g.tt"
+    bf.save_tt(cx.kasami_base(make_field(4), 1), path)
+    code, out, err = run(capsys, "verify", str(path), "--expect", claim)
+    assert code == 2 and out == "" and reason in err
+
+
+def test_demo_carlet_refuses_m_below_two(capsys):
+    code, out, err = run(capsys, "demo", "carlet", "--m", "1")
+    assert code == 2 and out == "" and "DimensionTooSmall" in err

@@ -4,6 +4,7 @@ from bentkit import boolfun as bf
 from bentkit import constructions as cx
 from bentkit import multipoly as mp
 from bentkit import verify as vf
+from bentkit.errors import DimensionTooSmall
 from bentkit.gf2n import make_field
 
 
@@ -35,6 +36,29 @@ def test_verify_predicted_dual_comparison():
     bad = vf.verify(g, vf.Expectation(bent=True), predicted_dual=g)
     assert bad.dual_match is False and not bad.all_claims_met
     assert any("beta" in msg for msg in bad.failures)
+
+
+def test_failure_messages_count_the_mismatches():
+    field = make_field(4)
+    zero = vf.verify(bf.TruthTable(field, 0), vf.Expectation(bent=True))
+    # W(0) = 16 and W(beta) = 0 elsewhere: every beta is off +-4
+    assert zero.failures == [
+        "expected bent but W(0x0) = 16; 16 beta have |W| != 4"]
+    g = cx.kasami_base(field, 1)
+    true_dual = bf.add_const(g, 1)
+    near = bf.TruthTable(field, true_dual.bits ^ 0b1010_0100)
+    rep = vf.verify(g, vf.Expectation(bent=True), predicted_dual=near)
+    assert rep.failures == ["dual differs at 3 beta, first at beta=0x2"]
+
+
+def test_report_carries_the_computed_dual():
+    field = make_field(4)
+    g = cx.kasami_base(field, 1)
+    rep = vf.verify(g, vf.Expectation(bent=True))
+    assert rep.computed_dual.bits == bf.dual(bf.walsh(g)).bits
+    assert "computed_dual" not in rep.to_dict()
+    rep = vf.verify(bf.TruthTable(field, 0), vf.Expectation(bent=False))
+    assert rep.computed_dual is None
 
 
 def test_verify_duality_expectation():
@@ -72,6 +96,11 @@ def test_demo_carlet_small():
         assert e.report.degree == e.d
         assert e.report.idempotent
         assert e.dual_idempotent
+
+
+def test_demo_carlet_needs_a_degree_two_rung():
+    with pytest.raises(DimensionTooSmall):
+        vf.demo_carlet(1)
 
 
 def test_demo_carlet_seed_changes_normal_element():
