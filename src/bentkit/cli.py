@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import boolfun, constructions, multipoly
 from .boolfun import DualityClass
-from .errors import BentkitError
+from .errors import BadRange, BentkitError
 from .gf2n import Field
 from .verify import (
     Expectation,
@@ -227,11 +227,17 @@ def _parse_range(text: str) -> list[int]:
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(chunk))
+        try:
+            if ".." in chunk:
+                lo, hi = chunk.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(chunk))
+        except ValueError:
+            raise BadRange(f"bad size {chunk!r} in {text!r}; "
+                           "use forms like 3, 2..4 or 2,3,5") from None
+    if not out:
+        raise BadRange(f"size range {text!r} is empty")
     return out
 
 

@@ -12,6 +12,14 @@ can be re-checked against any instance.
 
 Families on GF(2^(2m)) use univariate tables; the Maiorana-McFarland
 families live on the GF(2^m) x GF(2^m) grid (BivariateDomain).
+
+No constructor loops over the 2^n indices.  Tables are built from
+bit-sliced field values (gf2n.linear_planes and Field.mul_planes): the
+coordinate tables are the identity x -> x, a field product is n^2 ANDs of
+planes, a trace form Tr(u x) is the XOR of the coordinate tables that
+trace_mask(u) selects, and multipoly.compose turns the trace-form tables
+into F(...).  tests/pointwise.py keeps the per-point formulas as the
+oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .errors import (
     BadDimension,
     BadDivisor,
     BadLambda,
+    BadSpec,
     BaseNotBent,
     GcdViolated,
     LambdaConstraintViolated,
@@ -42,14 +51,34 @@ from .errors import (
     SingularPermutation,
     ZeroCoefficient,
 )
-from .gf2n import BivariateDomain, Field, poly_gcd, rank
+from .gf2n import (
+    BivariateDomain,
+    Field,
+    add_const,
+    coordinate_tables,
+    linear_planes,
+    poly_gcd,
+    pullback_mask,
+    rank,
+    solve_f2,
+    trace_planes,
+)
 from .multipoly import ReducedPoly
 
-FAMILIES = (
-    "KasamiGeneral", "KasamiSubfield", "KasamiIdempotent",
-    "KasamiAntiSelfDual", "QuadIdem", "QuadFamily", "GoldLike",
-    "Niho", "MMLinear", "MMMonomial",
-)
+# The JSON fields a spec of each family must carry besides family and n.
+SPEC_FIELDS = {
+    "KasamiGeneral": ("lambda", "u", "F"),
+    "KasamiSubfield": ("lambda", "u", "F"),
+    "KasamiIdempotent": ("u", "F"),
+    "KasamiAntiSelfDual": ("F",),
+    "QuadIdem": ("c",),
+    "QuadFamily": ("c", "u", "F"),
+    "GoldLike": ("u", "F"),
+    "Niho": ("k", "u", "F"),
+    "MMLinear": ("pi", "u", "F"),
+    "MMMonomial": ("s", "u", "F"),
+}
+FAMILIES = tuple(SPEC_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -100,19 +129,27 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+def _full(dom) -> int:
+    """The all-ones table on a domain."""
+    return (1 << dom.size) - 1
+
+
+def _trace_form(xs, columns, const: int, mask: int, full: int) -> int:
+    """Packed table of parity((L(x) + const) & mask), L(e_j) = columns[j]."""
+    bits = trace_planes(xs, pullback_mask(columns, mask))
+    return bits ^ full if _parity(const & mask) else bits
+
+
 # ---------------------------------------------------------------------------
 # Kasami family (norm-form base Tr_sub(lambda * x^(2^m+1)))
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _kasami_bits(field: Field, lam: int) -> int:
-    m = field.m
-    mask = field.subtrace_mask(lam)
-    bits = 0
-    for x in range(field.size):
-        if _parity(field.mul(x, field.frob(x, m)) & mask):
-            bits |= 1 << x
-    return bits
+    """Tr_sub(lam * x^(2^m+1)) = Tr(theta lam * x x^(2^m)), sliced."""
+    xs = coordinate_tables(field.n)
+    norm = field.mul_planes(xs, linear_planes(xs, field.frob_map(field.m)))
+    return trace_planes(norm, field.subtrace_mask(lam))
 
 
 def kasami_base(field: Field, lam: int) -> TruthTable:
@@ -152,18 +189,17 @@ def kasami_general(field: Field, lam: int, us, F: ReducedPoly,
     base = kasami_base(field, lam)
     f = boolfun.add(base, multipoly.compose_traces(field, F, us))
 
+    # dual: Tr_sub(lam^-1 (x^(2^m) u + x u^(2^m) + u^(2^m+1))) per shift
+    xs = coordinate_tables(field.n)
+    full = _full(field)
     smask = field.subtrace_mask(lam_inv)
-    dual_base = _kasami_bits(field, lam_inv)
-    norms = [field.mul(u, um) for u, um in zip(us, ums)]
-    bits = 0
-    for x in range(field.size):
-        xm = field.frob(x, m)
-        args = 0
-        for i, u in enumerate(us):
-            sym = field.mul(xm, u) ^ field.mul(x, ums[i]) ^ norms[i]
-            args |= _parity(sym & smask) << i
-        if ((dual_base >> x) & 1) ^ multipoly.evaluate(F, args) ^ 1:
-            bits |= 1 << x
+    frob_m = field.frob_map(m)
+    args = [_trace_form(xs, [field.mul(xm, u) ^ field.mul(1 << j, um)
+                             for j, xm in enumerate(frob_m)],
+                        field.mul(u, um), smask, full)
+            for u, um in zip(us, ums)]
+    bits = (_kasami_bits(field, lam_inv) ^ multipoly.compose(F, args, full)
+            ^ full)
     return ConstructedPair(
         f=f, predicted_dual=TruthTable(field, bits),
         notes=f"KasamiGeneral n={field.n} lam={lam:#x} tau={F.tau}",
@@ -183,16 +219,17 @@ def kasami_subfield(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPa
     f = boolfun.add(base, multipoly.compose_traces(field, F, us))
 
     lam_inv = field.inv(lam)
-    masks = [field.trace_mask(field.mul(lam_inv, u)) for u in us]
-    consts = [field.trace_sub(field.mul(lam_inv, field.mul(u, u))) for u in us]
-    dual_base = _kasami_bits(field, lam_inv)
-    bits = 0
-    for x in range(field.size):
-        args = 0
-        for i, mask in enumerate(masks):
-            args |= (_parity(x & mask) ^ consts[i]) << i
-        if ((dual_base >> x) & 1) ^ multipoly.evaluate(F, args) ^ 1:
-            bits |= 1 << x
+    # dual: Tr(lam^-1 u x) + Tr_sub(lam^-1 u^2) per shift
+    xs = coordinate_tables(field.n)
+    full = _full(field)
+    args = []
+    for u in us:
+        arg = trace_planes(xs, field.trace_mask(field.mul(lam_inv, u)))
+        if field.trace_sub(field.mul(lam_inv, field.mul(u, u))):
+            arg ^= full
+        args.append(arg)
+    bits = (_kasami_bits(field, lam_inv) ^ multipoly.compose(F, args, full)
+            ^ full)
     return ConstructedPair(
         f=f, predicted_dual=TruthTable(field, bits),
         notes=f"KasamiSubfield n={field.n} lam={lam:#x} tau={F.tau}",
@@ -221,16 +258,10 @@ def kasami_idempotent(field: Field, u: int, F: ReducedPoly) -> ConstructedPair:
     f = boolfun.add(base, multipoly.compose_traces(field, F, us))
 
     # dual: same shape with every trace argument complemented, then +1
-    masks = [field.trace_mask(v) for v in us]
-    full = (1 << m) - 1
-    base_bits = base.bits
-    bits = 0
-    for x in range(field.size):
-        args = 0
-        for i, mask in enumerate(masks):
-            args |= _parity(x & mask) << i
-        if ((base_bits >> x) & 1) ^ multipoly.evaluate(F, args ^ full) ^ 1:
-            bits |= 1 << x
+    xs = coordinate_tables(field.n)
+    full = _full(field)
+    args = [trace_planes(xs, field.trace_mask(v)) ^ full for v in us]
+    bits = base.bits ^ multipoly.compose(F, args, full) ^ full
     return ConstructedPair(
         f=f, predicted_dual=TruthTable(field, bits),
         notes=f"KasamiIdempotent n={field.n} u={u:#x} d={F.degree()}",
@@ -256,19 +287,24 @@ def kasami_antiselfdual(field: Field, F: ReducedPoly) -> ConstructedPair:
 
 @lru_cache(maxsize=None)
 def _quad_bits(field: Field, c: tuple[int, ...], eps: int) -> int:
+    """The quadratic idempotent from one sliced product.
+
+    sum_{i<m} c_i Tr(x^(2^i+1)) = Tr(x L(x)) for the linear map
+    L(x) = sum_{i<m} c_i x^(2^i), and the c_m term Tr_sub(x^(2^m+1)) is
+    the Kasami base at lambda = 1.
+    """
     m = field.m
-    smask = field.subtrace_mask(1)
-    tmask = field.trace_mask(1)
-    bits = 0
-    for x in range(field.size):
-        v = eps
-        for i in range(m):
-            if c[i]:
-                v ^= _parity(field.mul(field.frob(x, i), x) & tmask)
-        if c[m]:
-            v ^= _parity(field.mul(field.frob(x, m), x) & smask)
-        if v:
-            bits |= 1 << x
+    bits = _full(field) if eps else 0
+    lin = [0] * field.n
+    for i in range(m):
+        if c[i]:
+            lin = [a ^ b for a, b in zip(lin, field.frob_map(i))]
+    if any(lin):
+        xs = coordinate_tables(field.n)
+        bits ^= trace_planes(field.mul_planes(xs, linear_planes(xs, lin)),
+                             field.trace_mask(1))
+    if c[m]:
+        bits ^= _kasami_bits(field, 1)
     return bits
 
 
@@ -356,24 +392,21 @@ def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
             if field.trace_abs(field.mul(lam, sym)) != 0:
                 raise PreconditionViolated(
                     f"trace condition fails for shift pair ({i + 1},{j + 1})")
-    tmask = field.trace_mask(1)
-    base_bits = 0
-    for x in range(field.size):
-        if _parity(field.mul(lam, field.mul(field.frob(x, k), x)) & tmask):
-            base_bits |= 1 << x
+    xs = coordinate_tables(field.n)
+    full = _full(field)
+    lmask = field.trace_mask(lam)
+    frob_k = field.frob_map(k)
+    base_bits = trace_planes(
+        field.mul_planes(xs, linear_planes(xs, frob_k)), lmask)
     base = TruthTable(field, base_bits)
     f = boolfun.add(base, multipoly.compose_traces(field, F, us))
 
-    norms = [field.mul(u, uk) for u, uk in zip(us, uks)]
-    bits = 0
-    for x in range(field.size):
-        xk = field.frob(x, k)
-        args = 0
-        for i, u in enumerate(us):
-            sym = field.mul(xk, u) ^ field.mul(x, uks[i]) ^ norms[i]
-            args |= _parity(field.mul(lam, sym) & tmask) << i
-        if ((base_bits >> x) & 1) ^ multipoly.evaluate(F, args):
-            bits |= 1 << x
+    # dual: Tr(lam (x^(2^k) u + x u^(2^k) + u^(2^k+1))) per shift
+    args = [_trace_form(xs, [field.mul(xk, u) ^ field.mul(1 << j, uk)
+                             for j, xk in enumerate(frob_k)],
+                        field.mul(u, uk), lmask, full)
+            for u, uk in zip(us, uks)]
+    bits = base_bits ^ multipoly.compose(F, args, full)
     return ConstructedPair(
         f=f, predicted_dual=TruthTable(field, bits),
         notes=f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}",
@@ -394,32 +427,27 @@ def niho_exponents(m: int, k: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _niho_tables(field: Field, k: int) -> tuple[int, int, tuple[int, ...]]:
-    """Base bits, dual bits, and the per-point A^(1/(2^k-1)) table."""
+    """Base bits, dual bits, and the planes of A^(1/(2^k-1))."""
     m = field.m
+    xs = coordinate_tables(field.n)
+    full = _full(field)
     tmask = field.trace_mask(1)
     g_bits = _kasami_bits(field, 1)
     for e in niho_exponents(m, k):
-        for x in range(field.size):
-            if _parity(field.pow(x, e) & tmask):
-                g_bits ^= 1 << x
+        g_bits ^= trace_planes(field.pow_planes(xs, e), tmask)
     # dual: Tr_sub((alpha*A + x^(2^m) + alpha^(2^(n-k))) * A^(1/(2^k-1)))
     # with alpha + alpha^(2^m) = 1 and A = 1 + x + x^(2^m); the root index
     # 1/(2^k-1) is invertible mod 2^m-1 because gcd(k, m) = 1.
     e_root = pow((1 << k) - 1, -1, (1 << m) - 1)
     alpha = field.solve_semilinear(m, 1)
     alpha_c = field.frob(alpha, (2 * m - k) % (2 * m))
-    smask = field.subtrace_mask(1)
-    apow = []
-    d_bits = 0
-    for x in range(field.size):
-        xm = field.frob(x, m)
-        A = 1 ^ x ^ xm
-        Ap = field.pow(A, e_root) if A else 0
-        apow.append(Ap)
-        arg = field.mul(field.mul(alpha, A) ^ xm ^ alpha_c, Ap)
-        if _parity(arg & smask):
-            d_bits |= 1 << x
-    return g_bits, d_bits, tuple(apow)
+    xm = linear_planes(xs, field.frob_map(m))
+    A = add_const([a ^ b for a, b in zip(xs, xm)], 1, full)
+    apow = field.pow_planes(A, e_root)  # 0 where A = 0, as e_root >= 1
+    B = add_const([a ^ b for a, b in zip(
+        linear_planes(A, field.scale_map(alpha)), xm)], alpha_c, full)
+    d_bits = trace_planes(field.mul_planes(B, apow), field.subtrace_mask(1))
+    return g_bits, d_bits, apow
 
 
 def _check_niho(field: Field, k: int) -> int:
@@ -451,14 +479,8 @@ def niho_family(field: Field, k: int, us, F: ReducedPoly) -> ConstructedPair:
     base = TruthTable(field, g_bits)
     f = boolfun.add(base, multipoly.compose_traces(field, F, us))
 
-    masks = [field.subtrace_mask(u) for u in us]
-    bits = 0
-    for x in range(field.size):
-        args = 0
-        for i, mask in enumerate(masks):
-            args |= _parity(apow[x] & mask) << i
-        if ((d_bits >> x) & 1) ^ multipoly.evaluate(F, args):
-            bits |= 1 << x
+    args = [trace_planes(apow, field.subtrace_mask(u)) for u in us]
+    bits = d_bits ^ multipoly.compose(F, args, _full(field))
     return ConstructedPair(
         f=f, predicted_dual=TruthTable(field, bits),
         notes=f"Niho n={field.n} k={k} tau={F.tau}",
@@ -486,46 +508,34 @@ def mat_apply(rows, y: int) -> int:
     return r
 
 
+def _transpose(vectors) -> list[int]:
+    """Row bitmasks of an F_2 matrix from its column bitmasks, or back."""
+    return [sum(((v >> i) & 1) << j for j, v in enumerate(vectors))
+            for i in range(len(vectors))]
+
+
 def mat_invert(rows) -> tuple[int, ...]:
     """Inverse of an F_2 matrix in row-bitmask form."""
-    m = len(rows)
-    # images of the unit vectors, so one elimination serves every column
-    cols = []
-    for j in range(m):
-        v = 0
-        for i in range(m):
-            v |= ((rows[i] >> j) & 1) << i
-        cols.append(v)
-    pivots = {}
-    for j, v in enumerate(cols):
-        c = 1 << j
-        while v:
-            lead = v.bit_length() - 1
-            if lead in pivots:
-                pv, pc = pivots[lead]
-                v ^= pv
-                c ^= pc
-            else:
-                pivots[lead] = (v, c)
-                break
-        if v == 0:
+    cols = _transpose(rows)
+    inv_cols = []
+    for i in range(len(rows)):
+        sol, kernel = solve_f2(cols, 1 << i)
+        if kernel:
             raise SingularPermutation("matrix is not invertible over F_2")
-    sols = []
-    for i in range(m):
-        t, combo = 1 << i, 0
-        while t:
-            lead = t.bit_length() - 1
-            pv, pc = pivots[lead]
-            t ^= pv
-            combo ^= pc
-        sols.append(combo)  # x with M x = e_i
-    inv_rows = []
-    for i in range(m):
-        row = 0
-        for col in range(m):
-            row |= ((sols[col] >> i) & 1) << col
-        inv_rows.append(row)
-    return tuple(inv_rows)
+        inv_cols.append(sol)  # x with M x = e_i
+    return tuple(_transpose(inv_cols))
+
+
+def _grid_planes(base: Field) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Planes of x and y on the grid: the high and low coordinate tables."""
+    cs = coordinate_tables(2 * base.n)
+    return cs[base.n:], cs[:base.n]
+
+
+def _pair_traces(K: Field, xs, ys, pairs) -> list[int]:
+    """Tables of Tr(u1 x + u2 y), one per shift pair."""
+    return [trace_planes(xs, K.trace_mask(u1))
+            ^ trace_planes(ys, K.trace_mask(u2)) for u1, u2 in pairs]
 
 
 def _check_pairs(base: Field, us) -> list[tuple[int, int]]:
@@ -559,36 +569,30 @@ def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
             if K.trace_abs(t) != 0:
                 raise PreconditionViolated(
                     f"trace condition fails for shift pair ({i + 1},{j + 1})")
+    xs, ys = _grid_planes(K)
+    full = _full(dom)
     tmask = K.trace_mask(1)
-
-    base_bits = 0
-    f_bits = 0
-    for idx in range(dom.size):
-        x, y = dom.split(idx)
-        gval = _parity((K.mul(x, mat_apply(rows, y)) ^ K.mul(b, y)) & tmask)
-        args = 0
-        for i, (u1, u2) in enumerate(pairs):
-            args |= _parity((K.mul(u1, x) ^ K.mul(u2, y)) & tmask) << i
-        if gval:
-            base_bits |= 1 << idx
-        if gval ^ multipoly.evaluate(F, args):
-            f_bits |= 1 << idx
+    bmask = K.trace_mask(b)
+    base_bits = (trace_planes(K.mul_planes(
+        xs, linear_planes(ys, _transpose(rows))), tmask)
+        ^ trace_planes(ys, bmask))
     base = TruthTable(dom, base_bits)
-    f = TruthTable(dom, f_bits)
+    f = TruthTable(dom, base_bits ^ multipoly.compose(
+        F, _pair_traces(K, xs, ys, pairs), full))
 
-    self_terms = [K.mul(u2, mat_apply(inv_rows, u1)) for u1, u2 in pairs]
-    d_bits = 0
-    for idx in range(dom.size):
-        x, y = dom.split(idx)
-        pix = mat_apply(inv_rows, x)
-        gval = _parity((K.mul(y, pix) ^ K.mul(b, pix)) & tmask)
-        args = 0
-        for i, (u1, u2) in enumerate(pairs):
-            t = (K.mul(y ^ b, mat_apply(inv_rows, u1))
-                 ^ K.mul(u2, pix) ^ self_terms[i])
-            args |= _parity(t & tmask) << i
-        if gval ^ multipoly.evaluate(F, args):
-            d_bits |= 1 << idx
+    # dual: Tr(y pi^-1(x) + b pi^-1(x)) + F(Tr((y + b) pi^-1(u1)
+    # + u2 pi^-1(x) + u2 pi^-1(u1)), ...)
+    pix = linear_planes(xs, _transpose(inv_rows))
+    args = []
+    for u1, u2 in pairs:
+        w = mat_apply(inv_rows, u1)
+        arg = (trace_planes(ys, K.trace_mask(w))
+               ^ trace_planes(pix, K.trace_mask(u2)))
+        if K.trace_abs(K.mul(b, w) ^ K.mul(u2, w)):
+            arg ^= full
+        args.append(arg)
+    d_bits = (trace_planes(K.mul_planes(ys, pix), tmask)
+              ^ trace_planes(pix, bmask) ^ multipoly.compose(F, args, full))
     shifts = tuple((u1 << m) | u2 for u1, u2 in pairs)
     return ConstructedPair(
         f=f, predicted_dual=TruthTable(dom, d_bits),
@@ -634,21 +638,13 @@ def mm_monomial(m: int, s: int, us, F: ReducedPoly,
             if K.trace_abs(t) != 0:
                 raise PreconditionViolated(
                     f"trace condition fails for shift pair ({i + 1},{j + 1})")
-    tmask = K.trace_mask(1)
-    ypow = [K.pow(y, d) for y in range(K.size)]
-
-    base_bits = 0
-    f_bits = 0
-    for idx in range(dom.size):
-        x, y = dom.split(idx)
-        gval = _parity(K.mul(x, ypow[y]) & tmask)
-        args = 0
-        for i, (u1, u2) in enumerate(pairs):
-            args |= _parity((K.mul(u1, x) ^ K.mul(u2, y)) & tmask) << i
-        if gval:
-            base_bits |= 1 << idx
-        if gval ^ multipoly.evaluate(F, args):
-            f_bits |= 1 << idx
+    xs, ys = _grid_planes(K)
+    full = _full(dom)
+    # m = 1 gives d = 0, and y^0 = 1 everywhere
+    ypow = K.pow_planes(ys, d) if d else add_const([0], 1, full)
+    base_bits = trace_planes(K.mul_planes(xs, ypow), K.trace_mask(1))
+    f_bits = base_bits ^ multipoly.compose(
+        F, _pair_traces(K, xs, ys, pairs), full)
     shifts = tuple((u1 << m) | u2 for u1, u2 in pairs)
     return ConstructedPair(
         f=TruthTable(dom, f_bits), predicted_dual=None,
@@ -856,35 +852,50 @@ def spec_to_json(spec: ConstructionSpec) -> str:
 
 
 def spec_from_json(text: str) -> ConstructionSpec:
-    doc = json.loads(text)
+    """Parse a spec; malformed JSON or a missing or bad field is BadSpec."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadSpec(f"spec is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or "family" not in doc:
+        raise BadSpec("spec must be a JSON object with a family")
     family = doc["family"]
-    if family not in FAMILIES:
+    if family not in SPEC_FIELDS:
         raise PreconditionViolated(f"unknown family {family!r}")
-    u = None
-    if "u" in doc:
-        raw = doc["u"]
-        if raw and isinstance(raw[0], list):
-            u = tuple((int(a, 16), int(b, 16)) for a, b in raw)
-        else:
-            u = tuple(int(v, 16) for v in raw)
-    pi = None
-    if "pi" in doc:
-        pi = tuple(sum(int(bit) << j for j, bit in enumerate(row))
-                   for row in doc["pi"])
-    return ConstructionSpec(
-        family=family,
-        n=int(doc["n"]),
-        mod=int(doc["mod"], 16) if "mod" in doc else None,
-        lam=int(doc["lambda"], 16) if "lambda" in doc else None,
-        c=tuple(int(b) for b in doc["c"]) if "c" in doc else None,
-        eps=int(doc.get("eps", 0)),
-        k=int(doc["k"]) if "k" in doc else None,
-        s=int(doc["s"]) if "s" in doc else None,
-        pi=pi,
-        b=int(doc["b"], 16) if "b" in doc else None,
-        u=u,
-        F=doc.get("F"),
-    )
+    missing = [key for key in ("n",) + SPEC_FIELDS[family] if key not in doc]
+    if missing:
+        raise BadSpec(f"{family} spec lacks {', '.join(missing)}")
+    if "F" in doc and not isinstance(doc["F"], str):
+        raise BadSpec("F must be a polynomial string such as 'X1*X2+X3'")
+    try:
+        u = None
+        if "u" in doc:
+            if family in ("MMLinear", "MMMonomial"):
+                if not all(isinstance(p, list) for p in doc["u"]):
+                    raise BadSpec(f"{family} shifts must be [x, y] pairs")
+                u = tuple((int(a, 16), int(b, 16)) for a, b in doc["u"])
+            else:
+                u = tuple(int(v, 16) for v in doc["u"])
+        pi = None
+        if "pi" in doc:
+            pi = tuple(sum(int(bit) << j for j, bit in enumerate(row))
+                       for row in doc["pi"])
+        return ConstructionSpec(
+            family=family,
+            n=int(doc["n"]),
+            mod=int(doc["mod"], 16) if "mod" in doc else None,
+            lam=int(doc["lambda"], 16) if "lambda" in doc else None,
+            c=tuple(int(b) for b in doc["c"]) if "c" in doc else None,
+            eps=int(doc.get("eps", 0)),
+            k=int(doc["k"]) if "k" in doc else None,
+            s=int(doc["s"]) if "s" in doc else None,
+            pi=pi,
+            b=int(doc["b"], 16) if "b" in doc else None,
+            u=u,
+            F=doc.get("F"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise BadSpec(f"malformed {family} spec: {exc}") from None
 
 
 def build(spec: ConstructionSpec):
@@ -912,8 +923,10 @@ def build(spec: ConstructionSpec):
         return kasami_subfield(field, spec.lam, spec.u,
                                multipoly.parse_poly(spec.F, len(spec.u)))
     if family == "KasamiIdempotent":
-        (u0,) = spec.u
-        return kasami_idempotent(field, u0, multipoly.parse_poly(spec.F, m))
+        if len(spec.u) != 1:
+            raise BadSpec("KasamiIdempotent takes one u, the normal element")
+        return kasami_idempotent(field, spec.u[0],
+                                 multipoly.parse_poly(spec.F, m))
     if family == "KasamiAntiSelfDual":
         return kasami_antiselfdual(field,
                                    multipoly.parse_poly(spec.F, m - 1))

@@ -123,3 +123,17 @@ class BadDivisor(BentkitError):
 
 class NoModularInverse(BentkitError):
     pass
+
+
+# -- command-line and spec input ------------------------------------------
+
+class BadSpec(BentkitError):
+    pass
+
+
+class BadRange(BentkitError):
+    pass
+
+
+class EmptyExpectation(BentkitError, ValueError):
+    """Also a ValueError, which callers caught before it was a BentkitError."""

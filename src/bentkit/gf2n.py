@@ -214,6 +214,51 @@ def coordinate_tables(n: int) -> tuple[int, ...]:
     return tuple(tables)
 
 
+# ---------------------------------------------------------------------------
+# Bit-sliced field elements: plane i holds bit i of the value at every index
+# ---------------------------------------------------------------------------
+#
+# A field-valued table v: index -> GF(2^n) is the tuple of its n packed bit
+# planes.  The coordinate tables are the identity table x -> x, F_2-linear
+# maps are XOR combinations of planes, and a product is n^2 ANDs of planes
+# (Field.mul_planes), so building a table costs O(n^2) big-int operations
+# whatever the number of indices.
+
+def linear_planes(planes, columns) -> tuple[int, ...]:
+    """Planes of L(v), for the F_2-linear map with L(e_j) = columns[j]."""
+    out = [0] * len(columns)
+    for plane, col in zip(planes, columns):
+        i = 0
+        while col:
+            if col & 1:
+                out[i] ^= plane
+            col >>= 1
+            i += 1
+    return tuple(out)
+
+
+def trace_planes(planes, mask: int) -> int:
+    """Packed table of parity(v & mask): the XOR of the planes mask selects."""
+    acc = 0
+    for plane in planes:
+        if mask & 1:
+            acc ^= plane
+        mask >>= 1
+    return acc
+
+
+def add_const(planes, c: int, full: int) -> tuple[int, ...]:
+    """Planes of v + c; full is the all-ones table."""
+    return tuple(p ^ (full if (c >> i) & 1 else 0)
+                 for i, p in enumerate(planes))
+
+
+def pullback_mask(columns, mask: int) -> int:
+    """Mask M with parity(L(x) & mask) = parity(x & M), L(e_j) = columns[j]."""
+    return sum(((col & mask).bit_count() & 1) << j
+               for j, col in enumerate(columns))
+
+
 def _delta_swap(bits: int, mask: int, delta: int) -> int:
     """Swap bit i with bit i + delta for every i in mask."""
     t = (bits ^ (bits >> delta)) & mask
@@ -338,15 +383,9 @@ class Field:
 
     def frob(self, a: int, k: int) -> int:
         """a^(2^k); k is taken modulo n."""
-        k %= self.n
-        if k == 0:
+        if k % self.n == 0:
             return a
-        basis = self._frob_basis.get(k)
-        if basis is None:
-            basis = [1 << j for j in range(self.n)]
-            for _ in range(k):
-                basis = [self.sqr(v) for v in basis]
-            self._frob_basis[k] = basis
+        basis = self.frob_map(k)
         r = 0
         j = 0
         while a:
@@ -368,6 +407,64 @@ class Field:
             a = self.sqr(a)
             e >>= 1
         return r
+
+    def frob_map(self, k: int) -> list[int]:
+        """Column images of the F_2-linear map x -> x^(2^k)."""
+        k %= self.n
+        basis = self._frob_basis.get(k)
+        if basis is None:
+            basis = [1 << j for j in range(self.n)]
+            for _ in range(k):
+                basis = [self.sqr(v) for v in basis]
+            self._frob_basis[k] = basis
+        return basis
+
+    def scale_map(self, c: int) -> list[int]:
+        """Column images of the F_2-linear map x -> c*x."""
+        return [self.mul(c, 1 << j) for j in range(self.n)]
+
+    def mul_planes(self, a, b) -> tuple[int, ...]:
+        """Planes of the pointwise product a*b of two sliced tables.
+
+        n^2 ANDs give the planes of the carry-less product, then each plane
+        of degree d >= n is folded in along x^d mod the modulus.
+        """
+        n = self.n
+        conv = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    conv[i + j] ^= ai & bj
+        out = conv[:n]
+        for plane, red in zip(conv[n:], self._red):
+            i = 0
+            while red and plane:
+                if red & 1:
+                    out[i] ^= plane
+                red >>= 1
+                i += 1
+        return tuple(out)
+
+    def pow_planes(self, a, e: int) -> tuple[int, ...]:
+        """Planes of a^e pointwise for e != 0, by square-and-multiply.
+
+        Follows pow: e acts modulo 2^n - 1 and 0^e = 0.  A multiple of
+        2^n - 1 is taken as 2^n - 1 itself, which gives 1 on nonzero
+        values and 0 on 0, as pow does.
+        """
+        if e == 0:
+            raise ValueError("the sliced power needs a nonzero exponent")
+        e %= self.size - 1
+        if e == 0:
+            e = self.size - 1
+        r = None
+        while True:
+            if e & 1:
+                r = a if r is None else self.mul_planes(r, a)
+            e >>= 1
+            if not e:
+                return r
+            a = linear_planes(a, self._sqr_basis)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -442,10 +539,13 @@ class Field:
 
     def subfield(self) -> "SubfieldView":
         if self._subfield is None:
+            # the kernel of x -> x + x^(2^m), spanned from a basis
             m = self._require_m()
-            members = tuple(y for y in range(self.size)
-                            if self.frob(y, m) == y)
-            self._subfield = SubfieldView(self, members)
+            images = [(1 << j) ^ v for j, v in enumerate(self.frob_map(m))]
+            members = [0]
+            for b in solve_f2(images, 0)[1]:
+                members += [y ^ b for y in members]
+            self._subfield = SubfieldView(self, tuple(sorted(members)))
         return self._subfield
 
     def is_normal(self, u: int, in_subfield: bool = False) -> bool:

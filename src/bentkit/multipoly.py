@@ -13,7 +13,7 @@ from itertools import combinations
 
 from . import boolfun
 from .errors import ArityMismatch, DegreeOutOfRange, ZeroCoefficient, ZeroMask
-from .gf2n import Field
+from .gf2n import Field, coordinate_tables, trace_planes
 
 
 @dataclass(frozen=True)
@@ -101,27 +101,40 @@ def rotation_closure(mask: int, tau: int) -> ReducedPoly:
     return ReducedPoly(tau, frozenset(orbit))
 
 
+def compose(F: ReducedPoly, args, full: int) -> int:
+    """Packed table of F(a_1, ..., a_tau) from packed argument tables.
+
+    A monomial is the AND of the arguments it selects (the constant
+    monomial is the all-ones table full), and F is the XOR of its
+    monomials.  Affine arguments, such as a complemented trace form, are
+    passed already complemented.
+    """
+    if len(args) != F.tau:
+        raise ArityMismatch(f"{F.tau} variables but {len(args)} arguments")
+    acc = 0
+    for mono in F.monomials:
+        term = full
+        for i, arg in enumerate(args):
+            if (mono >> i) & 1:
+                term &= arg
+        acc ^= term
+    return acc
+
+
 def compose_traces(field: Field, F: ReducedPoly, us) -> "boolfun.TruthTable":
-    """Truth table of x -> F(Tr(u_1 x), ..., Tr(u_tau x))."""
+    """Truth table of x -> F(Tr(u_1 x), ..., Tr(u_tau x)).
+
+    Tr(u x) is the XOR of the coordinate tables X_j that trace_mask(u)
+    selects.
+    """
     us = list(us)
     if len(us) != F.tau:
         raise ArityMismatch(f"{F.tau} variables but {len(us)} coefficients")
     if any(u == 0 for u in us):
         raise ZeroCoefficient("all trace coefficients must be nonzero")
-    masks = [field.trace_mask(u) for u in us]
-    monos = list(F.monomials)
-    bits = 0
-    for x in range(field.size):
-        args = 0
-        for i, mask in enumerate(masks):
-            args |= ((x & mask).bit_count() & 1) << i
-        acc = 0
-        for mono in monos:
-            if args & mono == mono:
-                acc ^= 1
-        if acc:
-            bits |= 1 << x
-    return boolfun.TruthTable(field, bits)
+    xs = coordinate_tables(field.n)
+    args = [trace_planes(xs, field.trace_mask(u)) for u in us]
+    return boolfun.TruthTable(field, compose(F, args, (1 << field.size) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +165,7 @@ def parse_poly(text: str, tau: int) -> ReducedPoly:
         else:
             mask = 0
             for var in term.split("*"):
-                if not var.startswith("X"):
+                if not (var.startswith("X") and var[1:].isdecimal()):
                     raise ArityMismatch(f"bad variable {var!r}")
                 i = int(var[1:])
                 if not 1 <= i <= tau:

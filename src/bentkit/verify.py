@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from . import boolfun, constructions, multipoly
 from .boolfun import DualityClass, TruthTable
 from .constructions import ConstructedPair
-from .errors import DimensionTooSmall, NoSolution
+from .errors import DimensionTooSmall, EmptyExpectation, NoSolution
 from .gf2n import make_field
 from .multipoly import ReducedPoly
 
@@ -32,7 +32,7 @@ class Expectation:
         if (self.bent is None and self.degree is None
                 and self.idempotent is None and self.duality is None
                 and self.dual_table is None):
-            raise ValueError("expectation is empty")
+            raise EmptyExpectation("expectation is empty")
 
 
 @dataclass

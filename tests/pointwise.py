@@ -1,0 +1,238 @@
+"""Per-point reference constructions, the oracle for the sliced constructors.
+
+Each function evaluates a family's table, its base and its closed-form
+dual index by index with Field arithmetic, exactly as the formulas read,
+and returns the packed ints (f, base, dual); dual is None where the family
+has no closed form.  bentkit.constructions builds the same tables on
+bit-sliced planes, and tests/test_kernels.py compares the two bit for bit.
+"""
+
+from bentkit import multipoly as mp
+from bentkit.constructions import (
+    mat_apply,
+    mat_invert,
+    monomial_inverse_exponent,
+    niho_exponents,
+)
+from bentkit.gf2n import BivariateDomain, Field
+
+
+def parity(x: int) -> int:
+    return x.bit_count() & 1
+
+
+def packed(size: int, value) -> int:
+    """Packed table of the 0/1 function value over range(size)."""
+    bits = 0
+    for x in range(size):
+        if value(x):
+            bits |= 1 << x
+    return bits
+
+
+def compose_traces(field: Field, F, us) -> int:
+    masks = [field.trace_mask(u) for u in us]
+
+    def value(x):
+        args = 0
+        for i, mask in enumerate(masks):
+            args |= parity(x & mask) << i
+        return mp.evaluate(F, args)
+    return packed(field.size, value)
+
+
+def kasami_bits(field: Field, lam: int) -> int:
+    mask = field.subtrace_mask(lam)
+    return packed(field.size, lambda x: parity(
+        field.mul(x, field.frob(x, field.m)) & mask))
+
+
+def kasami_general(field: Field, lam: int, us, F):
+    m = field.m
+    base = kasami_bits(field, lam)
+    f = base ^ compose_traces(field, F, us)
+    lam_inv = field.inv(lam)
+    ums = [field.frob(u, m) for u in us]
+    smask = field.subtrace_mask(lam_inv)
+    dual_base = kasami_bits(field, lam_inv)
+    norms = [field.mul(u, um) for u, um in zip(us, ums)]
+
+    def dual(x):
+        xm = field.frob(x, m)
+        args = 0
+        for i, u in enumerate(us):
+            sym = field.mul(xm, u) ^ field.mul(x, ums[i]) ^ norms[i]
+            args |= parity(sym & smask) << i
+        return ((dual_base >> x) & 1) ^ mp.evaluate(F, args) ^ 1
+    return f, base, packed(field.size, dual)
+
+
+def kasami_subfield(field: Field, lam: int, us, F):
+    base = kasami_bits(field, lam)
+    f = base ^ compose_traces(field, F, us)
+    lam_inv = field.inv(lam)
+    masks = [field.trace_mask(field.mul(lam_inv, u)) for u in us]
+    consts = [field.trace_sub(field.mul(lam_inv, field.mul(u, u)))
+              for u in us]
+    dual_base = kasami_bits(field, lam_inv)
+
+    def dual(x):
+        args = 0
+        for i, mask in enumerate(masks):
+            args |= (parity(x & mask) ^ consts[i]) << i
+        return ((dual_base >> x) & 1) ^ mp.evaluate(F, args) ^ 1
+    return f, base, packed(field.size, dual)
+
+
+def normal_orbit(field: Field, u: int) -> list[int]:
+    orbit = [u]
+    for _ in range(field.m - 1):
+        orbit.append(field.sqr(orbit[-1]))
+    return orbit
+
+
+def kasami_idempotent(field: Field, u: int, F):
+    us = normal_orbit(field, u)
+    base = kasami_bits(field, 1)
+    f = base ^ compose_traces(field, F, us)
+    masks = [field.trace_mask(v) for v in us]
+    full = (1 << field.m) - 1
+
+    def dual(x):
+        args = 0
+        for i, mask in enumerate(masks):
+            args |= parity(x & mask) << i
+        return ((base >> x) & 1) ^ mp.evaluate(F, args ^ full) ^ 1
+    return f, base, packed(field.size, dual)
+
+
+def kasami_antiselfdual(field: Field, F):
+    base = kasami_bits(field, 1)
+    f = base ^ compose_traces(field, F, field.trace_zero_basis())
+    return f, base, f ^ ((1 << field.size) - 1)
+
+
+def quad_bits(field: Field, c, eps: int) -> int:
+    m = field.m
+    smask = field.subtrace_mask(1)
+    tmask = field.trace_mask(1)
+
+    def value(x):
+        v = eps
+        for i in range(m):
+            if c[i]:
+                v ^= parity(field.mul(field.frob(x, i), x) & tmask)
+        if c[m]:
+            v ^= parity(field.mul(field.frob(x, m), x) & smask)
+        return v
+    return packed(field.size, value)
+
+
+def quad_family(field: Field, c, eps: int, us, F):
+    base = quad_bits(field, c, eps)
+    return base ^ compose_traces(field, F, us), base, None
+
+
+def gold_like(field: Field, lam: int, us, F):
+    k = field.n // 4
+    tmask = field.trace_mask(1)
+    base = packed(field.size, lambda x: parity(
+        field.mul(lam, field.mul(field.frob(x, k), x)) & tmask))
+    f = base ^ compose_traces(field, F, us)
+    uks = [field.frob(u, k) for u in us]
+    norms = [field.mul(u, uk) for u, uk in zip(us, uks)]
+
+    def dual(x):
+        xk = field.frob(x, k)
+        args = 0
+        for i, u in enumerate(us):
+            sym = field.mul(xk, u) ^ field.mul(x, uks[i]) ^ norms[i]
+            args |= parity(field.mul(lam, sym) & tmask) << i
+        return ((base >> x) & 1) ^ mp.evaluate(F, args)
+    return f, base, packed(field.size, dual)
+
+
+def niho_tables(field: Field, k: int):
+    """Base bits, dual bits and the per-point A^(1/(2^k-1)) list."""
+    m = field.m
+    tmask = field.trace_mask(1)
+    g_bits = kasami_bits(field, 1)
+    for e in niho_exponents(m, k):
+        g_bits ^= packed(field.size,
+                         lambda x: parity(field.pow(x, e) & tmask))
+    e_root = pow((1 << k) - 1, -1, (1 << m) - 1)
+    alpha = field.solve_semilinear(m, 1)
+    alpha_c = field.frob(alpha, (2 * m - k) % (2 * m))
+    smask = field.subtrace_mask(1)
+    apow = []
+    d_bits = 0
+    for x in range(field.size):
+        xm = field.frob(x, m)
+        A = 1 ^ x ^ xm
+        Ap = field.pow(A, e_root) if A else 0
+        apow.append(Ap)
+        arg = field.mul(field.mul(alpha, A) ^ xm ^ alpha_c, Ap)
+        if parity(arg & smask):
+            d_bits |= 1 << x
+    return g_bits, d_bits, apow
+
+
+def niho_family(field: Field, k: int, us, F):
+    g_bits, d_bits, apow = niho_tables(field, k)
+    f = g_bits ^ compose_traces(field, F, us)
+    masks = [field.subtrace_mask(u) for u in us]
+
+    def dual(x):
+        args = 0
+        for i, mask in enumerate(masks):
+            args |= parity(apow[x] & mask) << i
+        return ((d_bits >> x) & 1) ^ mp.evaluate(F, args)
+    return f, g_bits, packed(field.size, dual)
+
+
+def _grid_forms(K: Field, pairs, F, dom: BivariateDomain, base_value):
+    """Packed base and base + F(Tr(u1 x + u2 y), ...) on the grid."""
+    tmask = K.trace_mask(1)
+    base = f = 0
+    for idx in range(dom.size):
+        x, y = dom.split(idx)
+        gval = base_value(x, y)
+        args = 0
+        for i, (u1, u2) in enumerate(pairs):
+            args |= parity((K.mul(u1, x) ^ K.mul(u2, y)) & tmask) << i
+        base |= gval << idx
+        f |= (gval ^ mp.evaluate(F, args)) << idx
+    return f, base
+
+
+def mm_linear(m: int, rows, b: int, pairs, F, modulus=None):
+    K = Field(m, modulus)
+    dom = BivariateDomain(K)
+    inv_rows = mat_invert(rows)
+    tmask = K.trace_mask(1)
+    f, base = _grid_forms(K, pairs, F, dom, lambda x, y: parity(
+        (K.mul(x, mat_apply(rows, y)) ^ K.mul(b, y)) & tmask))
+    self_terms = [K.mul(u2, mat_apply(inv_rows, u1)) for u1, u2 in pairs]
+
+    def dual(idx):
+        x, y = dom.split(idx)
+        pix = mat_apply(inv_rows, x)
+        gval = parity((K.mul(y, pix) ^ K.mul(b, pix)) & tmask)
+        args = 0
+        for i, (u1, u2) in enumerate(pairs):
+            t = (K.mul(y ^ b, mat_apply(inv_rows, u1))
+                 ^ K.mul(u2, pix) ^ self_terms[i])
+            args |= parity(t & tmask) << i
+        return gval ^ mp.evaluate(F, args)
+    return f, base, packed(dom.size, dual)
+
+
+def mm_monomial(m: int, s: int, pairs, F, modulus=None):
+    d = monomial_inverse_exponent(m, s)
+    K = Field(m, modulus)
+    dom = BivariateDomain(K)
+    tmask = K.trace_mask(1)
+    ypow = [K.pow(y, d) for y in range(K.size)]
+    f, base = _grid_forms(K, pairs, F, dom, lambda x, y: parity(
+        K.mul(x, ypow[y]) & tmask))
+    return f, base, None

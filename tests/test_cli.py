@@ -216,3 +216,34 @@ def test_verify_rejects_malformed_expectations(capsys, tmp_path, claim,
 def test_demo_carlet_refuses_m_below_two(capsys):
     code, out, err = run(capsys, "demo", "carlet", "--m", "1")
     assert code == 2 and out == "" and "DimensionTooSmall" in err
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"family": "KasamiGeneral", "n": 6,', "not valid JSON"),
+    ('{"family": "KasamiGeneral", "n": 6, "lambda": "0x1", "F": "X1"}',
+     "KasamiGeneral spec lacks u"),
+    ('{"family": "Niho", "n": 8, "u": ["0x1"], "F": "X1"}',
+     "Niho spec lacks k"),
+    ('{"family": "MMLinear", "n": 6, "u": [["0x1", "0x0"]]}',
+     "MMLinear spec lacks pi, F"),
+    ('{"family": "QuadIdem", "n": 6}', "QuadIdem spec lacks c"),
+    ('{"family": "KasamiSubfield", "n": 6, "lambda": "zz", "u": ["0x1"],'
+     ' "F": "X1"}', "malformed KasamiSubfield spec"),
+    ('["KasamiGeneral"]', "JSON object with a family"),
+    ('{"family": "MMLinear", "n": 6, "pi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
+     ' "u": ["01"], "F": "X1"}', "MMLinear shifts must be [x, y] pairs"),
+])
+def test_construct_rejects_malformed_specs(capsys, tmp_path, text, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "construct", str(path))
+    assert code == 2 and out == ""
+    assert "BadSpec" in err and reason in err
+    assert not (tmp_path / "bad.tt").exists()
+
+
+@pytest.mark.parametrize("sizes", ["3..x", "x", "5..3", ""])
+def test_sweep_rejects_bad_size_ranges(capsys, sizes):
+    code, out, err = run(capsys, "sweep", "--family", "KasamiGeneral",
+                         "--m", sizes, "--trials", "1")
+    assert code == 2 and out == "" and "BadRange" in err

@@ -3,35 +3,49 @@
 Random tables on fields with random irreducible moduli (n = 1..10, odd n
 included) and on bivariate grids.  The oracles are the list transforms
 fwht, mobius and walsh_naive, re-indexed point by point through
-walsh_index and squaring_perm.
+walsh_index and squaring_perm, and, for the bit-sliced constructors, the
+per-point constructions in tests/pointwise.py.
 """
+
+import math
+import random
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+import pointwise as pw  # noqa: E402
 from bentkit import boolfun as bf  # noqa: E402
-from bentkit.errors import NotBent, OddDimension  # noqa: E402
+from bentkit import constructions as cx  # noqa: E402
+from bentkit.errors import NoSolution, NotBent, OddDimension  # noqa: E402
 from bentkit.gf2n import (  # noqa: E402
     BivariateDomain,
     Field,
     is_irreducible,
+    linear_planes,
     pull_linear,
+    pullback_mask,
     rank,
+    trace_planes,
 )
 
 
-@st.composite
-def fields(draw, max_n=10):
-    n = draw(st.integers(1, max_n))
+def random_modulus(draw, n: int) -> int:
+    """The first irreducible modulus at or after a random start, wrapping."""
     start = draw(st.integers(0, (1 << n) - 1))
-    # the first irreducible modulus at or after a random start, wrapping
     for offset in range(1 << n):
         mod = (1 << n) | ((start + offset) % (1 << n))
         if is_irreducible(mod):
-            return Field(n, mod)
+            return mod
     raise AssertionError(f"no irreducible polynomial of degree {n}")
+
+
+@st.composite
+def fields(draw, max_n=10, min_n=1, step=1):
+    """Fields whose degree n, a multiple of step, lies in min_n..max_n."""
+    n = step * draw(st.integers(-(-min_n // step), max_n // step))
+    return Field(n, random_modulus(draw, n))
 
 
 @st.composite
@@ -189,3 +203,160 @@ def test_pull_linear_on_random_invertible_maps(nmap, data):
 def test_pull_linear_refuses_a_singular_map():
     with pytest.raises(ValueError):
         pull_linear(0b1011, [0b01, 0b01])
+
+
+# ---------------------------------------------------------------------------
+# bit-sliced field elements and constructors
+# ---------------------------------------------------------------------------
+
+def planes_of(values, n: int) -> tuple[int, ...]:
+    return tuple(packed((v >> i) & 1 for v in values) for i in range(n))
+
+
+def values_of(planes, size: int) -> list[int]:
+    return [sum(((p >> x) & 1) << i for i, p in enumerate(planes))
+            for x in range(size)]
+
+
+@given(fields(max_n=8), st.data())
+def test_sliced_mul_pow_and_linear_maps_match_field_arithmetic(field, data):
+    n = field.n
+    size = 1 << data.draw(st.integers(0, 6))
+    element = st.integers(0, (1 << n) - 1)
+    va = data.draw(st.lists(element, min_size=size, max_size=size))
+    vb = data.draw(st.lists(element, min_size=size, max_size=size))
+    a, b = planes_of(va, n), planes_of(vb, n)
+    assert values_of(field.mul_planes(a, b), size) == [
+        field.mul(x, y) for x, y in zip(va, vb)]
+    order = field.size - 1
+    e = data.draw(st.one_of(st.integers(1, 3 * field.size),
+                            st.sampled_from([order, 2 * order])))
+    assert values_of(field.pow_planes(a, e), size) == [
+        field.pow(x, e) for x in va]
+    k = data.draw(st.integers(0, 2 * n))
+    c = data.draw(element)
+    for cols, image in ((field.frob_map(k), lambda x: field.frob(x, k)),
+                        (field.scale_map(c), lambda x: field.mul(c, x))):
+        assert values_of(linear_planes(a, cols), size) == [
+            image(x) for x in va]
+        mask = data.draw(element)
+        assert trace_planes(a, pullback_mask(cols, mask)) == packed(
+            pw.parity(image(x) & mask) for x in va)
+
+
+@given(fields(max_n=12, min_n=2, step=2))
+def test_subfield_is_the_frobenius_fixed_set(field):
+    assert field.subfield().members == tuple(
+        y for y in range(field.size) if field.frob(y, field.m) == y)
+
+
+def sample_kasami_general(data, rng, subfield_only=False):
+    field = data.draw(fields(max_n=10, min_n=4, step=2))
+    lam = rng.choice([y for y in field.subfield().members if y])
+    tau = rng.randint(1, field.m)
+    us = cx.kasami_valid_us(field, lam, tau, rng, subfield_only=subfield_only)
+    F = cx.random_poly(tau, rng)
+    if subfield_only:
+        return (cx.kasami_subfield(field, lam, us, F),
+                pw.kasami_subfield(field, lam, us, F))
+    return (cx.kasami_general(field, lam, us, F),
+            pw.kasami_general(field, lam, us, F))
+
+
+def sample_kasami_idempotent(data, rng):
+    field = data.draw(fields(max_n=10, min_n=4, step=2))
+    u = field.find_normal(rng.randrange(1 << field.m), in_subfield=True)
+    F = cx.random_rotsym_poly(field.m, rng)
+    return (cx.kasami_idempotent(field, u, F),
+            pw.kasami_idempotent(field, u, F))
+
+
+def sample_kasami_antiselfdual(data, rng):
+    field = data.draw(fields(max_n=10, min_n=4, step=2))
+    F = cx.random_poly(field.m - 1, rng)
+    return (cx.kasami_antiselfdual(field, F),
+            pw.kasami_antiselfdual(field, F))
+
+
+def sample_quad_family(data, rng):
+    field = data.draw(fields(max_n=10, min_n=2, step=2))
+    m = field.m
+    c = [rng.randint(0, 1) for _ in range(m + 1)]
+    eps = rng.randint(0, 1)
+    base = cx.quad_idempotent_g(field, c, eps)
+    assert base.bits == pw.quad_bits(field, c, eps)
+    assume(cx.is_quad_bent_gcd(c))
+    tau = rng.randint(1, m)
+    us = rng.sample([y for y in field.subfield().members if y], tau)
+    F = cx.random_poly(tau, rng)
+    return (cx.quad_family(field, c, eps, us, F),
+            pw.quad_family(field, c, eps, us, F))
+
+
+def sample_gold_like(data, rng):
+    field = data.draw(fields(max_n=8, min_n=4, step=4))
+    lam = field.solve_semilinear(3 * (field.n // 4), 1)
+    tau = rng.randint(1, field.n // 2)
+    us = cx.gold_valid_us(field, lam, tau, rng)
+    F = cx.random_poly(tau, rng)
+    return cx.gold_like(field, lam, us, F), pw.gold_like(field, lam, us, F)
+
+
+def sample_niho(data, rng):
+    field = data.draw(fields(max_n=10, min_n=4, step=2))
+    m = field.m
+    k = rng.choice([k for k in range(1, m + 1) if math.gcd(k, m) == 1])
+    tau = rng.randint(1, m)
+    us = rng.sample([y for y in field.subfield().members if y], tau)
+    F = cx.random_poly(tau, rng)
+    return cx.niho_family(field, k, us, F), pw.niho_family(field, k, us, F)
+
+
+def sample_mm_linear(data, rng):
+    base = data.draw(fields(max_n=5, min_n=2))
+    m, mod = base.n, base.modulus
+    tau = rng.randint(1, min(m, 3))
+    rows, b, pairs = cx.mm_linear_params(m, tau, rng, modulus=mod)
+    F = cx.random_poly(tau, rng)
+    return (cx.mm_linear(m, rows, b, pairs, F, modulus=mod),
+            pw.mm_linear(m, rows, b, pairs, F, modulus=mod))
+
+
+def sample_mm_monomial(data, rng):
+    base = data.draw(fields(max_n=5, min_n=1))
+    m, mod = base.n, base.modulus
+    s = rng.choice([s for s in range(1, m + 1)
+                    if m % s == 0 and (m // s) % 2 == 1])
+    tau = 1 if s == 1 else rng.randint(1, 2)
+    pairs = cx.mm_monomial_pairs(m, s, tau, rng, modulus=mod)
+    F = cx.random_poly(tau, rng)
+    return (cx.mm_monomial(m, s, pairs, F, modulus=mod),
+            pw.mm_monomial(m, s, pairs, F, modulus=mod))
+
+
+@pytest.mark.parametrize("sample", [
+    sample_kasami_general,
+    lambda data, rng: sample_kasami_general(data, rng, subfield_only=True),
+    sample_kasami_idempotent,
+    sample_kasami_antiselfdual,
+    sample_quad_family,
+    sample_gold_like,
+    sample_niho,
+    sample_mm_linear,
+    sample_mm_monomial,
+], ids=["KasamiGeneral", "KasamiSubfield", "KasamiIdempotent",
+        "KasamiAntiSelfDual", "QuadFamily", "GoldLike", "Niho", "MMLinear",
+        "MMMonomial"])
+@settings(max_examples=40)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_sliced_constructors_match_the_pointwise_oracle(sample, data, seed):
+    try:
+        pair, (f, base, dual) = sample(data, random.Random(seed))
+    except NoSolution:
+        assume(False)
+    assert pair.f.bits == f
+    assert pair.base.bits == base
+    if dual is None:
+        assert pair.predicted_dual is None
+    else:
+        assert pair.predicted_dual.bits == dual

@@ -4,7 +4,7 @@ from bentkit import boolfun as bf
 from bentkit import constructions as cx
 from bentkit import multipoly as mp
 from bentkit import verify as vf
-from bentkit.errors import DimensionTooSmall
+from bentkit.errors import BentkitError, DimensionTooSmall
 from bentkit.gf2n import make_field
 
 
@@ -71,6 +71,8 @@ def test_verify_duality_expectation():
 
 def test_expectation_must_claim_something():
     with pytest.raises(ValueError):
+        vf.Expectation()
+    with pytest.raises(BentkitError):  # an input error: the CLI exits 2
         vf.Expectation()
 
 
