@@ -44,21 +44,6 @@ def _report_line(label: str, rep: VerificationReport) -> str:
     return line
 
 
-def _expectation_for(family: str, built) -> Expectation:
-    if family == "QuadIdem":
-        return Expectation(bent=None, idempotent=True)
-    if family == "KasamiAntiSelfDual":
-        return Expectation(bent=True,
-                              duality=DualityClass.ANTI_SELF_DUAL)
-    if family in ("KasamiSubfield", "KasamiIdempotent"):
-        exp = Expectation(bent=True,
-                             degree=max(2, built.poly.degree()))
-        if family == "KasamiIdempotent":
-            exp.idempotent = True
-        return exp
-    return Expectation(bent=True)
-
-
 def _cmd_field(args) -> int:
     field = Field(args.n, args.mod)
     print(field.describe())
@@ -81,10 +66,8 @@ def _cmd_construct(args) -> int:
     if predicted is not None:
         boolfun.save_tt(predicted, f"{stem}.dual.tt")
         written.append(f"{stem}.dual.tt")
-    exp = _expectation_for(spec.family, built)
-    if spec.family == "QuadIdem":
-        exp.bent = constructions.is_quad_bent_gcd(spec.c)
-    rep = run_verify(table, exp, predicted_dual=predicted)
+    claims = constructions.FAMILIES[spec.family].claims(spec, built)
+    rep = run_verify(table, Expectation(**claims), predicted_dual=predicted)
     if args.json:
         doc = rep.to_dict()
         doc["files"] = written
@@ -242,6 +225,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _cmd_sweep(args) -> int:
+    if args.trials < 1:
+        raise BadRange(f"--trials must be at least 1, got {args.trials}")
     rep = run_sweep(args.family, _parse_range(args.m), args.trials,
                    args.seed)
     if args.json:

@@ -27,11 +27,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import boolfun, multipoly
-from .boolfun import TruthTable
+from .boolfun import DualityClass, TruthTable
 from .errors import (
     ArityMismatch,
     BadDimension,
@@ -57,6 +58,7 @@ from .gf2n import (
     add_const,
     coordinate_tables,
     linear_planes,
+    make_field,
     poly_gcd,
     pullback_mask,
     rank,
@@ -64,22 +66,6 @@ from .gf2n import (
     trace_planes,
 )
 from .multipoly import ReducedPoly
-
-# The JSON fields a spec of each family must carry besides family and n.
-SPEC_FIELDS = {
-    "KasamiGeneral": ("lambda", "u", "F"),
-    "KasamiSubfield": ("lambda", "u", "F"),
-    "KasamiIdempotent": ("u", "F"),
-    "KasamiAntiSelfDual": ("F",),
-    "QuadIdem": ("c",),
-    "QuadFamily": ("c", "u", "F"),
-    "GoldLike": ("u", "F"),
-    "Niho": ("k", "u", "F"),
-    "MMLinear": ("pi", "u", "F"),
-    "MMMonomial": ("s", "u", "F"),
-}
-FAMILIES = tuple(SPEC_FIELDS)
-
 
 @dataclass(frozen=True)
 class ConstructedPair:
@@ -236,9 +222,14 @@ def kasami_subfield(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPa
         base=base, shifts=tuple(us), poly=F)
 
 
-def _normal_orbit(field: Field, u: int) -> list[int]:
+def _normal_orbit(field: Field, u: int, F: ReducedPoly) -> list[int]:
+    """Shifts u, u^2, ... of a normal subfield u, for rotation-symmetric F."""
+    m = _require_half(field)
     if not field.is_normal(u, in_subfield=True):
         raise NotNormal(f"{u:#x} is not a normal element of the subfield")
+    if not multipoly.is_rotation_symmetric(F):
+        raise NotRotationSymmetric("F must be invariant under cyclic shift")
+    _check_tau(F, m, m)
     orbit = []
     t = u
     for _ in range(field.m):
@@ -249,11 +240,7 @@ def _normal_orbit(field: Field, u: int) -> list[int]:
 
 def kasami_idempotent(field: Field, u: int, F: ReducedPoly) -> ConstructedPair:
     """Bent idempotent from a normal subfield orbit and rotation-symmetric F."""
-    m = _require_half(field)
-    us = _normal_orbit(field, u)
-    if not multipoly.is_rotation_symmetric(F):
-        raise NotRotationSymmetric("F must be invariant under cyclic shift")
-    _check_tau(F, m, m)
+    us = _normal_orbit(field, u, F)
     base = kasami_base(field, 1)
     f = boolfun.add(base, multipoly.compose_traces(field, F, us))
 
@@ -359,16 +346,9 @@ def quad_family(field: Field, c, eps: int, us, F: ReducedPoly) -> ConstructedPai
 def quad_idempotent_family(field: Field, c, eps: int, u: int,
                            F: ReducedPoly) -> ConstructedPair:
     """Bent idempotent of prescribed degree from any quadratic base."""
-    m = _require_half(field)
-    us = _normal_orbit(field, u)
-    if not multipoly.is_rotation_symmetric(F):
-        raise NotRotationSymmetric("F must be invariant under cyclic shift")
-    _check_tau(F, m, m)
-    pair = quad_family(field, c, eps, us, F)
-    return ConstructedPair(
-        f=pair.f, predicted_dual=None,
-        notes=f"QuadIdemFamily n={field.n} u={u:#x} d={F.degree()}",
-        base=pair.base, shifts=pair.shifts, poly=F)
+    pair = quad_family(field, c, eps, _normal_orbit(field, u, F), F)
+    return replace(
+        pair, notes=f"QuadIdemFamily n={field.n} u={u:#x} d={F.degree()}")
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +471,6 @@ def niho_family(field: Field, k: int, us, F: ReducedPoly) -> ConstructedPair:
 # Maiorana-McFarland families on the bivariate grid
 # ---------------------------------------------------------------------------
 
-def bivariate_index(base: Field, x: int, y: int) -> int:
-    """Grid index of the pair (x, y): high half x, low half y."""
-    return (x << base.n) | y
-
-
-def bivariate_split(base: Field, idx: int) -> tuple[int, int]:
-    return idx >> base.n, idx & (base.size - 1)
-
-
 def mat_apply(rows, y: int) -> int:
     """Apply an F_2 matrix given as row bitmasks."""
     r = 0
@@ -550,18 +521,16 @@ def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
               modulus: int | None = None) -> ConstructedPair:
     """Tr(x pi(y)) + Tr(b y) + F of pair trace forms, pi a linear bijection.
 
-    pi is an m x m matrix over F_2 in row-bitmask form (or rows of bits).
+    pi is an m x m matrix over F_2 in row-bitmask form.
     """
-    base_field = Field(m, modulus)
-    dom = BivariateDomain(base_field)
-    rows = tuple(r if isinstance(r, int) else
-                 sum(bit << j for j, bit in enumerate(r)) for r in pi)
+    K = Field(m, modulus)
+    dom = BivariateDomain(K)
+    rows = tuple(pi)
     if len(rows) != m:
         raise SingularPermutation(f"pi must be {m}x{m}")
     inv_rows = mat_invert(rows)
-    pairs = _check_pairs(base_field, us)
+    pairs = _check_pairs(K, us)
     _check_tau(F, len(pairs), m)
-    K = base_field
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             t = (K.mul(pairs[i][1], mat_apply(inv_rows, pairs[j][0]))
@@ -601,9 +570,10 @@ def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
 
 
 def monomial_inverse_exponent(m: int, s: int) -> int:
-    """d with d * (2^s + 1) = 1 mod 2^m - 1 (exists when m/s is odd)."""
+    """d in 1..2^m-1 with d * (2^s + 1) = 1 mod 2^m - 1 (exists when m/s is
+    odd); at m = 1 that is d = 1, so y -> y^d stays a permutation."""
     try:
-        return pow((1 << s) + 1, -1, (1 << m) - 1)
+        return pow((1 << s) + 1, -1, (1 << m) - 1) or 1
     except ValueError:
         raise NoModularInverse(
             f"2^{s}+1 is not invertible mod 2^{m}-1") from None
@@ -640,9 +610,8 @@ def mm_monomial(m: int, s: int, us, F: ReducedPoly,
                     f"trace condition fails for shift pair ({i + 1},{j + 1})")
     xs, ys = _grid_planes(K)
     full = _full(dom)
-    # m = 1 gives d = 0, and y^0 = 1 everywhere
-    ypow = K.pow_planes(ys, d) if d else add_const([0], 1, full)
-    base_bits = trace_planes(K.mul_planes(xs, ypow), K.trace_mask(1))
+    base_bits = trace_planes(K.mul_planes(xs, K.pow_planes(ys, d)),
+                             K.trace_mask(1))
     f_bits = base_bits ^ multipoly.compose(
         F, _pair_traces(K, xs, ys, pairs), full)
     shifts = tuple((u1 << m) | u2 for u1, u2 in pairs)
@@ -656,24 +625,20 @@ def mm_monomial(m: int, s: int, us, F: ReducedPoly,
 # seeded parameter search
 # ---------------------------------------------------------------------------
 
-def random_poly(tau: int, rng: random.Random, min_degree: int = 0) -> ReducedPoly:
-    """Random reduced polynomial, rejection-sampled to reach min_degree."""
+def random_poly(tau: int, rng: random.Random) -> ReducedPoly:
+    """Random reduced polynomial with one to four monomials."""
     space = 1 << tau
-    while True:
-        count = rng.randint(1, min(4, space))
-        F = ReducedPoly(tau, frozenset(rng.sample(range(space), count)))
-        if F.degree() >= min_degree:
-            return F
+    count = rng.randint(1, min(4, space))
+    return ReducedPoly(tau, frozenset(rng.sample(range(space), count)))
 
 
-def random_rotsym_poly(m: int, rng: random.Random,
-                       min_degree: int = 0) -> ReducedPoly:
+def random_rotsym_poly(m: int, rng: random.Random) -> ReducedPoly:
     """Random rotation-symmetric polynomial from one or two shift orbits."""
     while True:
         F = multipoly.rotation_closure(rng.randrange(1, 1 << m), m)
         if rng.random() < 0.5:
             F = F + multipoly.rotation_closure(rng.randrange(1, 1 << m), m)
-        if F.monomials and F.degree() >= min_degree:
+        if F.monomials:
             return F
 
 
@@ -701,49 +666,36 @@ def _scan(candidates, tau: int, rng: random.Random, accept,
     raise NoSolution("no candidate satisfies the shift conditions")
 
 
+def _conjugate_shifts(field: Field, e: int, mask: int, tau: int,
+                      rng: random.Random, cands, indep: bool = False):
+    """tau shifts from cands with parity((u^(2^e) v + u v^(2^e)) & mask) = 0
+    for every pair, and independent over F_2 if indep."""
+
+    def accept(chosen, cand):
+        if cand in chosen or indep and not field.lin_indep(chosen + [cand]):
+            return False
+        ce = field.frob(cand, e)
+        return not any(_parity((field.mul(field.frob(u, e), cand)
+                                ^ field.mul(u, ce)) & mask) for u in chosen)
+
+    return _scan(cands, tau, rng, accept)
+
+
 def kasami_valid_us(field: Field, lam: int, tau: int, rng: random.Random,
                     subfield_only: bool = False) -> list[int]:
     """Shift list satisfying the pairwise Kasami trace condition."""
-    m = field.m
-    lam_inv = field.inv(lam)
-    smask = field.subtrace_mask(lam_inv)
-    if subfield_only:
-        cands = [u for u in field.subfield().members if u]
-    else:
-        cands = list(range(1, field.size))
-
-    def accept(chosen, cand):
-        if cand in chosen:
-            return False
-        if subfield_only and not field.lin_indep(chosen + [cand]):
-            return False
-        cm = field.frob(cand, m)
-        for u in chosen:
-            sym = field.mul(field.frob(u, m), cand) ^ field.mul(u, cm)
-            if _parity(sym & smask):
-                return False
-        return True
-
-    return _scan(cands, tau, rng, accept)
+    cands = ([u for u in field.subfield().members if u] if subfield_only
+             else range(1, field.size))
+    return _conjugate_shifts(field, field.m,
+                             field.subtrace_mask(field.inv(lam)), tau, rng,
+                             cands, subfield_only)
 
 
 def gold_valid_us(field: Field, lam: int, tau: int,
                   rng: random.Random) -> list[int]:
     """Shift list satisfying the pairwise Gold-like trace condition."""
-    k = field.n // 4
-    tmask = field.trace_mask(1)
-
-    def accept(chosen, cand):
-        if cand == 0 or cand in chosen:
-            return False
-        ck = field.frob(cand, k)
-        for u in chosen:
-            sym = field.mul(field.frob(u, k), cand) ^ field.mul(u, ck)
-            if _parity(field.mul(lam, sym) & tmask):
-                return False
-        return True
-
-    return _scan(list(range(1, field.size)), tau, rng, accept)
+    return _conjugate_shifts(field, field.n // 4, field.trace_mask(lam), tau,
+                             rng, range(1, field.size))
 
 
 def random_invertible(m: int, rng: random.Random) -> tuple[int, ...]:
@@ -751,6 +703,19 @@ def random_invertible(m: int, rng: random.Random) -> tuple[int, ...]:
         rows = tuple(rng.getrandbits(m) for _ in range(m))
         if rank(rows) == m:
             return rows
+
+
+def _grid_pairs(K: Field, cands, tau: int, rng: random.Random,
+                ok) -> list[tuple[int, int]]:
+    """tau independent pairs from cands (2m-bit vectors), pairwise ok."""
+    split = BivariateDomain(K).split
+
+    def accept(chosen, cand):
+        vecs = chosen + [cand]
+        return rank(vecs) == len(vecs) and all(
+            ok(split(cand), split(prev)) for prev in chosen)
+
+    return [split(v) for v in _scan(cands, tau, rng, accept)]
 
 
 def mm_linear_params(m: int, tau: int, rng: random.Random,
@@ -761,22 +726,11 @@ def mm_linear_params(m: int, tau: int, rng: random.Random,
     inv_rows = mat_invert(rows)
     b = rng.randrange(K.size)
 
-    def accept(chosen, cand):
-        p1, p2 = cand >> m, cand & (K.size - 1)
-        vecs = list(chosen) + [cand]
-        if rank(vecs) != len(vecs):
-            return False
-        for prev in chosen:
-            q1, q2 = prev >> m, prev & (K.size - 1)
-            t = (K.mul(q2, mat_apply(inv_rows, p1))
-                 ^ K.mul(p2, mat_apply(inv_rows, q1)))
-            if K.trace_abs(t):
-                return False
-        return True
+    def ok(p, q):
+        return not K.trace_abs(K.mul(q[1], mat_apply(inv_rows, p[0]))
+                               ^ K.mul(p[1], mat_apply(inv_rows, q[0])))
 
-    vecs = _scan(list(range(1, K.size * K.size)), tau, rng, accept)
-    pairs = [(v >> m, v & (K.size - 1)) for v in vecs]
-    return rows, b, pairs
+    return rows, b, _grid_pairs(K, range(1, K.size * K.size), tau, rng, ok)
 
 
 def mm_monomial_pairs(m: int, s: int, tau: int, rng: random.Random,
@@ -786,25 +740,15 @@ def mm_monomial_pairs(m: int, s: int, tau: int, rng: random.Random,
     sub = [y for y in range(K.size) if K.frob(y, s) == y]
     cands = [(a << m) | b for a in sub for b in sub if a or b]
 
-    def accept(chosen, cand):
-        p1, p2 = cand >> m, cand & (K.size - 1)
-        vecs = list(chosen) + [cand]
-        if rank(vecs) != len(vecs):
-            return False
-        for prev in chosen:
-            q1, q2 = prev >> m, prev & (K.size - 1)
-            if K.mul(p1, q2) ^ K.mul(q1, p2):
-                return False
-            if K.trace_abs(K.mul(K.sqr(p1), q2) ^ K.mul(p2, K.sqr(q1))):
-                return False
-        return True
+    def ok(p, q):
+        return not (K.mul(p[0], q[1]) ^ K.mul(q[0], p[1])) and not K.trace_abs(
+            K.mul(K.sqr(p[0]), q[1]) ^ K.mul(p[1], K.sqr(q[0])))
 
-    vecs = _scan(cands, tau, rng, accept)
-    return [(v >> m, v & (K.size - 1)) for v in vecs]
+    return _grid_pairs(K, cands, tau, rng, ok)
 
 
 # ---------------------------------------------------------------------------
-# ConstructionSpec serialization (JSON-shaped, bit-exact round trip)
+# ConstructionSpec and its JSON codec (bit-exact round trip)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -814,7 +758,7 @@ class ConstructionSpec:
     mod: int | None = None
     lam: int | None = None
     c: tuple[int, ...] | None = None
-    eps: int = 0
+    eps: int | None = None
     k: int | None = None
     s: int | None = None
     pi: tuple[int, ...] | None = None
@@ -823,31 +767,69 @@ class ConstructionSpec:
     F: str | None = None
 
 
+def _want(v, kind):
+    """v if its JSON type is kind (a JSON true is not an integer)."""
+    if type(v) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {v!r}")
+    return v
+
+
+def _hex(v) -> int:
+    x = int(_want(v, str), 16)
+    if x < 0:
+        raise ValueError(f"negative value {v!r}")
+    return x
+
+
+def _bits(v) -> tuple[int, ...]:
+    if any(type(b) is not int or b not in (0, 1) for b in _want(v, list)):
+        raise ValueError(f"expected bits 0 or 1, got {v!r}")
+    return tuple(v)
+
+
+def _matrix(v) -> tuple[int, ...]:
+    """Row bitmasks of a square matrix given as rows of bits."""
+    rows = [_bits(row) for row in _want(v, list)]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("expected a square bit matrix")
+    return tuple(sum(bit << j for j, bit in enumerate(row)) for row in rows)
+
+
+def _shifts(v) -> tuple:
+    """Hex elements, or [x, y] pairs of them."""
+    if _want(v, list) and all(type(p) is list for p in v):
+        return tuple((_hex(x), _hex(y)) for x, y in v)
+    return tuple(_hex(x) for x in v)
+
+
+def _hex_text(v):
+    """0x-hex text of an element, or lists of it for tuples of elements."""
+    return [_hex_text(x) for x in v] if isinstance(v, tuple) else f"0x{v:x}"
+
+
+# (JSON key, ConstructionSpec attribute, encode, decode) in the order
+# spec_to_json writes them; an attribute that is None is left out.
+_CODEC = (
+    ("family", "family", str, lambda v: _want(v, str)),
+    ("n", "n", int, lambda v: _want(v, int)),
+    ("mod", "mod", _hex_text, _hex),
+    ("lambda", "lam", _hex_text, _hex),
+    ("c", "c", list, _bits),
+    ("eps", "eps", int, lambda v: _want(v, int)),
+    ("k", "k", int, lambda v: _want(v, int)),
+    ("s", "s", int, lambda v: _want(v, int)),
+    ("pi", "pi", lambda rows: [[(row >> j) & 1 for j in range(len(rows))]
+                               for row in rows], _matrix),
+    ("b", "b", _hex_text, _hex),
+    ("u", "u", _hex_text, _shifts),
+    ("F", "F", str, lambda v: _want(v, str)),
+)
+
+
 def spec_to_json(spec: ConstructionSpec) -> str:
-    doc: dict = {"family": spec.family, "n": spec.n}
-    if spec.mod is not None:
-        doc["mod"] = f"0x{spec.mod:x}"
-    if spec.lam is not None:
-        doc["lambda"] = f"0x{spec.lam:x}"
-    if spec.c is not None:
-        doc["c"] = list(spec.c)
-        doc["eps"] = spec.eps
-    if spec.k is not None:
-        doc["k"] = spec.k
-    if spec.s is not None:
-        doc["s"] = spec.s
-    if spec.pi is not None:
-        m = len(spec.pi)
-        doc["pi"] = [[(row >> j) & 1 for j in range(m)] for row in spec.pi]
-    if spec.b is not None:
-        doc["b"] = f"0x{spec.b:x}"
-    if spec.u is not None:
-        if spec.u and isinstance(spec.u[0], tuple):
-            doc["u"] = [[f"0x{a:x}", f"0x{b:x}"] for a, b in spec.u]
-        else:
-            doc["u"] = [f"0x{v:x}" for v in spec.u]
-    if spec.F is not None:
-        doc["F"] = spec.F
+    doc = {key: encode(getattr(spec, attr))
+           for key, attr, encode, _ in _CODEC
+           if getattr(spec, attr) is not None}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -855,47 +837,188 @@ def spec_from_json(text: str) -> ConstructionSpec:
     """Parse a spec; malformed JSON or a missing or bad field is BadSpec."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise BadSpec(f"spec is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "family" not in doc:
         raise BadSpec("spec must be a JSON object with a family")
-    family = doc["family"]
-    if family not in SPEC_FIELDS:
-        raise PreconditionViolated(f"unknown family {family!r}")
-    missing = [key for key in ("n",) + SPEC_FIELDS[family] if key not in doc]
+    name = doc["family"]
+    family = FAMILIES.get(name) if isinstance(name, str) else None
+    if family is None:
+        raise BadSpec(f"unknown family {name!r}")
+    missing = [key for key in ("n",) + family.fields if key not in doc]
     if missing:
-        raise BadSpec(f"{family} spec lacks {', '.join(missing)}")
-    if "F" in doc and not isinstance(doc["F"], str):
-        raise BadSpec("F must be a polynomial string such as 'X1*X2+X3'")
+        raise BadSpec(f"{name} spec lacks {', '.join(missing)}")
+    values = {}
+    for key, attr, _, decode in _CODEC:
+        if key in doc:
+            try:
+                values[attr] = decode(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise BadSpec(f"malformed {name} spec: {key}: {exc}") from None
+    spec = ConstructionSpec(**values)
+    if spec.u and isinstance(spec.u[0], tuple) != family.pairs:
+        raise BadSpec(f"{name} shifts must be "
+                      + ("[x, y] pairs" if family.pairs else "hex strings"))
+    return spec
+
+
+# ---------------------------------------------------------------------------
+# the family registry: spec fields, size rule, build, sampler and claims
+# ---------------------------------------------------------------------------
+
+def _F(spec: ConstructionSpec, tau: int | None = None) -> ReducedPoly:
+    """The spec's F in tau variables, by default one per shift."""
+    return multipoly.parse_poly(spec.F, len(spec.u) if tau is None else tau)
+
+
+def _with_shifts(name: str, n: int, us, rng: random.Random,
+                 **fields) -> ConstructionSpec:
+    """A spec with shifts us and a random F in one variable per shift."""
+    F = multipoly.format_poly(random_poly(len(us), rng))
+    return ConstructionSpec(name, n, u=tuple(us), F=F, **fields)
+
+
+def _build_kasami_idempotent(spec: ConstructionSpec) -> ConstructedPair:
+    field = Field(spec.n, spec.mod)
+    if len(spec.u) != 1:
+        raise BadSpec("KasamiIdempotent takes one u, the normal element")
+    return kasami_idempotent(field, spec.u[0], _F(spec, field.m))
+
+
+def _build_quad_family(spec: ConstructionSpec) -> ConstructedPair:
+    """One shift and F in m variables: the idempotent from a normal orbit."""
+    field = Field(spec.n, spec.mod)
     try:
-        u = None
-        if "u" in doc:
-            if family in ("MMLinear", "MMMonomial"):
-                if not all(isinstance(p, list) for p in doc["u"]):
-                    raise BadSpec(f"{family} shifts must be [x, y] pairs")
-                u = tuple((int(a, 16), int(b, 16)) for a, b in doc["u"])
-            else:
-                u = tuple(int(v, 16) for v in doc["u"])
-        pi = None
-        if "pi" in doc:
-            pi = tuple(sum(int(bit) << j for j, bit in enumerate(row))
-                       for row in doc["pi"])
-        return ConstructionSpec(
-            family=family,
-            n=int(doc["n"]),
-            mod=int(doc["mod"], 16) if "mod" in doc else None,
-            lam=int(doc["lambda"], 16) if "lambda" in doc else None,
-            c=tuple(int(b) for b in doc["c"]) if "c" in doc else None,
-            eps=int(doc.get("eps", 0)),
-            k=int(doc["k"]) if "k" in doc else None,
-            s=int(doc["s"]) if "s" in doc else None,
-            pi=pi,
-            b=int(doc["b"], 16) if "b" in doc else None,
-            u=u,
-            F=doc.get("F"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise BadSpec(f"malformed {family} spec: {exc}") from None
+        F = _F(spec)
+    except ArityMismatch:
+        if len(spec.u) != 1:
+            raise
+        return quad_idempotent_family(field, spec.c, spec.eps or 0,
+                                      spec.u[0], _F(spec, field.m))
+    return quad_family(field, spec.c, spec.eps or 0, spec.u, F)
+
+
+def _build_gold_like(spec: ConstructionSpec) -> ConstructedPair:
+    field, k = Field(spec.n, spec.mod), spec.n // 4
+    if spec.k not in (None, k):
+        raise BadSpec(f"GoldLike needs k = n/4 = {k}, got k={spec.k}")
+    lam = field.solve_semilinear(3 * k, 1) if spec.lam is None else spec.lam
+    return gold_like(field, lam, spec.u, _F(spec))
+
+
+# The samplers draw from rng in the order the seeded sweeps always have.
+
+def _sample_kasami(name: str, n: int, rng: random.Random,
+                   subfield_only: bool = False) -> ConstructionSpec:
+    field = make_field(n)
+    lam = rng.choice([y for y in field.subfield().members if y])
+    us = kasami_valid_us(field, lam, rng.randint(1, field.m), rng,
+                         subfield_only)
+    return _with_shifts(name, n, us, rng, lam=lam)
+
+
+def _sample_quad_family(n: int, rng: random.Random) -> ConstructionSpec:
+    field = make_field(n)
+    while True:
+        c = tuple(rng.randint(0, 1) for _ in range(field.m + 1))
+        if is_quad_bent_gcd(c):
+            break
+    us = rng.sample([y for y in field.subfield().members if y],
+                    rng.randint(1, field.m))
+    return _with_shifts("QuadFamily", n, us, rng, c=c, eps=rng.randint(0, 1))
+
+
+def _sample_gold_like(n: int, rng: random.Random) -> ConstructionSpec:
+    field, k = make_field(n), n // 4
+    lam = field.solve_semilinear(3 * k, 1)
+    us = gold_valid_us(field, lam, rng.randint(1, 2 * k), rng)
+    return _with_shifts("GoldLike", n, us, rng, lam=lam, k=k)
+
+
+def _sample_niho(n: int, rng: random.Random) -> ConstructionSpec:
+    field, m = make_field(n), n // 2
+    k = rng.choice([k for k in range(1, m + 1) if math.gcd(k, m) == 1])
+    us = rng.sample([y for y in field.subfield().members if y],
+                    rng.randint(1, m))
+    return _with_shifts("Niho", n, us, rng, k=k)
+
+
+def _sample_mm_linear(n: int, rng: random.Random) -> ConstructionSpec:
+    m = n // 2
+    rows, b, pairs = mm_linear_params(m, rng.randint(1, min(m, 3)), rng)
+    return _with_shifts("MMLinear", n, pairs, rng, pi=rows, b=b)
+
+
+def _sample_mm_monomial(n: int, rng: random.Random) -> ConstructionSpec:
+    m = n // 2
+    s = rng.choice([s for s in range(1, m + 1)
+                    if m % s == 0 and (m // s) % 2 == 1])
+    pairs = mm_monomial_pairs(m, s, 1 if s == 1 else rng.randint(1, 2), rng)
+    return _with_shifts("MMMonomial", n, pairs, rng, s=s)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family.  build and sample call the constructors by their module
+    names at call time, so a tracer that rebinds them (perfbench/shim.py)
+    sees every instance."""
+    fields: tuple[str, ...]  # spec keys it needs besides family and n
+    build: Callable          # spec -> ConstructedPair, or TruthTable (QuadIdem)
+    sample: Callable         # (n, rng) -> a random valid ConstructionSpec
+    claims: Callable = lambda spec, built: {"bent": True}  # -> Expectation
+    scale: int = 2           # n = scale * size; the size is m, or k (n = 4k)
+    pairs: bool = False      # u holds [x, y] pairs on the GF(2^m)^2 grid
+
+
+FAMILIES = {
+    "KasamiGeneral": Family(
+        ("lambda", "u", "F"),
+        lambda s: kasami_general(Field(s.n, s.mod), s.lam, s.u, _F(s)),
+        lambda n, rng: _sample_kasami("KasamiGeneral", n, rng)),
+    "KasamiSubfield": Family(
+        ("lambda", "u", "F"),
+        lambda s: kasami_subfield(Field(s.n, s.mod), s.lam, s.u, _F(s)),
+        lambda n, rng: _sample_kasami("KasamiSubfield", n, rng, True),
+        # degree deg F, or 2 (the quadratic base) for an affine F
+        lambda s, b: {"bent": True, "degree": max(2, b.poly.degree())}),
+    "KasamiIdempotent": Family(
+        ("u", "F"), _build_kasami_idempotent,
+        lambda n, rng: ConstructionSpec("KasamiIdempotent", n, u=(
+            make_field(n).find_normal(rng.randrange((1 << n // 2) - 1),
+                                      in_subfield=True),),
+            F=multipoly.format_poly(random_rotsym_poly(n // 2, rng))),
+        lambda s, b: {"bent": True, "idempotent": True,
+                      "degree": max(2, b.poly.degree())}),
+    "KasamiAntiSelfDual": Family(
+        ("F",),
+        lambda s: kasami_antiselfdual(Field(s.n, s.mod), _F(s, s.n // 2 - 1)),
+        lambda n, rng: ConstructionSpec("KasamiAntiSelfDual", n, F=(
+            multipoly.format_poly(random_poly(n // 2 - 1, rng)))),
+        lambda s, b: {"bent": True, "duality": DualityClass.ANTI_SELF_DUAL}),
+    "QuadIdem": Family(
+        ("c",),
+        lambda s: quad_idempotent_g(Field(s.n, s.mod), s.c, s.eps or 0),
+        lambda n, rng: ConstructionSpec("QuadIdem", n, c=tuple(
+            rng.randint(0, 1) for _ in range(n // 2 + 1)), eps=rng.randint(0, 1)),
+        lambda s, b: {"bent": is_quad_bent_gcd(s.c), "idempotent": True}),
+    "QuadFamily": Family(("c", "u", "F"), _build_quad_family,
+                         _sample_quad_family),
+    "GoldLike": Family(("u", "F"), _build_gold_like, _sample_gold_like,
+                       scale=4),
+    "Niho": Family(
+        ("k", "u", "F"),
+        lambda s: niho_family(Field(s.n, s.mod), s.k, s.u, _F(s)),
+        _sample_niho),
+    "MMLinear": Family(
+        ("pi", "u", "F"),
+        lambda s: mm_linear(s.n // 2, s.pi, s.b or 0, s.u, _F(s),
+                            modulus=s.mod),
+        _sample_mm_linear, pairs=True),
+    "MMMonomial": Family(
+        ("s", "u", "F"),
+        lambda s: mm_monomial(s.n // 2, s.s, s.u, _F(s), modulus=s.mod),
+        _sample_mm_monomial, pairs=True),
+}
 
 
 def build(spec: ConstructionSpec):
@@ -904,52 +1027,8 @@ def build(spec: ConstructionSpec):
     Returns a ConstructedPair, except for the bare QuadIdem base which
     returns its TruthTable.
     """
-    family = spec.family
-    if family in ("MMLinear", "MMMonomial"):
-        m = spec.n // 2
-        if family == "MMLinear":
-            F = multipoly.parse_poly(spec.F, len(spec.u))
-            return mm_linear(m, spec.pi, spec.b or 0, spec.u, F,
-                             modulus=spec.mod)
-        F = multipoly.parse_poly(spec.F, len(spec.u))
-        return mm_monomial(m, spec.s, spec.u, F, modulus=spec.mod)
-
-    field = Field(spec.n, spec.mod)
-    m = field.m
-    if family == "KasamiGeneral":
-        return kasami_general(field, spec.lam, spec.u,
-                              multipoly.parse_poly(spec.F, len(spec.u)))
-    if family == "KasamiSubfield":
-        return kasami_subfield(field, spec.lam, spec.u,
-                               multipoly.parse_poly(spec.F, len(spec.u)))
-    if family == "KasamiIdempotent":
-        if len(spec.u) != 1:
-            raise BadSpec("KasamiIdempotent takes one u, the normal element")
-        return kasami_idempotent(field, spec.u[0],
-                                 multipoly.parse_poly(spec.F, m))
-    if family == "KasamiAntiSelfDual":
-        return kasami_antiselfdual(field,
-                                   multipoly.parse_poly(spec.F, m - 1))
-    if family == "QuadIdem":
-        return quad_idempotent_g(field, spec.c, spec.eps)
-    if family == "QuadFamily":
-        if len(spec.u) == 1 and m > 1:
-            try:
-                F = multipoly.parse_poly(spec.F, 1)
-            except ArityMismatch:
-                F = multipoly.parse_poly(spec.F, m)
-                return quad_idempotent_family(field, spec.c, spec.eps,
-                                              spec.u[0], F)
-            return quad_family(field, spec.c, spec.eps, spec.u, F)
-        return quad_family(field, spec.c, spec.eps, spec.u,
-                           multipoly.parse_poly(spec.F, len(spec.u)))
-    if family == "GoldLike":
-        lam = spec.lam
-        if lam is None:
-            lam = field.solve_semilinear(3 * (field.n // 4), 1)
-        return gold_like(field, lam, spec.u,
-                         multipoly.parse_poly(spec.F, len(spec.u)))
-    if family == "Niho":
-        return niho_family(field, spec.k, spec.u,
-                           multipoly.parse_poly(spec.F, len(spec.u)))
-    raise PreconditionViolated(f"unknown family {family!r}")
+    family = FAMILIES[spec.family]
+    if spec.n % family.scale:
+        raise BadSpec(f"{spec.family} needs n divisible by {family.scale}, "
+                      f"got n={spec.n}")
+    return family.build(spec)

@@ -7,7 +7,6 @@ can be diagnosed instead of vanishing into a stack trace.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -261,78 +260,11 @@ class SweepReport:
 
 
 def _sample(family: str, m: int, rng: random.Random):
-    """One random valid parameter set; returns (pair-or-table, Expectation)."""
-    cx = constructions
-    if family == "GoldLike":
-        k = m
-        field = make_field(4 * k)
-        lam = field.solve_semilinear(3 * k, 1)
-        tau = rng.randint(1, 2 * k)
-        us = cx.gold_valid_us(field, lam, tau, rng)
-        pair = cx.gold_like(field, lam, us, cx.random_poly(tau, rng))
-        return pair, Expectation(bent=True)
-
-    field = make_field(2 * m)
-    subnz = [y for y in field.subfield().members if y]
-    if family == "KasamiGeneral":
-        lam = rng.choice(subnz)
-        tau = rng.randint(1, m)
-        us = cx.kasami_valid_us(field, lam, tau, rng)
-        pair = cx.kasami_general(field, lam, us, cx.random_poly(tau, rng))
-        return pair, Expectation(bent=True)
-    if family == "KasamiSubfield":
-        lam = rng.choice(subnz)
-        tau = rng.randint(1, m)
-        us = cx.kasami_valid_us(field, lam, tau, rng, subfield_only=True)
-        F = cx.random_poly(tau, rng)
-        pair = cx.kasami_subfield(field, lam, us, F)
-        return pair, Expectation(bent=True, degree=max(2, F.degree()))
-    if family == "KasamiIdempotent":
-        u = field.find_normal(rng.randrange(len(subnz)), in_subfield=True)
-        F = cx.random_rotsym_poly(m, rng)
-        pair = cx.kasami_idempotent(field, u, F)
-        return pair, Expectation(bent=True, idempotent=True,
-                                 degree=max(2, F.degree()))
-    if family == "KasamiAntiSelfDual":
-        pair = cx.kasami_antiselfdual(field, cx.random_poly(m - 1, rng))
-        return pair, Expectation(bent=True,
-                                 duality=DualityClass.ANTI_SELF_DUAL)
-    if family == "QuadIdem":
-        c = [rng.randint(0, 1) for _ in range(m + 1)]
-        table = cx.quad_idempotent_g(field, c, rng.randint(0, 1))
-        return table, Expectation(bent=cx.is_quad_bent_gcd(c),
-                                  idempotent=True)
-    if family == "QuadFamily":
-        while True:
-            c = [rng.randint(0, 1) for _ in range(m + 1)]
-            if cx.is_quad_bent_gcd(c):
-                break
-        tau = rng.randint(1, m)
-        us = rng.sample(subnz, tau)
-        pair = cx.quad_family(field, c, rng.randint(0, 1), us,
-                              cx.random_poly(tau, rng))
-        return pair, Expectation(bent=True)
-    if family == "Niho":
-        ks = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
-        k = rng.choice(ks)
-        tau = rng.randint(1, m)
-        us = rng.sample(subnz, tau)
-        pair = cx.niho_family(field, k, us, cx.random_poly(tau, rng))
-        return pair, Expectation(bent=True)
-    if family == "MMLinear":
-        tau = rng.randint(1, min(m, 3))
-        rows, b, pairs = cx.mm_linear_params(m, tau, rng)
-        pair = cx.mm_linear(m, rows, b, pairs, cx.random_poly(tau, rng))
-        return pair, Expectation(bent=True)
-    if family == "MMMonomial":
-        divisors = [s for s in range(1, m + 1)
-                    if m % s == 0 and (m // s) % 2 == 1]
-        s = rng.choice(divisors)
-        tau = 1 if s == 1 else rng.randint(1, 2)
-        pairs = cx.mm_monomial_pairs(m, s, tau, rng)
-        pair = cx.mm_monomial(m, s, pairs, cx.random_poly(tau, rng))
-        return pair, Expectation(bent=True)
-    raise NoSolution(f"unknown family {family!r}")
+    """One random valid instance of size m: (pair-or-table, Expectation)."""
+    record = constructions.FAMILIES[family]
+    spec = record.sample(record.scale * m, rng)
+    built = constructions.build(spec)
+    return built, Expectation(**record.claims(spec, built))
 
 
 def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:

@@ -232,6 +232,26 @@ def test_demo_carlet_refuses_m_below_two(capsys):
     ('["KasamiGeneral"]', "JSON object with a family"),
     ('{"family": "MMLinear", "n": 6, "pi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
      ' "u": ["01"], "F": "X1"}', "MMLinear shifts must be [x, y] pairs"),
+    ('{"family": ["x"], "n": 6}', "unknown family ['x']"),
+    ('{"family": "Niho", "n": 8, "k": 1, "u": "13", "F": "X1"}',
+     "malformed Niho spec: u: expected list"),
+    ('{"family": "KasamiAntiSelfDual", "n": 6.9, "F": "X1*X2"}',
+     "malformed KasamiAntiSelfDual spec: n: expected int"),
+    ('{"family": "KasamiAntiSelfDual", "n": true, "F": "X1*X2"}',
+     "malformed KasamiAntiSelfDual spec: n: expected int"),
+    ('{"family": "KasamiGeneral", "n": 6, "lambda": "0x1", "u": ["-0x1"],'
+     ' "F": "X1"}', "malformed KasamiGeneral spec: u: negative value"),
+    ('{"family": "MMLinear", "n": 6, "pi": [[1, 0], [0, 1], [0, 0]],'
+     ' "u": [["0x1", "0x0"]], "F": "X1"}', "expected a square bit matrix"),
+    ('{"family": "QuadIdem", "n": 6, "c": [0, 2, 0, 1]}',
+     "malformed QuadIdem spec: c: expected bits 0 or 1"),
+    ('{"family": "GoldLike", "n": 8, "k": 7, "u": ["0x3"], "F": "X1"}',
+     "GoldLike needs k = n/4 = 2, got k=7"),
+    ('{"family": "KasamiIdempotent", "n": 7, "u": ["0x1"], "F": "X1"}',
+     "KasamiIdempotent needs n divisible by 2, got n=7"),
+    ('{"family": "MMLinear", "n": 7, "pi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
+     ' "u": [["0x1", "0x0"]], "F": "X1"}',
+     "MMLinear needs n divisible by 2, got n=7"),
 ])
 def test_construct_rejects_malformed_specs(capsys, tmp_path, text, reason):
     path = tmp_path / "bad.json"
@@ -247,3 +267,16 @@ def test_sweep_rejects_bad_size_ranges(capsys, sizes):
     code, out, err = run(capsys, "sweep", "--family", "KasamiGeneral",
                          "--m", sizes, "--trials", "1")
     assert code == 2 and out == "" and "BadRange" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_sweep_rejects_trial_counts_below_one(capsys, trials):
+    code, out, err = run(capsys, "sweep", "--family", "KasamiGeneral",
+                         "--m", "3", "--trials", trials)
+    assert code == 2 and out == "" and "BadRange" in err
+
+
+def test_sweep_mm_monomial_at_m1_is_bent(capsys):
+    code, out, _ = run(capsys, "sweep", "--family", "MMMonomial", "--m", "1",
+                       "--trials", "3")
+    assert code == 0 and "3/3 claims met, 3/3 bent" in out

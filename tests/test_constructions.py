@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from bentkit.errors import (
     BadDimension,
     BadDivisor,
     BadLambda,
+    BadSpec,
     BaseNotBent,
     GcdViolated,
     LambdaConstraintViolated,
@@ -382,10 +384,10 @@ def test_niho_rejections():
 def test_bivariate_index_roundtrip():
     for m in (2, 3, 5):
         base = make_field(m)
+        dom = BivariateDomain(base)
         for x in range(base.size):
             for y in range(base.size):
-                idx = cx.bivariate_index(base, x, y)
-                assert cx.bivariate_split(base, idx) == (x, y)
+                assert dom.split(dom.index(x, y)) == (x, y)
 
 
 def test_mat_invert_roundtrip():
@@ -444,13 +446,14 @@ def test_mm_linear_rejections():
 
 
 def test_mm_monomial_exponents_frozen():
+    assert cx.monomial_inverse_exponent(1, 1) == 1   # every d, and y^1 permutes
     assert cx.monomial_inverse_exponent(3, 1) == 5   # 3d = 1 mod 7
     assert cx.monomial_inverse_exponent(2, 2) == 2   # 5d = 1 mod 3
     assert (cx.monomial_inverse_exponent(4, 4) * 17) % 15 == 1
 
 
 def test_mm_monomial_single_pair():
-    for (m, s) in [(2, 2), (3, 1), (3, 3)]:
+    for (m, s) in [(1, 1), (2, 2), (3, 1), (3, 3)]:
         pair = cx.mm_monomial(m, s, [(1, 0)], mp.poly(1, 0b1))
         assert bf.is_bent(bf.walsh(pair.f))
         assert pair.predicted_dual is None
@@ -531,11 +534,23 @@ def test_spec_roundtrip_every_shape():
         cx.ConstructionSpec(family="MMMonomial", n=6, mod=0xb, s=1,
                             u=((1, 1),), F="X1"),
     ]
-    for spec in specs:
+    # every family, as its registry sampler draws it
+    rng = random.Random(5)
+    sampled = [record.sample(record.scale * size, rng)
+               for record in cx.FAMILIES.values() for size in (2, 3)]
+    assert {spec.family for spec in sampled} == set(cx.FAMILIES)
+    for spec in specs + sampled:
         text = cx.spec_to_json(spec)
         again = cx.spec_from_json(text)
         assert again == spec
         assert cx.spec_to_json(again) == text
+    for spec in sampled:
+        built = cx.build(spec)
+        again = cx.build(cx.spec_from_json(cx.spec_to_json(spec)))
+        if isinstance(built, cx.ConstructedPair):  # QuadIdem gives a table
+            built, again = [(p.f, p.base, p.predicted_dual, p.notes)
+                            for p in (built, again)]
+        assert built == again
 
 
 def test_build_dispatches_and_validates():
@@ -560,3 +575,13 @@ def test_build_dispatches_and_validates():
                               u=(1,), F="X1")
     with pytest.raises(GcdViolated):
         cx.build(bad)
+
+
+def test_build_checks_the_size_rule_and_gold_k():
+    gold = cx.ConstructionSpec(family="GoldLike", n=8, mod=0x11b, u=(3,),
+                               F="X1")
+    assert cx.build(gold).f == cx.build(replace(gold, k=2)).f
+    with pytest.raises(BadSpec, match="GoldLike needs k = n/4 = 2"):
+        cx.build(replace(gold, k=7))
+    with pytest.raises(BadSpec, match="GoldLike needs n divisible by 4"):
+        cx.build(replace(gold, n=6, mod=0x43))

@@ -4,9 +4,11 @@ Random tables on fields with random irreducible moduli (n = 1..10, odd n
 included) and on bivariate grids.  The oracles are the list transforms
 fwht, mobius and walsh_naive, re-indexed point by point through
 walsh_index and squaring_perm, and, for the bit-sliced constructors, the
-per-point constructions in tests/pointwise.py.
+per-point constructions in tests/pointwise.py.  Last, fuzzed spec JSON
+must parse and round-trip, or be refused with a BentkitError.
 """
 
+import json
 import math
 import random
 
@@ -18,7 +20,12 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import pointwise as pw  # noqa: E402
 from bentkit import boolfun as bf  # noqa: E402
 from bentkit import constructions as cx  # noqa: E402
-from bentkit.errors import NoSolution, NotBent, OddDimension  # noqa: E402
+from bentkit.errors import (  # noqa: E402
+    BentkitError,
+    NoSolution,
+    NotBent,
+    OddDimension,
+)
 from bentkit.gf2n import (  # noqa: E402
     BivariateDomain,
     Field,
@@ -360,3 +367,70 @@ def test_sliced_constructors_match_the_pointwise_oracle(sample, data, seed):
         assert pair.predicted_dual is None
     else:
         assert pair.predicted_dual.bits == dual
+
+
+# Spec keys with values of their own shape; near misses of that shape
+# (and any JSON at all) stand in for one key of every other document.
+_hexes = st.integers(-5, 1 << 12).map(
+    lambda v: f"0x{v:x}" if v >= 0 else f"-0x{-v:x}")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+    | st.text(max_size=4) | _hexes,
+    lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+_bits = st.lists(st.integers(0, 1), max_size=4)
+
+
+def _matrices(rows: int, cols: int, top: int):
+    return st.lists(st.lists(st.integers(0, top), min_size=cols,
+                             max_size=cols), min_size=rows, max_size=rows)
+
+
+_ints = st.integers(-2, 20)
+_not_ints = st.booleans() | st.floats() | st.sampled_from(["6", "0x6"])
+_spec_shapes = {  # key: (shape, near miss)
+    "n": (_ints, _not_ints), "eps": (_ints, _not_ints),
+    "k": (_ints, _not_ints), "s": (_ints, _not_ints),
+    "mod": (_hexes, _ints), "lambda": (_hexes, _ints), "b": (_hexes, _ints),
+    "c": (_bits, st.lists(st.integers(-1, 3) | st.booleans(), max_size=4)),
+    "pi": (st.integers(0, 4).flatmap(lambda m: _matrices(m, m, 1)),
+           st.integers(1, 3).flatmap(lambda m: _matrices(m, m + 1, 2))),
+    "u": (st.lists(_hexes, max_size=3)
+          | st.lists(st.lists(_hexes, min_size=2, max_size=2), max_size=3),
+          st.lists(_hexes | st.lists(_hexes, max_size=3), max_size=3)
+          | st.text(max_size=3)),
+    "F": (st.sampled_from(["X1", "X1*X2+1", "0", "X9"]), _ints),
+}
+
+
+@st.composite
+def spec_docs(draw):
+    """A family's spec; in half of them one key is dropped, given a near
+    miss of its shape, or given any JSON value."""
+    family = draw(st.sampled_from(sorted(cx.FAMILIES)))
+    needed = ("n",) + cx.FAMILIES[family].fields
+    doc = {"family": family}
+    for key, (shape, _) in _spec_shapes.items():
+        if key in needed or draw(st.booleans()):
+            doc[key] = draw(shape)
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["family", "other", *_spec_shapes]))
+        how = draw(st.sampled_from(["near", "near", "any", "drop"]))
+        if how == "drop":
+            doc.pop(key, None)
+        elif how == "near" and key in _spec_shapes:
+            doc[key] = draw(_spec_shapes[key][1])
+        else:
+            doc[key] = draw(_json_values)
+    return doc
+
+
+@settings(max_examples=400)
+@given(spec_docs())
+def test_spec_json_round_trips_or_is_refused(doc):
+    try:
+        spec = cx.spec_from_json(json.dumps(doc))
+    except BentkitError:
+        return
+    text = cx.spec_to_json(spec)
+    assert cx.spec_from_json(text) == spec
+    assert cx.spec_to_json(cx.spec_from_json(text)) == text
