@@ -56,14 +56,16 @@ from .gf2n import (
     BivariateDomain,
     Field,
     add_const,
+    apply_linear,
     coordinate_tables,
+    invert,
     linear_planes,
     make_field,
     poly_gcd,
     pullback_mask,
     rank,
-    solve_f2,
     trace_planes,
+    transpose,
 )
 from .multipoly import ReducedPoly
 
@@ -145,13 +147,12 @@ def kasami_base(field: Field, lam: int) -> TruthTable:
     return TruthTable(field, _kasami_bits(field, lam))
 
 
-def kasami_general(field: Field, lam: int, us, F: ReducedPoly,
-                   strict: bool = False) -> ConstructedPair:
+def kasami_general(field: Field, lam: int, us,
+                   F: ReducedPoly) -> ConstructedPair:
     """Kasami base plus F of trace forms, for shifts anywhere in the field.
 
     Shifts must pairwise satisfy Tr_sub(lambda^-1 * (ui^(2^m) uj + ui uj^(2^m)))
-    = 0.  With strict=True the equivalent absolute-trace form
-    Tr(lambda^-1 * ui^(2^m) uj) = 0 is checked as well.
+    = 0, which is the absolute-trace form Tr(lambda^-1 * ui^(2^m) uj) = 0.
 
     The predicted dual follows the derivation (base coefficient lambda^-1):
     the statement-form with an un-inverted lambda only agrees when lambda=1.
@@ -168,10 +169,6 @@ def kasami_general(field: Field, lam: int, us, F: ReducedPoly,
             if field.trace_sub(field.mul(lam_inv, sym)) != 0:
                 raise PreconditionViolated(
                     f"trace condition fails for shift pair ({i + 1},{j + 1})")
-            if strict and field.trace_abs(
-                    field.mul(lam_inv, field.mul(ums[i], us[j]))) != 0:
-                raise PreconditionViolated(
-                    f"absolute-trace condition fails for pair ({i + 1},{j + 1})")
     base = kasami_base(field, lam)
     f = boolfun.add(base, multipoly.compose_traces(field, F, us))
 
@@ -432,7 +429,9 @@ def _niho_tables(field: Field, k: int) -> tuple[int, int, tuple[int, ...]]:
 
 def _check_niho(field: Field, k: int) -> int:
     m = _require_half(field)
-    if k < 1 or math.gcd(k, m) != 1:
+    if not 1 <= k <= m:
+        raise PreconditionViolated(f"need 1 <= k <= m = {m}, got k={k}")
+    if math.gcd(k, m) != 1:
         raise GcdViolated(f"need gcd(k, m) = 1, got k={k}, m={m}")
     return m
 
@@ -471,32 +470,6 @@ def niho_family(field: Field, k: int, us, F: ReducedPoly) -> ConstructedPair:
 # Maiorana-McFarland families on the bivariate grid
 # ---------------------------------------------------------------------------
 
-def mat_apply(rows, y: int) -> int:
-    """Apply an F_2 matrix given as row bitmasks."""
-    r = 0
-    for i, row in enumerate(rows):
-        r |= ((row & y).bit_count() & 1) << i
-    return r
-
-
-def _transpose(vectors) -> list[int]:
-    """Row bitmasks of an F_2 matrix from its column bitmasks, or back."""
-    return [sum(((v >> i) & 1) << j for j, v in enumerate(vectors))
-            for i in range(len(vectors))]
-
-
-def mat_invert(rows) -> tuple[int, ...]:
-    """Inverse of an F_2 matrix in row-bitmask form."""
-    cols = _transpose(rows)
-    inv_cols = []
-    for i in range(len(rows)):
-        sol, kernel = solve_f2(cols, 1 << i)
-        if kernel:
-            raise SingularPermutation("matrix is not invertible over F_2")
-        inv_cols.append(sol)  # x with M x = e_i
-    return tuple(_transpose(inv_cols))
-
-
 def _grid_planes(base: Field) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Planes of x and y on the grid: the high and low coordinate tables."""
     cs = coordinate_tables(2 * base.n)
@@ -525,16 +498,16 @@ def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
     """
     K = Field(m, modulus)
     dom = BivariateDomain(K)
-    rows = tuple(pi)
-    if len(rows) != m:
+    if len(pi) != m:
         raise SingularPermutation(f"pi must be {m}x{m}")
-    inv_rows = mat_invert(rows)
+    cols = transpose(pi)
+    inv = invert(cols)  # the columns of pi^-1
     pairs = _check_pairs(K, us)
     _check_tau(F, len(pairs), m)
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
-            t = (K.mul(pairs[i][1], mat_apply(inv_rows, pairs[j][0]))
-                 ^ K.mul(pairs[j][1], mat_apply(inv_rows, pairs[i][0])))
+            t = (K.mul(pairs[i][1], apply_linear(inv, pairs[j][0]))
+                 ^ K.mul(pairs[j][1], apply_linear(inv, pairs[i][0])))
             if K.trace_abs(t) != 0:
                 raise PreconditionViolated(
                     f"trace condition fails for shift pair ({i + 1},{j + 1})")
@@ -543,7 +516,7 @@ def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
     tmask = K.trace_mask(1)
     bmask = K.trace_mask(b)
     base_bits = (trace_planes(K.mul_planes(
-        xs, linear_planes(ys, _transpose(rows))), tmask)
+        xs, linear_planes(ys, cols)), tmask)
         ^ trace_planes(ys, bmask))
     base = TruthTable(dom, base_bits)
     f = TruthTable(dom, base_bits ^ multipoly.compose(
@@ -551,10 +524,10 @@ def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
 
     # dual: Tr(y pi^-1(x) + b pi^-1(x)) + F(Tr((y + b) pi^-1(u1)
     # + u2 pi^-1(x) + u2 pi^-1(u1)), ...)
-    pix = linear_planes(xs, _transpose(inv_rows))
+    pix = linear_planes(xs, inv)
     args = []
     for u1, u2 in pairs:
-        w = mat_apply(inv_rows, u1)
+        w = apply_linear(inv, u1)
         arg = (trace_planes(ys, K.trace_mask(w))
                ^ trace_planes(pix, K.trace_mask(u2)))
         if K.trace_abs(K.mul(b, w) ^ K.mul(u2, w)):
@@ -723,12 +696,12 @@ def mm_linear_params(m: int, tau: int, rng: random.Random,
     """Random (pi, b, pairs) satisfying the linear-permutation conditions."""
     K = Field(m, modulus)
     rows = random_invertible(m, rng)
-    inv_rows = mat_invert(rows)
+    inv = invert(transpose(rows))  # the columns of pi^-1
     b = rng.randrange(K.size)
 
     def ok(p, q):
-        return not K.trace_abs(K.mul(q[1], mat_apply(inv_rows, p[0]))
-                               ^ K.mul(p[1], mat_apply(inv_rows, q[0])))
+        return not K.trace_abs(K.mul(q[1], apply_linear(inv, p[0]))
+                               ^ K.mul(p[1], apply_linear(inv, q[0])))
 
     return rows, b, _grid_pairs(K, range(1, K.size * K.size), tau, rng, ok)
 
@@ -1031,4 +1004,12 @@ def build(spec: ConstructionSpec):
     if spec.n % family.scale:
         raise BadSpec(f"{spec.family} needs n divisible by {family.scale}, "
                       f"got n={spec.n}")
+    # lambda and u lie in GF(2^n); grid coordinates and b in GF(2^m)
+    width = spec.n // 2 if family.pairs else spec.n
+    elements = [v for v in (spec.lam, spec.b) if v is not None]
+    for u in spec.u or ():
+        elements += u if family.pairs else [u]
+    if any(v.bit_length() > width for v in elements):
+        raise BadSpec(f"{spec.family} field elements must be below "
+                      f"2^{width}")
     return family.build(spec)

@@ -21,6 +21,7 @@ from .errors import (
     NotADivisor,
     NotInSubfield,
     ReducibleModulus,
+    SingularPermutation,
     UnsupportedDegree,
     ZeroElement,
 )
@@ -186,6 +187,43 @@ def solve_f2(images: list[int], target: int):
     return combo, kernel
 
 
+def apply_linear(columns, x: int) -> int:
+    """L(x) for the F_2-linear map with L(e_j) = columns[j].
+
+    x must have no bit beyond the columns, so an element from outside the
+    space cannot be silently truncated.
+    """
+    if x >> len(columns):
+        raise ValueError(f"{x:#x} has bits beyond {len(columns)} columns")
+    r = j = 0
+    while x:
+        if x & 1:
+            r ^= columns[j]
+        x >>= 1
+        j += 1
+    return r
+
+
+def transpose(vectors) -> list[int]:
+    """Rows of a square F_2 matrix from its columns, or columns from rows."""
+    return [sum(((v >> i) & 1) << j for j, v in enumerate(vectors))
+            for i in range(len(vectors))]
+
+
+def invert(columns) -> list[int]:
+    """Columns of the inverse of a square F_2 matrix given by its columns.
+
+    As (M^-1)^T = (M^T)^-1, the same call maps rows to the inverse's rows.
+    """
+    inverse = []
+    for i in range(len(columns)):
+        sol, kernel = solve_f2(columns, 1 << i)
+        if kernel:
+            raise SingularPermutation("matrix is not invertible over F_2")
+        inverse.append(sol)  # x with M x = e_i
+    return inverse
+
+
 def coset_min(x: int, kernel) -> int:
     """Smallest integer in the coset x + span(kernel)."""
     basis = _echelonize(kernel)
@@ -276,8 +314,7 @@ def pull_linear(bits: int, columns: list[int]) -> int:
     """
     n = len(columns)
     xs = coordinate_tables(n)
-    rows = [sum(((col >> r) & 1) << c for c, col in enumerate(columns))
-            for r in range(n)]
+    rows = transpose(columns)
     # I = E_k...E_1 M, so T(My) = T(E_1...E_k y): pull E_1 first
     for c in range(n):
         p = next((r for r in range(c, n) if (rows[r] >> c) & 1), None)
@@ -309,9 +346,9 @@ class Field:
             raise UnsupportedDegree(f"n={n} outside 1..{MAX_DEGREE}")
         if modulus is None:
             modulus = DEFAULT_MODULI[n]
-        if modulus.bit_length() - 1 != n:
+        if modulus < 0 or modulus.bit_length() - 1 != n:
             raise ReducibleModulus(
-                f"modulus 0x{modulus:x} does not have degree {n}")
+                f"modulus {modulus:#x} is not a polynomial of degree {n}")
         if not is_irreducible(modulus):
             raise ReducibleModulus(f"modulus 0x{modulus:x} is reducible")
         self.n = n
@@ -326,10 +363,9 @@ class Field:
                 r ^= modulus
             red.append(r)
         self._red = red
-        self._sqr_basis = [self.reduce(1 << (2 * j)) for j in range(n)]
+        self._sqr_basis = [poly_mod(1 << (2 * j), modulus) for j in range(n)]
         self._frob_basis = {}
-        self._tr_mask_cache = {}
-        self._walsh_rows = None
+        self._trace_form = None
         self._walsh_map = None
         self._sqr_perm = None
         self._subfield = None
@@ -352,48 +388,19 @@ class Field:
 
     # -- ring operations ------------------------------------------------------
 
-    def reduce(self, p: int) -> int:
-        """Reduce a carry-less product (degree < 2n-1) by the modulus."""
-        n = self.n
-        while p >> n:
-            d = p.bit_length() - 1
-            p ^= (1 << d) | self._red[d - n]
-        return p
-
     def mul(self, a: int, b: int) -> int:
         """Product of two field elements."""
-        p = 0
-        while b:
-            if b & 1:
-                p ^= a
-            a <<= 1
-            b >>= 1
-        return self.reduce(p)
+        return poly_mulmod(a, b, self.modulus)
 
     def sqr(self, a: int) -> int:
         """Square via the Frobenius linear map."""
-        r = 0
-        j = 0
-        while a:
-            if a & 1:
-                r ^= self._sqr_basis[j]
-            a >>= 1
-            j += 1
-        return r
+        return apply_linear(self._sqr_basis, a)
 
     def frob(self, a: int, k: int) -> int:
         """a^(2^k); k is taken modulo n."""
         if k % self.n == 0:
             return a
-        basis = self.frob_map(k)
-        r = 0
-        j = 0
-        while a:
-            if a & 1:
-                r ^= basis[j]
-            a >>= 1
-            j += 1
-        return r
+        return apply_linear(self.frob_map(k), a)
 
     def pow(self, a: int, e: int) -> int:
         """a^e; exponents act modulo 2^n - 1 on nonzero bases, 0^0 = 1."""
@@ -477,20 +484,30 @@ class Field:
 
     # -- traces ----------------------------------------------------------------
 
+    def trace_form(self) -> list[int]:
+        """Rows of the trace form: bit j of row i is Tr(e_i e_j).
+
+        The form is a Hankel matrix in t_k = Tr(x^k), k < 2n-1: t_k for
+        k < n from the definition, and t_k for k >= n as the trace of
+        x^k mod the modulus, already at hand in _red.
+        """
+        if self._trace_form is None:
+            n = self.n
+            t = 0
+            for k in range(n):
+                v = s = 1 << k
+                for _ in range(n - 1):
+                    v = self.sqr(v)
+                    s ^= v
+                t |= (s & 1) << k
+            for k, red in enumerate(self._red, n):
+                t |= ((red & t).bit_count() & 1) << k
+            self._trace_form = [(t >> i) & (self.size - 1) for i in range(n)]
+        return self._trace_form
+
     def trace_mask(self, u: int = 1) -> int:
         """Mask M with Tr(u*x) = parity(x & M) for the absolute trace."""
-        mask = self._tr_mask_cache.get(u)
-        if mask is None:
-            mask = 0
-            for j in range(self.n):
-                v = self.mul(u, 1 << j)
-                t = 0
-                for _ in range(self.n):
-                    t ^= v
-                    v = self.sqr(v)
-                mask |= (t & 1) << j
-            self._tr_mask_cache[u] = mask
-        return mask
+        return apply_linear(self.trace_form(), u)
 
     def trace_abs(self, x: int) -> int:
         """Absolute trace sum_i x^(2^i), always 0 or 1."""
@@ -512,12 +529,7 @@ class Field:
         m = self._require_m()
         if self.frob(y, m) != y:
             raise NotInSubfield(f"element {y:#x} is not in GF(2^{m})")
-        r = 0
-        t = y
-        for _ in range(m):
-            r ^= t
-            t = self.sqr(t)
-        return r
+        return (y & self.subtrace_mask()).bit_count() & 1
 
     def subtrace_mask(self, lam: int = 1) -> int:
         """Mask M with Tr_sub(lam*y) = parity(y & M) for subfield y.
@@ -610,16 +622,7 @@ class Field:
 
     def walsh_index(self, beta: int) -> int:
         """Map beta so Tr(beta*x) = parity(walsh_index(beta) & x)."""
-        if self._walsh_rows is None:
-            self._walsh_rows = [self.trace_mask(1 << i) for i in range(self.n)]
-        r = 0
-        i = 0
-        while beta:
-            if beta & 1:
-                r ^= self._walsh_rows[i]
-            beta >>= 1
-            i += 1
-        return r
+        return self.trace_mask(beta)
 
     def walsh_map(self) -> list[int]:
         """Column images of M: z -> sum_i z_i delta_i, the trace-dual basis.
@@ -631,9 +634,7 @@ class Field:
         through M.
         """
         if self._walsh_map is None:
-            rows = [self.trace_mask(1 << i) for i in range(self.n)]
-            self._walsh_map = [solve_f2(rows, 1 << i)[0]
-                               for i in range(self.n)]
+            self._walsh_map = invert(self.trace_form())
         return self._walsh_map
 
     def squaring_map(self) -> list[int]:

@@ -5,20 +5,37 @@ dual index by index with Field arithmetic, exactly as the formulas read,
 and returns the packed ints (f, base, dual); dual is None where the family
 has no closed form.  bentkit.constructions builds the same tables on
 bit-sliced planes, and tests/test_kernels.py compares the two bit for bit.
+The trace masks here follow the definition of the trace, squaring with
+Field.mul, so they also serve as the oracle for Field.trace_mask.
 """
 
 from bentkit import multipoly as mp
-from bentkit.constructions import (
-    mat_apply,
-    mat_invert,
-    monomial_inverse_exponent,
-    niho_exponents,
-)
-from bentkit.gf2n import BivariateDomain, Field
+from bentkit.constructions import monomial_inverse_exponent, niho_exponents
+from bentkit.gf2n import BivariateDomain, Field, invert, pullback_mask
 
 
 def parity(x: int) -> int:
     return x.bit_count() & 1
+
+
+def frob_sum(field: Field, v: int, count: int) -> int:
+    """v + v^2 + ... + v^(2^(count-1)), squaring with Field.mul."""
+    r = 0
+    for _ in range(count):
+        r ^= v
+        v = field.mul(v, v)
+    return r
+
+
+def trace_mask(field: Field, u: int) -> int:
+    """Mask M with Tr(u x) = parity(x & M), one trace per basis element."""
+    return sum((frob_sum(field, field.mul(u, 1 << j), field.n) & 1) << j
+               for j in range(field.n))
+
+
+def trace_sub(field: Field, y: int) -> int:
+    """Tr_sub(y) = y + y^2 + ... + y^(2^(m-1)) for y in the subfield."""
+    return frob_sum(field, y, field.m)
 
 
 def packed(size: int, value) -> int:
@@ -31,7 +48,7 @@ def packed(size: int, value) -> int:
 
 
 def compose_traces(field: Field, F, us) -> int:
-    masks = [field.trace_mask(u) for u in us]
+    masks = [trace_mask(field, u) for u in us]
 
     def value(x):
         args = 0
@@ -71,8 +88,8 @@ def kasami_subfield(field: Field, lam: int, us, F):
     base = kasami_bits(field, lam)
     f = base ^ compose_traces(field, F, us)
     lam_inv = field.inv(lam)
-    masks = [field.trace_mask(field.mul(lam_inv, u)) for u in us]
-    consts = [field.trace_sub(field.mul(lam_inv, field.mul(u, u)))
+    masks = [trace_mask(field, field.mul(lam_inv, u)) for u in us]
+    consts = [trace_sub(field, field.mul(lam_inv, field.mul(u, u)))
               for u in us]
     dual_base = kasami_bits(field, lam_inv)
 
@@ -95,7 +112,7 @@ def kasami_idempotent(field: Field, u: int, F):
     us = normal_orbit(field, u)
     base = kasami_bits(field, 1)
     f = base ^ compose_traces(field, F, us)
-    masks = [field.trace_mask(v) for v in us]
+    masks = [trace_mask(field, v) for v in us]
     full = (1 << field.m) - 1
 
     def dual(x):
@@ -115,7 +132,7 @@ def kasami_antiselfdual(field: Field, F):
 def quad_bits(field: Field, c, eps: int) -> int:
     m = field.m
     smask = field.subtrace_mask(1)
-    tmask = field.trace_mask(1)
+    tmask = trace_mask(field, 1)
 
     def value(x):
         v = eps
@@ -135,7 +152,7 @@ def quad_family(field: Field, c, eps: int, us, F):
 
 def gold_like(field: Field, lam: int, us, F):
     k = field.n // 4
-    tmask = field.trace_mask(1)
+    tmask = trace_mask(field, 1)
     base = packed(field.size, lambda x: parity(
         field.mul(lam, field.mul(field.frob(x, k), x)) & tmask))
     f = base ^ compose_traces(field, F, us)
@@ -155,7 +172,7 @@ def gold_like(field: Field, lam: int, us, F):
 def niho_tables(field: Field, k: int):
     """Base bits, dual bits and the per-point A^(1/(2^k-1)) list."""
     m = field.m
-    tmask = field.trace_mask(1)
+    tmask = trace_mask(field, 1)
     g_bits = kasami_bits(field, 1)
     for e in niho_exponents(m, k):
         g_bits ^= packed(field.size,
@@ -192,7 +209,7 @@ def niho_family(field: Field, k: int, us, F):
 
 def _grid_forms(K: Field, pairs, F, dom: BivariateDomain, base_value):
     """Packed base and base + F(Tr(u1 x + u2 y), ...) on the grid."""
-    tmask = K.trace_mask(1)
+    tmask = trace_mask(K, 1)
     base = f = 0
     for idx in range(dom.size):
         x, y = dom.split(idx)
@@ -208,19 +225,20 @@ def _grid_forms(K: Field, pairs, F, dom: BivariateDomain, base_value):
 def mm_linear(m: int, rows, b: int, pairs, F, modulus=None):
     K = Field(m, modulus)
     dom = BivariateDomain(K)
-    inv_rows = mat_invert(rows)
-    tmask = K.trace_mask(1)
+    inv_rows = invert(rows)
+    tmask = trace_mask(K, 1)
     f, base = _grid_forms(K, pairs, F, dom, lambda x, y: parity(
-        (K.mul(x, mat_apply(rows, y)) ^ K.mul(b, y)) & tmask))
-    self_terms = [K.mul(u2, mat_apply(inv_rows, u1)) for u1, u2 in pairs]
+        (K.mul(x, pullback_mask(rows, y)) ^ K.mul(b, y)) & tmask))
+    self_terms = [K.mul(u2, pullback_mask(inv_rows, u1))
+                  for u1, u2 in pairs]
 
     def dual(idx):
         x, y = dom.split(idx)
-        pix = mat_apply(inv_rows, x)
+        pix = pullback_mask(inv_rows, x)
         gval = parity((K.mul(y, pix) ^ K.mul(b, pix)) & tmask)
         args = 0
         for i, (u1, u2) in enumerate(pairs):
-            t = (K.mul(y ^ b, mat_apply(inv_rows, u1))
+            t = (K.mul(y ^ b, pullback_mask(inv_rows, u1))
                  ^ K.mul(u2, pix) ^ self_terms[i])
             args |= parity(t & tmask) << i
         return gval ^ mp.evaluate(F, args)
@@ -231,7 +249,7 @@ def mm_monomial(m: int, s: int, pairs, F, modulus=None):
     d = monomial_inverse_exponent(m, s)
     K = Field(m, modulus)
     dom = BivariateDomain(K)
-    tmask = K.trace_mask(1)
+    tmask = trace_mask(K, 1)
     ypow = [K.pow(y, d) for y in range(K.size)]
     f, base = _grid_forms(K, pairs, F, dom, lambda x, y: parity(
         K.mul(x, ypow[y]) & tmask))

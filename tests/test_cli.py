@@ -72,6 +72,16 @@ def test_construct_rejects_bad_niho_k(capsys, tmp_path):
     assert code == 2 and "GcdViolated" in err
 
 
+def test_construct_refuses_niho_k_above_m(capsys, tmp_path):
+    # k = 9 > m = 4 costs 2^8 sliced powers; k = 31 would run for days
+    spec = cx.ConstructionSpec(family="Niho", n=8, k=9, u=(1,), F="X1")
+    path = tmp_path / "big_k.json"
+    path.write_text(cx.spec_to_json(spec))
+    code, out, err = run(capsys, "construct", str(path))
+    assert code == 2 and out == "" and "1 <= k <= m = 4" in err
+    assert not (tmp_path / "big_k.tt").exists()
+
+
 def test_verify_pass_and_fail(capsys, tmp_path):
     spec_path = write_spec(tmp_path)
     run(capsys, "construct", str(spec_path))
@@ -179,6 +189,15 @@ def test_construct_verify_roundtrip_same_verdicts(capsys, tmp_path):
         assert doc1[key] == doc2[key]
 
 
+def test_negative_modulus_is_refused(capsys, tmp_path):
+    code, out, err = run(capsys, "field", "--n", "4", "--mod", "-13")
+    assert code == 2 and out == "" and "ReducibleModulus" in err
+    path = tmp_path / "neg.tt"
+    path.write_text("BF n=4 mod=-0x13\n0000\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and "ReducibleModulus" in err
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--family", "NoSuchFamily", "--m", "2",
@@ -252,6 +271,15 @@ def test_demo_carlet_refuses_m_below_two(capsys):
     ('{"family": "MMLinear", "n": 7, "pi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
      ' "u": [["0x1", "0x0"]], "F": "X1"}',
      "MMLinear needs n divisible by 2, got n=7"),
+    ('{"family": "KasamiGeneral", "n": 6, "lambda": "0x1", "u": ["0xffff"],'
+     ' "F": "X1"}', "KasamiGeneral field elements must be below 2^6"),
+    ('{"family": "KasamiSubfield", "n": 6, "lambda": "0x1ff", "u": ["0x1"],'
+     ' "F": "X1"}', "KasamiSubfield field elements must be below 2^6"),
+    ('{"family": "MMLinear", "n": 6, "pi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
+     ' "b": "0x1ff", "u": [["0x1", "0x0"]], "F": "X1"}',
+     "MMLinear field elements must be below 2^3"),
+    ('{"family": "MMMonomial", "n": 6, "s": 1, "u": [["0x9", "0x1"]],'
+     ' "F": "X1"}', "MMMonomial field elements must be below 2^3"),
 ])
 def test_construct_rejects_malformed_specs(capsys, tmp_path, text, reason):
     path = tmp_path / "bad.json"

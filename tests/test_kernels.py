@@ -4,8 +4,10 @@ Random tables on fields with random irreducible moduli (n = 1..10, odd n
 included) and on bivariate grids.  The oracles are the list transforms
 fwht, mobius and walsh_naive, re-indexed point by point through
 walsh_index and squaring_perm, and, for the bit-sliced constructors, the
-per-point constructions in tests/pointwise.py.  Last, fuzzed spec JSON
-must parse and round-trip, or be refused with a BentkitError.
+per-point constructions in tests/pointwise.py, whose trace masks follow
+the definition of the trace.  Last, fuzzed spec JSON must parse and
+round-trip, and fuzzed .tt text must parse, or be refused with a
+BentkitError.
 """
 
 import json
@@ -15,7 +17,13 @@ import random
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import (  # noqa: E402
+    assume,
+    example,
+    given,
+    settings,
+    strategies as st,
+)
 
 import pointwise as pw  # noqa: E402
 from bentkit import boolfun as bf  # noqa: E402
@@ -29,6 +37,7 @@ from bentkit.errors import (  # noqa: E402
 from bentkit.gf2n import (  # noqa: E402
     BivariateDomain,
     Field,
+    apply_linear,
     is_irreducible,
     linear_planes,
     pull_linear,
@@ -251,6 +260,27 @@ def test_sliced_mul_pow_and_linear_maps_match_field_arithmetic(field, data):
             pw.parity(image(x) & mask) for x in va)
 
 
+@given(fields(max_n=12), st.data())
+def test_trace_masks_match_the_definition(field, data):
+    u = data.draw(st.integers(0, field.size - 1))
+    assert field.trace_mask(u) == pw.trace_mask(field, u)
+    assert field.walsh_index(u) == pw.trace_mask(field, u)
+    if field.m is not None:
+        y = data.draw(st.sampled_from(field.subfield().members))
+        assert field.trace_sub(y) == pw.trace_sub(field, y)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+    st.integers(1 << n, 1 << (2 * n)) | st.integers(-5, -1))))
+def test_apply_linear_refuses_bits_beyond_its_columns(args):
+    columns, x = args
+    with pytest.raises(ValueError):
+        apply_linear(columns, x)
+    assert apply_linear(columns, x & ((1 << len(columns)) - 1)) == (
+        apply_columns(columns, x & ((1 << len(columns)) - 1)))
+
+
 @given(fields(max_n=12, min_n=2, step=2))
 def test_subfield_is_the_frobenius_fixed_set(field):
     assert field.subfield().members == tuple(
@@ -434,3 +464,28 @@ def test_spec_json_round_trips_or_is_refused(doc):
     text = cx.spec_to_json(spec)
     assert cx.spec_from_json(text) == spec
     assert cx.spec_to_json(cx.spec_from_json(text)) == text
+
+
+_header_tokens = st.sampled_from(
+    ["n=4", "n=6", "n=-4", "n=0", "n=29", "n=x", "n=", "mod=0x13",
+     "mod=0x43", "mod=-0x13", "mod=0x1f", "mod=0", "mod=zz", "mod=",
+     "grid=xy", "grid=yx", "xy", "n=2", "mod=0x7"]) | st.text(max_size=6)
+
+
+@settings(max_examples=400)
+@given(st.lists(_header_tokens, max_size=4),
+       st.sampled_from(["", "00", "0000", "ffff", "zz", "0" * 16, "1"])
+       | st.text(alphabet="0123456789abcdefx ", max_size=20),
+       st.sampled_from(["BF ", "BF", "bf ", ""]), st.booleans())
+@example(["n=4", "mod=-0x13"], "0000", "BF ", False)
+@example(["n=8", "mod=-0x13", "grid=xy"], "0" * 64, "BF ", False)
+@example(["n=4", "mod=0x13"], "ffff", "BF ", False)
+def test_tt_text_parses_or_is_refused(tokens, payload, magic, extra_line):
+    text = magic + " ".join(tokens) + "\n" + payload + "\n"
+    if extra_line:
+        text += "00\n"
+    try:
+        f = bf.parse_tt(text)
+    except BentkitError:
+        return
+    assert bf.parse_tt(bf.format_tt(f)) == f
