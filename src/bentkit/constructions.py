@@ -1,25 +1,33 @@
 """One constructor per bent-function family, with predicted duals.
 
-Every constructor validates its preconditions, materializes the function
-as a truth table, and attaches the closed-form dual table whenever the
-family comes with one.  The returned pair also carries the underlying
-base bent function, the shift vectors u_i and the combining polynomial F,
-so the spectrum identity
+Every family is a bent base g plus F(Tr(u_1 x), ..., Tr(u_tau x)).  Each
+constructor validates its preconditions, among them the pairwise shift
+conditions D_ui D_uj g~ = 0 in closed form, and materializes f as a truth
+table.  Where the family knows its base dual g~, the predicted dual is the
+one theorem behind every family (_theorem_dual):
+
+    f~ = g~ + F(D_u1 g~, ..., D_utau g~),  D_u h(x) = h(x) + h(x + u).
+
+QuadFamily and MMMonomial attach none yet; verification computes their
+duals from the spectrum.  The returned pair also carries the base, the
+shifts u_i and F, so the spectrum identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
 
 can be re-checked against any instance.
 
 Families on GF(2^(2m)) use univariate tables; the Maiorana-McFarland
-families live on the GF(2^m) x GF(2^m) grid (BivariateDomain).
+families live on the GF(2^m) x GF(2^m) grid (BivariateDomain), where the
+shift (u1, u2) is the index (u1 << m) | u2.
 
 No constructor loops over the 2^n indices.  Tables are built from
 bit-sliced field values (gf2n.linear_planes and Field.mul_planes): the
 coordinate tables are the identity x -> x, a field product is n^2 ANDs of
 planes, a trace form Tr(u x) is the XOR of the coordinate tables that
-trace_mask(u) selects, and multipoly.compose turns the trace-form tables
-into F(...).  tests/pointwise.py keeps the per-point formulas as the
-oracle.
+trace_mask(u) selects, a translation x -> x + u is one masked delta-swap
+per set bit of u (gf2n.translate), and multipoly.compose turns argument
+tables into F(...).  tests/pointwise.py keeps the per-point formulas as
+the oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from . import boolfun, multipoly
+from . import boolfun, gf2n, multipoly
 from .boolfun import DualityClass, TruthTable
 from .errors import (
     ArityMismatch,
@@ -60,11 +68,10 @@ from .gf2n import (
     coordinate_tables,
     invert,
     linear_planes,
-    make_field,
     poly_gcd,
-    pullback_mask,
     rank,
     trace_planes,
+    translate,
     transpose,
 )
 from .multipoly import ReducedPoly
@@ -122,10 +129,14 @@ def _full(dom) -> int:
     return (1 << dom.size) - 1
 
 
-def _trace_form(xs, columns, const: int, mask: int, full: int) -> int:
-    """Packed table of parity((L(x) + const) & mask), L(e_j) = columns[j]."""
-    bits = trace_planes(xs, pullback_mask(columns, mask))
-    return bits ^ full if _parity(const & mask) else bits
+def _theorem_dual(dom, gdual: int, shifts, F: ReducedPoly) -> TruthTable:
+    """The dual g~ + F(D_u1 g~, ..., D_utau g~) of g + F(Tr(u_1 x), ...).
+
+    gdual is the base's dual table g~; the pairwise conditions
+    D_ui D_uj g~ = 0 are the caller's to check.
+    """
+    args = [gdual ^ translate(gdual, dom.n, u) for u in shifts]  # D_u g~
+    return TruthTable(dom, gdual ^ multipoly.compose(F, args, _full(dom)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +158,27 @@ def kasami_base(field: Field, lam: int) -> TruthTable:
     return TruthTable(field, _kasami_bits(field, lam))
 
 
+def _kasami_pair(field: Field, lam: int, us, F: ReducedPoly,
+                 notes: str) -> ConstructedPair:
+    """Kasami base plus F of trace forms, its dual by the theorem.
+
+    The base's dual is Tr_sub(lambda^-1 * x^(2^m+1)) + 1: the inverted
+    lambda, which the un-inverted statement form only matches at lambda = 1.
+    """
+    base = kasami_base(field, lam)
+    gdual = _kasami_bits(field, field.inv(lam)) ^ _full(field)
+    return ConstructedPair(
+        f=boolfun.add(base, multipoly.compose_traces(field, F, us)),
+        predicted_dual=_theorem_dual(field, gdual, us, F),
+        notes=notes, base=base, shifts=tuple(us), poly=F)
+
+
 def kasami_general(field: Field, lam: int, us,
                    F: ReducedPoly) -> ConstructedPair:
     """Kasami base plus F of trace forms, for shifts anywhere in the field.
 
     Shifts must pairwise satisfy Tr_sub(lambda^-1 * (ui^(2^m) uj + ui uj^(2^m)))
     = 0, which is the absolute-trace form Tr(lambda^-1 * ui^(2^m) uj) = 0.
-
-    The predicted dual follows the derivation (base coefficient lambda^-1):
-    the statement-form with an un-inverted lambda only agrees when lambda=1.
     """
     m = _require_half(field)
     _check_lambda(field, lam)
@@ -169,28 +192,12 @@ def kasami_general(field: Field, lam: int, us,
             if field.trace_sub(field.mul(lam_inv, sym)) != 0:
                 raise PreconditionViolated(
                     f"trace condition fails for shift pair ({i + 1},{j + 1})")
-    base = kasami_base(field, lam)
-    f = boolfun.add(base, multipoly.compose_traces(field, F, us))
-
-    # dual: Tr_sub(lam^-1 (x^(2^m) u + x u^(2^m) + u^(2^m+1))) per shift
-    xs = coordinate_tables(field.n)
-    full = _full(field)
-    smask = field.subtrace_mask(lam_inv)
-    frob_m = field.frob_map(m)
-    args = [_trace_form(xs, [field.mul(xm, u) ^ field.mul(1 << j, um)
-                             for j, xm in enumerate(frob_m)],
-                        field.mul(u, um), smask, full)
-            for u, um in zip(us, ums)]
-    bits = (_kasami_bits(field, lam_inv) ^ multipoly.compose(F, args, full)
-            ^ full)
-    return ConstructedPair(
-        f=f, predicted_dual=TruthTable(field, bits),
-        notes=f"KasamiGeneral n={field.n} lam={lam:#x} tau={F.tau}",
-        base=base, shifts=tuple(us), poly=F)
+    return _kasami_pair(field, lam, us, F,
+                        f"KasamiGeneral n={field.n} lam={lam:#x} tau={F.tau}")
 
 
 def kasami_subfield(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
-    """Kasami family with independent subfield shifts; simplified dual."""
+    """Kasami family with independent subfield shifts."""
     m = _require_half(field)
     _check_lambda(field, lam)
     us = list(us)
@@ -198,25 +205,8 @@ def kasami_subfield(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPa
     if not field.lin_indep(us):
         raise NotIndependent("shift elements are dependent over F_2")
     _check_tau(F, len(us), m)
-    base = kasami_base(field, lam)
-    f = boolfun.add(base, multipoly.compose_traces(field, F, us))
-
-    lam_inv = field.inv(lam)
-    # dual: Tr(lam^-1 u x) + Tr_sub(lam^-1 u^2) per shift
-    xs = coordinate_tables(field.n)
-    full = _full(field)
-    args = []
-    for u in us:
-        arg = trace_planes(xs, field.trace_mask(field.mul(lam_inv, u)))
-        if field.trace_sub(field.mul(lam_inv, field.mul(u, u))):
-            arg ^= full
-        args.append(arg)
-    bits = (_kasami_bits(field, lam_inv) ^ multipoly.compose(F, args, full)
-            ^ full)
-    return ConstructedPair(
-        f=f, predicted_dual=TruthTable(field, bits),
-        notes=f"KasamiSubfield n={field.n} lam={lam:#x} tau={F.tau}",
-        base=base, shifts=tuple(us), poly=F)
+    return _kasami_pair(field, lam, us, F,
+                        f"KasamiSubfield n={field.n} lam={lam:#x} tau={F.tau}")
 
 
 def _normal_orbit(field: Field, u: int, F: ReducedPoly) -> list[int]:
@@ -237,32 +227,16 @@ def _normal_orbit(field: Field, u: int, F: ReducedPoly) -> list[int]:
 
 def kasami_idempotent(field: Field, u: int, F: ReducedPoly) -> ConstructedPair:
     """Bent idempotent from a normal subfield orbit and rotation-symmetric F."""
-    us = _normal_orbit(field, u, F)
-    base = kasami_base(field, 1)
-    f = boolfun.add(base, multipoly.compose_traces(field, F, us))
-
-    # dual: same shape with every trace argument complemented, then +1
-    xs = coordinate_tables(field.n)
-    full = _full(field)
-    args = [trace_planes(xs, field.trace_mask(v)) ^ full for v in us]
-    bits = base.bits ^ multipoly.compose(F, args, full) ^ full
-    return ConstructedPair(
-        f=f, predicted_dual=TruthTable(field, bits),
-        notes=f"KasamiIdempotent n={field.n} u={u:#x} d={F.degree()}",
-        base=base, shifts=tuple(us), poly=F)
+    notes = f"KasamiIdempotent n={field.n} u={u:#x} d={F.degree()}"
+    return _kasami_pair(field, 1, _normal_orbit(field, u, F), F, notes)
 
 
 def kasami_antiselfdual(field: Field, F: ReducedPoly) -> ConstructedPair:
     """Anti-self-dual family over the trace-zero hyperplane basis."""
     m = _require_half(field)
-    us = field.trace_zero_basis()
     _check_tau(F, m - 1, m)
-    base = kasami_base(field, 1)
-    f = boolfun.add(base, multipoly.compose_traces(field, F, us))
-    return ConstructedPair(
-        f=f, predicted_dual=boolfun.add_const(f, 1),
-        notes=f"KasamiAntiSelfDual n={field.n} d={F.degree()}",
-        base=base, shifts=tuple(us), poly=F)
+    return _kasami_pair(field, 1, field.trace_zero_basis(), F,
+                        f"KasamiAntiSelfDual n={field.n} d={F.degree()}")
 
 
 # ---------------------------------------------------------------------------
@@ -370,22 +344,11 @@ def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
                 raise PreconditionViolated(
                     f"trace condition fails for shift pair ({i + 1},{j + 1})")
     xs = coordinate_tables(field.n)
-    full = _full(field)
-    lmask = field.trace_mask(lam)
-    frob_k = field.frob_map(k)
-    base_bits = trace_planes(
-        field.mul_planes(xs, linear_planes(xs, frob_k)), lmask)
-    base = TruthTable(field, base_bits)
-    f = boolfun.add(base, multipoly.compose_traces(field, F, us))
-
-    # dual: Tr(lam (x^(2^k) u + x u^(2^k) + u^(2^k+1))) per shift
-    args = [_trace_form(xs, [field.mul(xk, u) ^ field.mul(1 << j, uk)
-                             for j, xk in enumerate(frob_k)],
-                        field.mul(u, uk), lmask, full)
-            for u, uk in zip(us, uks)]
-    bits = base_bits ^ multipoly.compose(F, args, full)
+    base = TruthTable(field, trace_planes(field.mul_planes(
+        xs, linear_planes(xs, field.frob_map(k))), field.trace_mask(lam)))
     return ConstructedPair(
-        f=f, predicted_dual=TruthTable(field, bits),
+        f=boolfun.add(base, multipoly.compose_traces(field, F, us)),
+        predicted_dual=_theorem_dual(field, base.bits, us, F),  # self-dual
         notes=f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}",
         base=base, shifts=tuple(us), poly=F)
 
@@ -403,8 +366,8 @@ def niho_exponents(m: int, k: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _niho_tables(field: Field, k: int) -> tuple[int, int, tuple[int, ...]]:
-    """Base bits, dual bits, and the planes of A^(1/(2^k-1))."""
+def _niho_tables(field: Field, k: int) -> tuple[int, int]:
+    """Base bits and dual bits."""
     m = field.m
     xs = coordinate_tables(field.n)
     full = _full(field)
@@ -424,7 +387,7 @@ def _niho_tables(field: Field, k: int) -> tuple[int, int, tuple[int, ...]]:
     B = add_const([a ^ b for a, b in zip(
         linear_planes(A, field.scale_map(alpha)), xm)], alpha_c, full)
     d_bits = trace_planes(field.mul_planes(B, apow), field.subtrace_mask(1))
-    return g_bits, d_bits, apow
+    return g_bits, d_bits
 
 
 def _check_niho(field: Field, k: int) -> int:
@@ -454,14 +417,11 @@ def niho_family(field: Field, k: int, us, F: ReducedPoly) -> ConstructedPair:
     us = list(us)
     _check_subfield_units(field, us)
     _check_tau(F, len(us), m)
-    g_bits, d_bits, apow = _niho_tables(field, k)
+    g_bits, d_bits = _niho_tables(field, k)
     base = TruthTable(field, g_bits)
-    f = boolfun.add(base, multipoly.compose_traces(field, F, us))
-
-    args = [trace_planes(apow, field.subtrace_mask(u)) for u in us]
-    bits = d_bits ^ multipoly.compose(F, args, _full(field))
     return ConstructedPair(
-        f=f, predicted_dual=TruthTable(field, bits),
+        f=boolfun.add(base, multipoly.compose_traces(field, F, us)),
+        predicted_dual=_theorem_dual(field, d_bits, us, F),
         notes=f"Niho n={field.n} k={k} tau={F.tau}",
         base=base, shifts=tuple(us), poly=F)
 
@@ -496,7 +456,7 @@ def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
 
     pi is an m x m matrix over F_2 in row-bitmask form.
     """
-    K = Field(m, modulus)
+    K = gf2n.make_field(m, modulus)
     dom = BivariateDomain(K)
     if len(pi) != m:
         raise SingularPermutation(f"pi must be {m}x{m}")
@@ -512,34 +472,23 @@ def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
                 raise PreconditionViolated(
                     f"trace condition fails for shift pair ({i + 1},{j + 1})")
     xs, ys = _grid_planes(K)
-    full = _full(dom)
     tmask = K.trace_mask(1)
     bmask = K.trace_mask(b)
     base_bits = (trace_planes(K.mul_planes(
         xs, linear_planes(ys, cols)), tmask)
         ^ trace_planes(ys, bmask))
-    base = TruthTable(dom, base_bits)
-    f = TruthTable(dom, base_bits ^ multipoly.compose(
-        F, _pair_traces(K, xs, ys, pairs), full))
-
-    # dual: Tr(y pi^-1(x) + b pi^-1(x)) + F(Tr((y + b) pi^-1(u1)
-    # + u2 pi^-1(x) + u2 pi^-1(u1)), ...)
+    f_bits = base_bits ^ multipoly.compose(
+        F, _pair_traces(K, xs, ys, pairs), _full(dom))
+    # the base's dual: Tr(y pi^-1(x) + b pi^-1(x))
     pix = linear_planes(xs, inv)
-    args = []
-    for u1, u2 in pairs:
-        w = apply_linear(inv, u1)
-        arg = (trace_planes(ys, K.trace_mask(w))
-               ^ trace_planes(pix, K.trace_mask(u2)))
-        if K.trace_abs(K.mul(b, w) ^ K.mul(u2, w)):
-            arg ^= full
-        args.append(arg)
-    d_bits = (trace_planes(K.mul_planes(ys, pix), tmask)
-              ^ trace_planes(pix, bmask) ^ multipoly.compose(F, args, full))
+    gdual = (trace_planes(K.mul_planes(ys, pix), tmask)
+             ^ trace_planes(pix, bmask))
     shifts = tuple((u1 << m) | u2 for u1, u2 in pairs)
     return ConstructedPair(
-        f=f, predicted_dual=TruthTable(dom, d_bits),
+        f=TruthTable(dom, f_bits),
+        predicted_dual=_theorem_dual(dom, gdual, shifts, F),
         notes=f"MMLinear m={m} b={b:#x} tau={F.tau}",
-        base=base, shifts=shifts, poly=F)
+        base=TruthTable(dom, base_bits), shifts=shifts, poly=F)
 
 
 def monomial_inverse_exponent(m: int, s: int) -> int:
@@ -562,7 +511,7 @@ def mm_monomial(m: int, s: int, us, F: ReducedPoly,
     if s < 1 or m % s != 0 or (m // s) % 2 == 0:
         raise BadDivisor(f"need s | m with m/s odd, got m={m}, s={s}")
     d = monomial_inverse_exponent(m, s)
-    K = Field(m, modulus)
+    K = gf2n.make_field(m, modulus)
     dom = BivariateDomain(K)
     pairs = _check_pairs(K, us)
     _check_tau(F, len(pairs), m)
@@ -694,7 +643,7 @@ def _grid_pairs(K: Field, cands, tau: int, rng: random.Random,
 def mm_linear_params(m: int, tau: int, rng: random.Random,
                      modulus: int | None = None):
     """Random (pi, b, pairs) satisfying the linear-permutation conditions."""
-    K = Field(m, modulus)
+    K = gf2n.make_field(m, modulus)
     rows = random_invertible(m, rng)
     inv = invert(transpose(rows))  # the columns of pi^-1
     b = rng.randrange(K.size)
@@ -709,7 +658,7 @@ def mm_linear_params(m: int, tau: int, rng: random.Random,
 def mm_monomial_pairs(m: int, s: int, tau: int, rng: random.Random,
                       modulus: int | None = None) -> list[tuple[int, int]]:
     """Random shift pairs in GF(2^s)^2 meeting the monomial-family conditions."""
-    K = Field(m, modulus)
+    K = gf2n.make_field(m, modulus)
     sub = [y for y in range(K.size) if K.frob(y, s) == y]
     cands = [(a << m) | b for a in sub for b in sub if a or b]
 
@@ -754,6 +703,12 @@ def _hex(v) -> int:
     return x
 
 
+def _bit(v) -> int:
+    if _want(v, int) not in (0, 1):
+        raise ValueError(f"expected 0 or 1, got {v!r}")
+    return v
+
+
 def _bits(v) -> tuple[int, ...]:
     if any(type(b) is not int or b not in (0, 1) for b in _want(v, list)):
         raise ValueError(f"expected bits 0 or 1, got {v!r}")
@@ -788,7 +743,7 @@ _CODEC = (
     ("mod", "mod", _hex_text, _hex),
     ("lambda", "lam", _hex_text, _hex),
     ("c", "c", list, _bits),
-    ("eps", "eps", int, lambda v: _want(v, int)),
+    ("eps", "eps", int, _bit),
     ("k", "k", int, lambda v: _want(v, int)),
     ("s", "s", int, lambda v: _want(v, int)),
     ("pi", "pi", lambda rows: [[(row >> j) & 1 for j in range(len(rows))]
@@ -839,6 +794,11 @@ def spec_from_json(text: str) -> ConstructionSpec:
 # the family registry: spec fields, size rule, build, sampler and claims
 # ---------------------------------------------------------------------------
 
+def _field(spec: ConstructionSpec) -> Field:
+    """The spec's field: one shared Field per (n, modulus)."""
+    return gf2n.make_field(spec.n, spec.mod)
+
+
 def _F(spec: ConstructionSpec, tau: int | None = None) -> ReducedPoly:
     """The spec's F in tau variables, by default one per shift."""
     return multipoly.parse_poly(spec.F, len(spec.u) if tau is None else tau)
@@ -852,7 +812,7 @@ def _with_shifts(name: str, n: int, us, rng: random.Random,
 
 
 def _build_kasami_idempotent(spec: ConstructionSpec) -> ConstructedPair:
-    field = Field(spec.n, spec.mod)
+    field = _field(spec)
     if len(spec.u) != 1:
         raise BadSpec("KasamiIdempotent takes one u, the normal element")
     return kasami_idempotent(field, spec.u[0], _F(spec, field.m))
@@ -860,7 +820,7 @@ def _build_kasami_idempotent(spec: ConstructionSpec) -> ConstructedPair:
 
 def _build_quad_family(spec: ConstructionSpec) -> ConstructedPair:
     """One shift and F in m variables: the idempotent from a normal orbit."""
-    field = Field(spec.n, spec.mod)
+    field = _field(spec)
     try:
         F = _F(spec)
     except ArityMismatch:
@@ -872,7 +832,7 @@ def _build_quad_family(spec: ConstructionSpec) -> ConstructedPair:
 
 
 def _build_gold_like(spec: ConstructionSpec) -> ConstructedPair:
-    field, k = Field(spec.n, spec.mod), spec.n // 4
+    field, k = _field(spec), spec.n // 4
     if spec.k not in (None, k):
         raise BadSpec(f"GoldLike needs k = n/4 = {k}, got k={spec.k}")
     lam = field.solve_semilinear(3 * k, 1) if spec.lam is None else spec.lam
@@ -883,7 +843,7 @@ def _build_gold_like(spec: ConstructionSpec) -> ConstructedPair:
 
 def _sample_kasami(name: str, n: int, rng: random.Random,
                    subfield_only: bool = False) -> ConstructionSpec:
-    field = make_field(n)
+    field = gf2n.make_field(n)
     lam = rng.choice([y for y in field.subfield().members if y])
     us = kasami_valid_us(field, lam, rng.randint(1, field.m), rng,
                          subfield_only)
@@ -891,7 +851,7 @@ def _sample_kasami(name: str, n: int, rng: random.Random,
 
 
 def _sample_quad_family(n: int, rng: random.Random) -> ConstructionSpec:
-    field = make_field(n)
+    field = gf2n.make_field(n)
     while True:
         c = tuple(rng.randint(0, 1) for _ in range(field.m + 1))
         if is_quad_bent_gcd(c):
@@ -902,14 +862,14 @@ def _sample_quad_family(n: int, rng: random.Random) -> ConstructionSpec:
 
 
 def _sample_gold_like(n: int, rng: random.Random) -> ConstructionSpec:
-    field, k = make_field(n), n // 4
+    field, k = gf2n.make_field(n), n // 4
     lam = field.solve_semilinear(3 * k, 1)
     us = gold_valid_us(field, lam, rng.randint(1, 2 * k), rng)
     return _with_shifts("GoldLike", n, us, rng, lam=lam, k=k)
 
 
 def _sample_niho(n: int, rng: random.Random) -> ConstructionSpec:
-    field, m = make_field(n), n // 2
+    field, m = gf2n.make_field(n), n // 2
     k = rng.choice([k for k in range(1, m + 1) if math.gcd(k, m) == 1])
     us = rng.sample([y for y in field.subfield().members if y],
                     rng.randint(1, m))
@@ -946,31 +906,31 @@ class Family:
 FAMILIES = {
     "KasamiGeneral": Family(
         ("lambda", "u", "F"),
-        lambda s: kasami_general(Field(s.n, s.mod), s.lam, s.u, _F(s)),
+        lambda s: kasami_general(_field(s), s.lam, s.u, _F(s)),
         lambda n, rng: _sample_kasami("KasamiGeneral", n, rng)),
     "KasamiSubfield": Family(
         ("lambda", "u", "F"),
-        lambda s: kasami_subfield(Field(s.n, s.mod), s.lam, s.u, _F(s)),
+        lambda s: kasami_subfield(_field(s), s.lam, s.u, _F(s)),
         lambda n, rng: _sample_kasami("KasamiSubfield", n, rng, True),
         # degree deg F, or 2 (the quadratic base) for an affine F
         lambda s, b: {"bent": True, "degree": max(2, b.poly.degree())}),
     "KasamiIdempotent": Family(
         ("u", "F"), _build_kasami_idempotent,
         lambda n, rng: ConstructionSpec("KasamiIdempotent", n, u=(
-            make_field(n).find_normal(rng.randrange((1 << n // 2) - 1),
-                                      in_subfield=True),),
+            gf2n.make_field(n).find_normal(rng.randrange((1 << n // 2) - 1),
+                                           in_subfield=True),),
             F=multipoly.format_poly(random_rotsym_poly(n // 2, rng))),
         lambda s, b: {"bent": True, "idempotent": True,
                       "degree": max(2, b.poly.degree())}),
     "KasamiAntiSelfDual": Family(
         ("F",),
-        lambda s: kasami_antiselfdual(Field(s.n, s.mod), _F(s, s.n // 2 - 1)),
+        lambda s: kasami_antiselfdual(_field(s), _F(s, s.n // 2 - 1)),
         lambda n, rng: ConstructionSpec("KasamiAntiSelfDual", n, F=(
             multipoly.format_poly(random_poly(n // 2 - 1, rng)))),
         lambda s, b: {"bent": True, "duality": DualityClass.ANTI_SELF_DUAL}),
     "QuadIdem": Family(
         ("c",),
-        lambda s: quad_idempotent_g(Field(s.n, s.mod), s.c, s.eps or 0),
+        lambda s: quad_idempotent_g(_field(s), s.c, s.eps or 0),
         lambda n, rng: ConstructionSpec("QuadIdem", n, c=tuple(
             rng.randint(0, 1) for _ in range(n // 2 + 1)), eps=rng.randint(0, 1)),
         lambda s, b: {"bent": is_quad_bent_gcd(s.c), "idempotent": True}),
@@ -980,7 +940,7 @@ FAMILIES = {
                        scale=4),
     "Niho": Family(
         ("k", "u", "F"),
-        lambda s: niho_family(Field(s.n, s.mod), s.k, s.u, _F(s)),
+        lambda s: niho_family(_field(s), s.k, s.u, _F(s)),
         _sample_niho),
     "MMLinear": Family(
         ("pi", "u", "F"),

@@ -69,6 +69,8 @@ DEFAULT_MODULI = {
 
 def poly_mul(a: int, b: int) -> int:
     """Carry-less product of two F_2[X] polynomials."""
+    if (a | b) < 0:
+        raise ValueError(f"negative polynomial operand in {a} * {b}")
     r = 0
     while b:
         if b & 1:
@@ -301,6 +303,20 @@ def _delta_swap(bits: int, mask: int, delta: int) -> int:
     """Swap bit i with bit i + delta for every i in mask."""
     t = (bits ^ (bits >> delta)) & mask
     return bits ^ t ^ (t << delta)
+
+
+def translate(bits: int, n: int, s: int) -> int:
+    """The packed table i -> T(i ^ s) of a packed table T on 2^n indices.
+
+    Each set bit j of s swaps index i with i + 2^j for every i with bit j
+    clear: one masked delta-swap, whatever the number of indices.
+    """
+    if s < 0 or s >> n:
+        raise ValueError(f"shift {s:#x} has bits beyond {n} index bits")
+    for j, x in enumerate(coordinate_tables(n)):
+        if (s >> j) & 1:  # x >> 2^j: the indices with bit j clear
+            bits = _delta_swap(bits, x >> (1 << j), 1 << j)
+    return bits
 
 
 def pull_linear(bits: int, columns: list[int]) -> int:
@@ -723,8 +739,12 @@ class BivariateDomain:
         return f"n={self.n},mod=0x{self.base.modulus:x}"
 
 
+@functools.cache
 def make_field(n: int, modulus: int | None = None) -> Field:
-    """Field of degree n; the built-in default modulus when none is given."""
+    """Field of degree n; the built-in default modulus when none is given.
+
+    One shared Field per (n, modulus): a Field only fills its own caches.
+    """
     return Field(n, modulus)
 
 

@@ -264,6 +264,11 @@ def test_demo_carlet_refuses_m_below_two(capsys):
      ' "u": [["0x1", "0x0"]], "F": "X1"}', "expected a square bit matrix"),
     ('{"family": "QuadIdem", "n": 6, "c": [0, 2, 0, 1]}',
      "malformed QuadIdem spec: c: expected bits 0 or 1"),
+    ('{"family": "QuadIdem", "n": 6, "c": [0, 1, 0, 1], "eps": 5}',
+     "malformed QuadIdem spec: eps: expected 0 or 1, got 5"),
+    ('{"family": "QuadFamily", "n": 6, "c": [0, 0, 0, 1], "eps": -1,'
+     ' "u": ["0x1"], "F": "X1"}',
+     "malformed QuadFamily spec: eps: expected 0 or 1, got -1"),
     ('{"family": "GoldLike", "n": 8, "k": 7, "u": ["0x3"], "F": "X1"}',
      "GoldLike needs k = n/4 = 2, got k=7"),
     ('{"family": "KasamiIdempotent", "n": 7, "u": ["0x1"], "F": "X1"}',

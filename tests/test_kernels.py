@@ -5,11 +5,14 @@ included) and on bivariate grids.  The oracles are the list transforms
 fwht, mobius and walsh_naive, re-indexed point by point through
 walsh_index and squaring_perm, and, for the bit-sliced constructors, the
 per-point constructions in tests/pointwise.py, whose trace masks follow
-the definition of the trace.  Last, fuzzed spec JSON must parse and
-round-trip, and fuzzed .tt text must parse, or be refused with a
-BentkitError.
+the definition of the trace.  The translation behind D_u is checked
+against the per-index shift T[i ^ s], and every pair family's dual against
+the theorem f~ = g~ + F(D_u1 g~, ...), with g~ and f~ read from spectra.
+Last, fuzzed spec JSON must parse and round-trip, and fuzzed .tt text must
+parse, or be refused with a BentkitError.
 """
 
+import itertools
 import json
 import math
 import random
@@ -40,10 +43,12 @@ from bentkit.gf2n import (  # noqa: E402
     apply_linear,
     is_irreducible,
     linear_planes,
+    poly_mul,
     pull_linear,
     pullback_mask,
     rank,
     trace_planes,
+    translate,
 )
 
 
@@ -221,6 +226,20 @@ def test_pull_linear_refuses_a_singular_map():
         pull_linear(0b1011, [0b01, 0b01])
 
 
+@given(domains(), st.data())
+def test_translate_matches_the_per_index_shift(dom, data):
+    bits = data.draw(st.integers(0, (1 << dom.size) - 1))
+    if isinstance(dom, BivariateDomain):
+        element = st.integers(0, dom.base.size - 1)
+        s = dom.index(data.draw(element), data.draw(element))
+    else:
+        s = data.draw(st.integers(0, dom.size - 1))
+    assert translate(bits, dom.n, s) == packed(
+        (bits >> (i ^ s)) & 1 for i in range(dom.size))
+    with pytest.raises(ValueError):
+        translate(bits, dom.n, s | dom.size)
+
+
 # ---------------------------------------------------------------------------
 # bit-sliced field elements and constructors
 # ---------------------------------------------------------------------------
@@ -279,6 +298,16 @@ def test_apply_linear_refuses_bits_beyond_its_columns(args):
         apply_linear(columns, x)
     assert apply_linear(columns, x & ((1 << len(columns)) - 1)) == (
         apply_columns(columns, x & ((1 << len(columns)) - 1)))
+
+
+@given(fields(max_n=8), st.integers(-(1 << 9), -1), st.data())
+def test_field_products_refuse_a_negative_operand(field, negative, data):
+    other = data.draw(st.integers(0, field.size - 1))
+    for a, b in ((other, negative), (negative, other)):
+        with pytest.raises(ValueError):
+            poly_mul(a, b)
+        with pytest.raises(ValueError):
+            field.mul(a, b)
 
 
 @given(fields(max_n=12, min_n=2, step=2))
@@ -371,7 +400,7 @@ def sample_mm_monomial(data, rng):
             pw.mm_monomial(m, s, pairs, F, modulus=mod))
 
 
-@pytest.mark.parametrize("sample", [
+PAIR_SAMPLERS = pytest.mark.parametrize("sample", [
     sample_kasami_general,
     lambda data, rng: sample_kasami_general(data, rng, subfield_only=True),
     sample_kasami_idempotent,
@@ -384,6 +413,9 @@ def sample_mm_monomial(data, rng):
 ], ids=["KasamiGeneral", "KasamiSubfield", "KasamiIdempotent",
         "KasamiAntiSelfDual", "QuadFamily", "GoldLike", "Niho", "MMLinear",
         "MMMonomial"])
+
+
+@PAIR_SAMPLERS
 @settings(max_examples=40)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_sliced_constructors_match_the_pointwise_oracle(sample, data, seed):
@@ -397,6 +429,28 @@ def test_sliced_constructors_match_the_pointwise_oracle(sample, data, seed):
         assert pair.predicted_dual is None
     else:
         assert pair.predicted_dual.bits == dual
+
+
+@PAIR_SAMPLERS
+@settings(max_examples=20)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_the_dual_theorem_holds_on_every_pair_family(sample, data, seed):
+    """D_ui D_uj g~ = 0 for the sampled shifts, with g~ from the base's
+    spectrum, so f~ = g~ + F(D_u1 g~, ...): the dual read from f's own
+    spectrum.  This certifies the samplers' closed-form shift tests."""
+    try:
+        pair, _ = sample(data, random.Random(seed))
+    except NoSolution:
+        assume(False)
+    dom = pair.f.domain
+    gdual = bf.dual(bf.walsh(pair.base)).bits
+    for ui, uj in itertools.combinations(pair.shifts, 2):
+        d = gdual ^ translate(gdual, dom.n, ui)  # D_ui g~
+        assert d == translate(d, dom.n, uj)      # D_uj D_ui g~ = 0
+    fdual = bf.dual(bf.walsh(pair.f)).bits
+    assert cx._theorem_dual(dom, gdual, pair.shifts, pair.poly).bits == fdual
+    if pair.predicted_dual is not None:
+        assert pair.predicted_dual.bits == fdual
 
 
 # Spec keys with values of their own shape; near misses of that shape
