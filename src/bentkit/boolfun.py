@@ -22,8 +22,8 @@ is floating point and nothing is sampled.
   through the squaring map.
 
 Both index maps are F_2-linear and go through gf2n.pull_linear.  The list
-transforms fwht, mobius and walsh_naive are the reference the packed
-kernels are tested against.
+transform fwht serves multipoly.fourier; it and the list oracles in
+tests/pointwise.py are the reference the packed kernels are tested against.
 """
 
 from __future__ import annotations
@@ -52,24 +52,6 @@ class TruthTable:
     def bit(self, i: int) -> int:
         return (self.bits >> i) & 1
 
-    def to_bitlist(self) -> list[int]:
-        size = self.domain.size
-        raw = self.bits.to_bytes((size + 7) // 8, "little")
-        out = []
-        for byte in raw:
-            for _ in range(8):
-                out.append(byte & 1)
-                byte >>= 1
-        return out[:size]
-
-    @staticmethod
-    def from_bits(domain: Domain, values) -> "TruthTable":
-        bits = 0
-        for i, v in enumerate(values):
-            if v:
-                bits |= 1 << i
-        return TruthTable(domain, bits)
-
     def weight(self) -> int:
         return self.bits.bit_count()
 
@@ -84,16 +66,6 @@ class WalshSpectrum:
     """
     domain: Domain
     planes: tuple[int, ...]
-
-    @staticmethod
-    def from_values(domain: Domain, values) -> "WalshSpectrum":
-        """Pack per-beta integers into the n+2 planes."""
-        values = list(values)
-        planes = tuple(
-            int("".join("1" if (v >> k) & 1 else "0"
-                        for v in reversed(values)), 2)
-            for k in range(domain.n + 2))
-        return WalshSpectrum(domain, planes)
 
     @functools.cached_property
     def values(self) -> tuple[int, ...]:
@@ -239,18 +211,6 @@ def walsh(f: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(dom, tuple(planes))
 
 
-def walsh_naive(f: TruthTable) -> WalshSpectrum:
-    """O(4^n) reference evaluation of the Walsh definition."""
-    dom = f.domain
-    signs = [1 - 2 * b for b in f.to_bitlist()]
-    values = []
-    for beta in range(dom.size):
-        mask = dom.walsh_index(beta)
-        values.append(sum(s if (mask & x).bit_count() % 2 == 0 else -s
-                          for x, s in enumerate(signs)))
-    return WalshSpectrum.from_values(dom, values)
-
-
 def is_bent(spec: WalshSpectrum) -> bool:
     """True iff every |W(beta)| equals 2^(n/2)."""
     n = spec.domain.n
@@ -275,18 +235,6 @@ def duality_class(f: TruthTable, fdual: TruthTable) -> DualityClass:
     if f.bits ^ fdual.bits == (1 << f.domain.size) - 1:
         return DualityClass.ANTI_SELF_DUAL
     return DualityClass.NEITHER
-
-
-def mobius(values: list[int]) -> list[int]:
-    """In-place Moebius transform on the n-cube (its own inverse)."""
-    size = len(values)
-    h = 1
-    while h < size:
-        for i in range(0, size, h << 1):
-            for j in range(i, i + h):
-                values[j + h] ^= values[j]
-        h <<= 1
-    return values
 
 
 def _moebius_packed(bits: int, n: int) -> int:
@@ -374,7 +322,10 @@ def parse_tt(text: str) -> TruthTable:
     if len(raw) != expected:
         raise FieldMismatch(
             f"payload holds {len(raw)} bytes, expected {expected}")
-    bits = int.from_bytes(raw, "little") & ((1 << domain.size) - 1)
+    bits = int.from_bytes(raw, "little")
+    if bits >> domain.size:
+        raise FieldMismatch(
+            f"payload sets bits at or above index {domain.size}")
     return TruthTable(domain, bits)
 
 

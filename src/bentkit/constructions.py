@@ -1,16 +1,18 @@
 """One constructor per bent-function family, with predicted duals.
 
-Every family is a bent base g plus F(Tr(u_1 x), ..., Tr(u_tau x)).  Each
-constructor validates its preconditions, among them the pairwise shift
-conditions D_ui D_uj g~ = 0 in closed form, and materializes f as a truth
-table.  Where the family knows its base dual g~, the predicted dual is the
-one theorem behind every family (_theorem_dual):
+Every family is a bent base g plus F(Tr(u_1 x), ..., Tr(u_tau x)), and one
+theorem covers them all: if D_ui D_uj g~ = 0 for all i < j, with
+D_u h(x) = h(x) + h(x + u), then f is bent with dual
 
-    f~ = g~ + F(D_u1 g~, ..., D_utau g~),  D_u h(x) = h(x) + h(x + u).
+    f~ = g~ + F(D_u1 g~, ..., D_utau g~)     (_theorem_dual).
 
-QuadFamily and MMMonomial attach none yet; verification computes their
-duals from the spectrum.  The returned pair also carries the base, the
-shifts u_i and F, so the spectrum identity
+So each family states only three things: its base table g, its base dual
+g~ (None for QuadFamily and MMMonomial, whose duals verification computes
+from the spectrum), and one pair predicate ok(u, v), the closed form of
+D_u D_v g~ = 0 on shift indices.  _shifted checks ok on every pair of
+shifts, builds f and attaches the predicted dual; the seeded samplers pick
+shifts with _scan under the same ok.  The returned pair also carries the
+base, the shifts u_i and F, so the spectrum identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
 
@@ -24,7 +26,7 @@ No constructor loops over the 2^n indices.  Tables are built from
 bit-sliced field values (gf2n.linear_planes and Field.mul_planes): the
 coordinate tables are the identity x -> x, a field product is n^2 ANDs of
 planes, a trace form Tr(u x) is the XOR of the coordinate tables that
-trace_mask(u) selects, a translation x -> x + u is one masked delta-swap
+walsh_index(u) selects, a translation x -> x + u is one masked delta-swap
 per set bit of u (gf2n.translate), and multipoly.compose turns argument
 tables into F(...).  tests/pointwise.py keeps the per-point formulas as
 the oracle.
@@ -38,8 +40,9 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import combinations
 
-from . import boolfun, gf2n, multipoly
+from . import gf2n, multipoly
 from .boolfun import DualityClass, TruthTable
 from .errors import (
     ArityMismatch,
@@ -120,10 +123,6 @@ def _check_subfield_units(field: Field, us) -> None:
             raise NotInSubfield(f"shift {u:#x} is not in GF(2^{m})")
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 def _full(dom) -> int:
     """The all-ones table on a domain."""
     return (1 << dom.size) - 1
@@ -137,6 +136,35 @@ def _theorem_dual(dom, gdual: int, shifts, F: ReducedPoly) -> TruthTable:
     """
     args = [gdual ^ translate(gdual, dom.n, u) for u in shifts]  # D_u g~
     return TruthTable(dom, gdual ^ multipoly.compose(F, args, _full(dom)))
+
+
+def _shifted(dom, base: int, gdual: int | None, shifts, F: ReducedPoly,
+             notes: str, ok=None) -> ConstructedPair:
+    """The pair f = g + F(Tr(u_1 x), ..., Tr(u_tau x)) of the base table g.
+
+    ok(u, v) is the family's closed form of D_u D_v g~ = 0 and must hold
+    on every pair of shifts.  The dual is predicted when g~ is known.
+    """
+    shifts = tuple(shifts)
+    if ok is not None:
+        for (i, u), (j, v) in combinations(enumerate(shifts, 1), 2):
+            if not ok(u, v):
+                raise PreconditionViolated(
+                    f"shift condition fails for pair ({i},{j})")
+    f = base ^ multipoly.compose_traces(dom, F, shifts).bits
+    return ConstructedPair(
+        f=TruthTable(dom, f),
+        predicted_dual=(None if gdual is None
+                        else _theorem_dual(dom, gdual, shifts, F)),
+        notes=notes, base=TruthTable(dom, base), shifts=shifts, poly=F)
+
+
+def _conjugate_ok(field: Field, e: int, mask: int):
+    """ok(u, v): parity((u^(2^e) v + u v^(2^e)) & mask) = 0."""
+    def ok(u, v):
+        sym = field.mul(field.frob(u, e), v) ^ field.mul(u, field.frob(v, e))
+        return not (sym & mask).bit_count() & 1
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -158,40 +186,36 @@ def kasami_base(field: Field, lam: int) -> TruthTable:
     return TruthTable(field, _kasami_bits(field, lam))
 
 
+def _kasami_ok(field: Field, lam: int):
+    """The Kasami pair condition, D_u D_v g~ = 0 for g~ the base's dual:
+    Tr_sub(lambda^-1 * (u^(2^m) v + u v^(2^m))) = 0, which is the
+    absolute-trace form Tr(lambda^-1 * u^(2^m) v) = 0."""
+    return _conjugate_ok(field, field.m, field.subtrace_mask(field.inv(lam)))
+
+
 def _kasami_pair(field: Field, lam: int, us, F: ReducedPoly,
                  notes: str) -> ConstructedPair:
     """Kasami base plus F of trace forms, its dual by the theorem.
 
     The base's dual is Tr_sub(lambda^-1 * x^(2^m+1)) + 1: the inverted
     lambda, which the un-inverted statement form only matches at lambda = 1.
+    Subfield shifts meet the pair condition trivially.
     """
-    base = kasami_base(field, lam)
     gdual = _kasami_bits(field, field.inv(lam)) ^ _full(field)
-    return ConstructedPair(
-        f=boolfun.add(base, multipoly.compose_traces(field, F, us)),
-        predicted_dual=_theorem_dual(field, gdual, us, F),
-        notes=notes, base=base, shifts=tuple(us), poly=F)
+    return _shifted(field, _kasami_bits(field, lam), gdual, us, F, notes,
+                    _kasami_ok(field, lam))
 
 
 def kasami_general(field: Field, lam: int, us,
                    F: ReducedPoly) -> ConstructedPair:
     """Kasami base plus F of trace forms, for shifts anywhere in the field.
 
-    Shifts must pairwise satisfy Tr_sub(lambda^-1 * (ui^(2^m) uj + ui uj^(2^m)))
-    = 0, which is the absolute-trace form Tr(lambda^-1 * ui^(2^m) uj) = 0.
+    Shifts must pairwise meet the pair condition of _kasami_ok.
     """
     m = _require_half(field)
     _check_lambda(field, lam)
     us = list(us)
     _check_tau(F, len(us), m)
-    lam_inv = field.inv(lam)
-    ums = [field.frob(u, m) for u in us]
-    for i in range(len(us)):
-        for j in range(i + 1, len(us)):
-            sym = field.mul(ums[i], us[j]) ^ field.mul(us[i], ums[j])
-            if field.trace_sub(field.mul(lam_inv, sym)) != 0:
-                raise PreconditionViolated(
-                    f"trace condition fails for shift pair ({i + 1},{j + 1})")
     return _kasami_pair(field, lam, us, F,
                         f"KasamiGeneral n={field.n} lam={lam:#x} tau={F.tau}")
 
@@ -306,12 +330,9 @@ def quad_family(field: Field, c, eps: int, us, F: ReducedPoly) -> ConstructedPai
     us = list(us)
     _check_subfield_units(field, us)
     _check_tau(F, len(us), m)
-    base = quad_idempotent_g(field, c, eps)
-    f = boolfun.add(base, multipoly.compose_traces(field, F, us))
-    return ConstructedPair(
-        f=f, predicted_dual=None,
-        notes=f"QuadFamily n={field.n} c={''.join(map(str, c))} tau={F.tau}",
-        base=base, shifts=tuple(us), poly=F)
+    return _shifted(
+        field, quad_idempotent_g(field, c, eps).bits, None, us, F,
+        f"QuadFamily n={field.n} c={''.join(map(str, c))} tau={F.tau}")
 
 
 def quad_idempotent_family(field: Field, c, eps: int, u: int,
@@ -326,6 +347,11 @@ def quad_idempotent_family(field: Field, c, eps: int, u: int,
 # Gold-like family on GF(2^(4k))
 # ---------------------------------------------------------------------------
 
+def _gold_ok(field: Field, lam: int):
+    """The Gold-like pair condition Tr(lambda (u^(2^k) v + u v^(2^k))) = 0."""
+    return _conjugate_ok(field, field.n // 4, field.trace_mask(lam))
+
+
 def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
     """Self-dual Gold-like base Tr(lambda x^(2^k+1)) plus F of trace forms."""
     if field.n % 4 != 0:
@@ -336,21 +362,12 @@ def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
             f"lambda {lam:#x} fails lambda + lambda^(2^(3k)) = 1")
     us = list(us)
     _check_tau(F, len(us), field.n // 2)
-    uks = [field.frob(u, k) for u in us]
-    for i in range(len(us)):
-        for j in range(i + 1, len(us)):
-            sym = field.mul(uks[i], us[j]) ^ field.mul(us[i], uks[j])
-            if field.trace_abs(field.mul(lam, sym)) != 0:
-                raise PreconditionViolated(
-                    f"trace condition fails for shift pair ({i + 1},{j + 1})")
     xs = coordinate_tables(field.n)
-    base = TruthTable(field, trace_planes(field.mul_planes(
-        xs, linear_planes(xs, field.frob_map(k))), field.trace_mask(lam)))
-    return ConstructedPair(
-        f=boolfun.add(base, multipoly.compose_traces(field, F, us)),
-        predicted_dual=_theorem_dual(field, base.bits, us, F),  # self-dual
-        notes=f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}",
-        base=base, shifts=tuple(us), poly=F)
+    base = trace_planes(field.mul_planes(
+        xs, linear_planes(xs, field.frob_map(k))), field.trace_mask(lam))
+    return _shifted(field, base, base, us, F,  # self-dual
+                    f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}",
+                    _gold_ok(field, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +434,8 @@ def niho_family(field: Field, k: int, us, F: ReducedPoly) -> ConstructedPair:
     us = list(us)
     _check_subfield_units(field, us)
     _check_tau(F, len(us), m)
-    g_bits, d_bits = _niho_tables(field, k)
-    base = TruthTable(field, g_bits)
-    return ConstructedPair(
-        f=boolfun.add(base, multipoly.compose_traces(field, F, us)),
-        predicted_dual=_theorem_dual(field, d_bits, us, F),
-        notes=f"Niho n={field.n} k={k} tau={F.tau}",
-        base=base, shifts=tuple(us), poly=F)
+    return _shifted(field, *_niho_tables(field, k), us, F,
+                    f"Niho n={field.n} k={k} tau={F.tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -436,18 +448,31 @@ def _grid_planes(base: Field) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return cs[base.n:], cs[:base.n]
 
 
-def _pair_traces(K: Field, xs, ys, pairs) -> list[int]:
-    """Tables of Tr(u1 x + u2 y), one per shift pair."""
-    return [trace_planes(xs, K.trace_mask(u1))
-            ^ trace_planes(ys, K.trace_mask(u2)) for u1, u2 in pairs]
+def _check_pairs(K: Field, us) -> tuple[int, ...]:
+    """Grid shift indices (u1 << m) | u2 of pairs independent over F_2.
 
-
-def _check_pairs(base: Field, us) -> list[tuple[int, int]]:
+    A coordinate outside GF(2^m) is a ValueError, as in apply_linear, so
+    it cannot spill into the other half of the index.
+    """
     pairs = [(int(a), int(b)) for a, b in us]
-    vecs = [(a << base.n) | b for a, b in pairs]
-    if rank(vecs) != len(vecs):
+    if any(c < 0 or c >> K.n for pair in pairs for c in pair):
+        raise ValueError(f"shift pairs {pairs} leave GF(2^{K.n})")
+    shifts = tuple((a << K.n) | b for a, b in pairs)
+    if rank(shifts) != len(shifts):
         raise NotIndependent("shift pairs are dependent as 2m-bit vectors")
-    return pairs
+    return shifts
+
+
+def _mm_linear_ok(K: Field, inv):
+    """The MMLinear pair condition on grid shifts u, v:
+    Tr(u2 pi^-1(v1) + v2 pi^-1(u1)) = 0, inv the columns of pi^-1."""
+    split = BivariateDomain(K).split
+
+    def ok(u, v):
+        (u1, u2), (v1, v2) = split(u), split(v)
+        return not K.trace_abs(K.mul(u2, apply_linear(inv, v1))
+                               ^ K.mul(v2, apply_linear(inv, u1)))
+    return ok
 
 
 def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
@@ -457,38 +482,24 @@ def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
     pi is an m x m matrix over F_2 in row-bitmask form.
     """
     K = gf2n.make_field(m, modulus)
-    dom = BivariateDomain(K)
     if len(pi) != m:
         raise SingularPermutation(f"pi must be {m}x{m}")
     cols = transpose(pi)
     inv = invert(cols)  # the columns of pi^-1
-    pairs = _check_pairs(K, us)
-    _check_tau(F, len(pairs), m)
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            t = (K.mul(pairs[i][1], apply_linear(inv, pairs[j][0]))
-                 ^ K.mul(pairs[j][1], apply_linear(inv, pairs[i][0])))
-            if K.trace_abs(t) != 0:
-                raise PreconditionViolated(
-                    f"trace condition fails for shift pair ({i + 1},{j + 1})")
+    shifts = _check_pairs(K, us)
+    _check_tau(F, len(shifts), m)
     xs, ys = _grid_planes(K)
     tmask = K.trace_mask(1)
     bmask = K.trace_mask(b)
-    base_bits = (trace_planes(K.mul_planes(
-        xs, linear_planes(ys, cols)), tmask)
-        ^ trace_planes(ys, bmask))
-    f_bits = base_bits ^ multipoly.compose(
-        F, _pair_traces(K, xs, ys, pairs), _full(dom))
+    base = (trace_planes(K.mul_planes(xs, linear_planes(ys, cols)), tmask)
+            ^ trace_planes(ys, bmask))
     # the base's dual: Tr(y pi^-1(x) + b pi^-1(x))
     pix = linear_planes(xs, inv)
     gdual = (trace_planes(K.mul_planes(ys, pix), tmask)
              ^ trace_planes(pix, bmask))
-    shifts = tuple((u1 << m) | u2 for u1, u2 in pairs)
-    return ConstructedPair(
-        f=TruthTable(dom, f_bits),
-        predicted_dual=_theorem_dual(dom, gdual, shifts, F),
-        notes=f"MMLinear m={m} b={b:#x} tau={F.tau}",
-        base=TruthTable(dom, base_bits), shifts=shifts, poly=F)
+    return _shifted(BivariateDomain(K), base, gdual, shifts, F,
+                    f"MMLinear m={m} b={b:#x} tau={F.tau}",
+                    _mm_linear_ok(K, inv))
 
 
 def monomial_inverse_exponent(m: int, s: int) -> int:
@@ -501,46 +512,42 @@ def monomial_inverse_exponent(m: int, s: int) -> int:
             f"2^{s}+1 is not invertible mod 2^{m}-1") from None
 
 
+def _mm_monomial_ok(K: Field):
+    """The MMMonomial pair condition on GF(2^s)^2 grid shifts u, v:
+    u1 v2 + v1 u2 = 0 and Tr(u1^2 v2 + u2 v1^2) = 0."""
+    split = BivariateDomain(K).split
+
+    def ok(u, v):
+        (u1, u2), (v1, v2) = split(u), split(v)
+        return not (K.mul(u1, v2) ^ K.mul(v1, u2)) and not K.trace_abs(
+            K.mul(K.sqr(u1), v2) ^ K.mul(u2, K.sqr(v1)))
+    return ok
+
+
 def mm_monomial(m: int, s: int, us, F: ReducedPoly,
                 modulus: int | None = None) -> ConstructedPair:
     """Tr(x y^d) + F of pair trace forms, with d inverting 2^s + 1.
 
-    Shift pairs come from GF(2^s) x GF(2^s) and must pairwise satisfy
-    u1_i u2_j + u1_j u2_i = 0 and Tr(u1_i^2 u2_j + u2_i u1_j^2) = 0.
+    Shift pairs come from GF(2^s) x GF(2^s) and must pairwise meet the
+    pair condition of _mm_monomial_ok.
     """
     if s < 1 or m % s != 0 or (m // s) % 2 == 0:
         raise BadDivisor(f"need s | m with m/s odd, got m={m}, s={s}")
     d = monomial_inverse_exponent(m, s)
     K = gf2n.make_field(m, modulus)
     dom = BivariateDomain(K)
-    pairs = _check_pairs(K, us)
-    _check_tau(F, len(pairs), m)
-    for u1, u2 in pairs:
+    shifts = _check_pairs(K, us)
+    _check_tau(F, len(shifts), m)
+    for u1, u2 in map(dom.split, shifts):
         if K.frob(u1, s) != u1 or K.frob(u2, s) != u2:
             raise PreconditionViolated(
                 f"pair ({u1:#x},{u2:#x}) is not in GF(2^{s}) x GF(2^{s})")
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            a1, a2 = pairs[i]
-            b1, b2 = pairs[j]
-            if K.mul(a1, b2) ^ K.mul(b1, a2):
-                raise PreconditionViolated(
-                    f"cross product fails for shift pair ({i + 1},{j + 1})")
-            t = K.mul(K.sqr(a1), b2) ^ K.mul(a2, K.sqr(b1))
-            if K.trace_abs(t) != 0:
-                raise PreconditionViolated(
-                    f"trace condition fails for shift pair ({i + 1},{j + 1})")
     xs, ys = _grid_planes(K)
-    full = _full(dom)
-    base_bits = trace_planes(K.mul_planes(xs, K.pow_planes(ys, d)),
-                             K.trace_mask(1))
-    f_bits = base_bits ^ multipoly.compose(
-        F, _pair_traces(K, xs, ys, pairs), full)
-    shifts = tuple((u1 << m) | u2 for u1, u2 in pairs)
-    return ConstructedPair(
-        f=TruthTable(dom, f_bits), predicted_dual=None,
-        notes=f"MMMonomial m={m} s={s} d={d} tau={F.tau}",
-        base=TruthTable(dom, base_bits), shifts=shifts, poly=F)
+    base = trace_planes(K.mul_planes(xs, K.pow_planes(ys, d)),
+                        K.trace_mask(1))
+    return _shifted(dom, base, None, shifts, F,
+                    f"MMMonomial m={m} s={s} d={d} tau={F.tau}",
+                    _mm_monomial_ok(K))
 
 
 # ---------------------------------------------------------------------------
@@ -564,21 +571,24 @@ def random_rotsym_poly(m: int, rng: random.Random) -> ReducedPoly:
             return F
 
 
-def _scan(candidates, tau: int, rng: random.Random, accept,
-          attempts: int = 32) -> list:
-    """Pick tau values by wrapped scans from random start positions.
+def _scan(cands, tau: int, rng: random.Random, ok,
+          indep: bool = False) -> list:
+    """Pick tau distinct candidates, pairwise ok, by wrapped scans from
+    random start positions; independent over F_2 if indep.
 
     Greedy choices can dead-end (an early pick may admit no partner), so
     a failed pass restarts from fresh positions before giving up.
     """
-    count = len(candidates)
-    for _ in range(attempts):
+    count = len(cands)
+    for _ in range(32):
         chosen = []
         for _slot in range(tau):
             start = rng.randrange(count)
             for off in range(count):
-                cand = candidates[(start + off) % count]
-                if accept(chosen, cand):
+                cand = cands[(start + off) % count]
+                if ((rank(chosen + [cand]) > len(chosen) if indep
+                     else cand not in chosen)
+                        and all(ok(cand, u) for u in chosen)):
                     chosen.append(cand)
                     break
             else:
@@ -588,36 +598,18 @@ def _scan(candidates, tau: int, rng: random.Random, accept,
     raise NoSolution("no candidate satisfies the shift conditions")
 
 
-def _conjugate_shifts(field: Field, e: int, mask: int, tau: int,
-                      rng: random.Random, cands, indep: bool = False):
-    """tau shifts from cands with parity((u^(2^e) v + u v^(2^e)) & mask) = 0
-    for every pair, and independent over F_2 if indep."""
-
-    def accept(chosen, cand):
-        if cand in chosen or indep and not field.lin_indep(chosen + [cand]):
-            return False
-        ce = field.frob(cand, e)
-        return not any(_parity((field.mul(field.frob(u, e), cand)
-                                ^ field.mul(u, ce)) & mask) for u in chosen)
-
-    return _scan(cands, tau, rng, accept)
-
-
 def kasami_valid_us(field: Field, lam: int, tau: int, rng: random.Random,
                     subfield_only: bool = False) -> list[int]:
     """Shift list satisfying the pairwise Kasami trace condition."""
     cands = ([u for u in field.subfield().members if u] if subfield_only
              else range(1, field.size))
-    return _conjugate_shifts(field, field.m,
-                             field.subtrace_mask(field.inv(lam)), tau, rng,
-                             cands, subfield_only)
+    return _scan(cands, tau, rng, _kasami_ok(field, lam), subfield_only)
 
 
 def gold_valid_us(field: Field, lam: int, tau: int,
                   rng: random.Random) -> list[int]:
     """Shift list satisfying the pairwise Gold-like trace condition."""
-    return _conjugate_shifts(field, field.n // 4, field.trace_mask(lam), tau,
-                             rng, range(1, field.size))
+    return _scan(range(1, field.size), tau, rng, _gold_ok(field, lam))
 
 
 def random_invertible(m: int, rng: random.Random) -> tuple[int, ...]:
@@ -627,19 +619,6 @@ def random_invertible(m: int, rng: random.Random) -> tuple[int, ...]:
             return rows
 
 
-def _grid_pairs(K: Field, cands, tau: int, rng: random.Random,
-                ok) -> list[tuple[int, int]]:
-    """tau independent pairs from cands (2m-bit vectors), pairwise ok."""
-    split = BivariateDomain(K).split
-
-    def accept(chosen, cand):
-        vecs = chosen + [cand]
-        return rank(vecs) == len(vecs) and all(
-            ok(split(cand), split(prev)) for prev in chosen)
-
-    return [split(v) for v in _scan(cands, tau, rng, accept)]
-
-
 def mm_linear_params(m: int, tau: int, rng: random.Random,
                      modulus: int | None = None):
     """Random (pi, b, pairs) satisfying the linear-permutation conditions."""
@@ -647,12 +626,9 @@ def mm_linear_params(m: int, tau: int, rng: random.Random,
     rows = random_invertible(m, rng)
     inv = invert(transpose(rows))  # the columns of pi^-1
     b = rng.randrange(K.size)
-
-    def ok(p, q):
-        return not K.trace_abs(K.mul(q[1], apply_linear(inv, p[0]))
-                               ^ K.mul(p[1], apply_linear(inv, q[0])))
-
-    return rows, b, _grid_pairs(K, range(1, K.size * K.size), tau, rng, ok)
+    shifts = _scan(range(1, K.size * K.size), tau, rng,
+                   _mm_linear_ok(K, inv), indep=True)
+    return rows, b, [BivariateDomain(K).split(u) for u in shifts]
 
 
 def mm_monomial_pairs(m: int, s: int, tau: int, rng: random.Random,
@@ -661,12 +637,8 @@ def mm_monomial_pairs(m: int, s: int, tau: int, rng: random.Random,
     K = gf2n.make_field(m, modulus)
     sub = [y for y in range(K.size) if K.frob(y, s) == y]
     cands = [(a << m) | b for a in sub for b in sub if a or b]
-
-    def ok(p, q):
-        return not (K.mul(p[0], q[1]) ^ K.mul(q[0], p[1])) and not K.trace_abs(
-            K.mul(K.sqr(p[0]), q[1]) ^ K.mul(p[1], K.sqr(q[0])))
-
-    return _grid_pairs(K, cands, tau, rng, ok)
+    shifts = _scan(cands, tau, rng, _mm_monomial_ok(K), indep=True)
+    return [BivariateDomain(K).split(u) for u in shifts]
 
 
 # ---------------------------------------------------------------------------

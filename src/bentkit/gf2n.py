@@ -293,12 +293,6 @@ def add_const(planes, c: int, full: int) -> tuple[int, ...]:
                  for i, p in enumerate(planes))
 
 
-def pullback_mask(columns, mask: int) -> int:
-    """Mask M with parity(L(x) & mask) = parity(x & M), L(e_j) = columns[j]."""
-    return sum(((col & mask).bit_count() & 1) << j
-               for j, col in enumerate(columns))
-
-
 def _delta_swap(bits: int, mask: int, delta: int) -> int:
     """Swap bit i with bit i + delta for every i in mask."""
     t = (bits ^ (bits >> delta)) & mask

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from . import boolfun
 from .errors import ArityMismatch, DegreeOutOfRange, ZeroCoefficient, ZeroMask
-from .gf2n import Field, coordinate_tables, trace_planes
+from .gf2n import coordinate_tables, trace_planes
 
 
 @dataclass(frozen=True)
@@ -121,20 +121,22 @@ def compose(F: ReducedPoly, args, full: int) -> int:
     return acc
 
 
-def compose_traces(field: Field, F: ReducedPoly, us) -> "boolfun.TruthTable":
-    """Truth table of x -> F(Tr(u_1 x), ..., Tr(u_tau x)).
+def compose_traces(dom: "boolfun.Domain", F: ReducedPoly,
+                   us) -> "boolfun.TruthTable":
+    """Truth table of x -> F(Tr(u_1 x), ..., Tr(u_tau x)) on a field or grid.
 
-    Tr(u x) is the XOR of the coordinate tables X_j that trace_mask(u)
-    selects.
+    Tr(u x) is the XOR of the coordinate tables X_j that
+    dom.walsh_index(u) selects: trace_mask(u) on a field, and on the grid
+    the pairing Tr(u1 x + u2 y) of the shift index u = (u1 << m) | u2.
     """
     us = list(us)
     if len(us) != F.tau:
         raise ArityMismatch(f"{F.tau} variables but {len(us)} coefficients")
     if any(u == 0 for u in us):
         raise ZeroCoefficient("all trace coefficients must be nonzero")
-    xs = coordinate_tables(field.n)
-    args = [trace_planes(xs, field.trace_mask(u)) for u in us]
-    return boolfun.TruthTable(field, compose(F, args, (1 << field.size) - 1))
+    xs = coordinate_tables(dom.n)
+    args = [trace_planes(xs, dom.walsh_index(u)) for u in us]
+    return boolfun.TruthTable(dom, compose(F, args, (1 << dom.size) - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,12 @@ from dataclasses import dataclass, field as dc_field
 from . import boolfun, constructions, multipoly
 from .boolfun import DualityClass, TruthTable
 from .constructions import ConstructedPair
-from .errors import DimensionTooSmall, EmptyExpectation, NoSolution
+from .errors import (
+    DimensionTooSmall,
+    EmptyExpectation,
+    FieldMismatch,
+    NoSolution,
+)
 from .gf2n import make_field
 from .multipoly import ReducedPoly
 
@@ -66,7 +71,13 @@ class VerificationReport:
 
 def verify(f: TruthTable, exp: Expectation,
            predicted_dual: TruthTable | None = None) -> VerificationReport:
-    """Run the full exact pipeline on f and compare against expectations."""
+    """Run the full exact pipeline on f and compare against expectations.
+
+    A predicted or expected dual from another domain is FieldMismatch.
+    """
+    for other in (predicted_dual, exp.dual_table):
+        if other is not None and other.domain != f.domain:
+            raise FieldMismatch("dual table lives on a different domain")
     start = time.perf_counter()
     spec = boolfun.walsh(f)
     lo, hi = spec.extrema()

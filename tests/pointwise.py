@@ -1,21 +1,78 @@
-"""Per-point reference constructions, the oracle for the sliced constructors.
+"""Per-point and list references, the oracles for the packed kernels.
 
-Each function evaluates a family's table, its base and its closed-form
-dual index by index with Field arithmetic, exactly as the formulas read,
-and returns the packed ints (f, base, dual); dual is None where the family
-has no closed form.  bentkit.constructions builds the same tables on
-bit-sliced planes, and tests/test_kernels.py compares the two bit for bit.
-The trace masks here follow the definition of the trace, squaring with
-Field.mul, so they also serve as the oracle for Field.trace_mask.
+Each family function evaluates a family's table, its base and its
+closed-form dual index by index with Field arithmetic, exactly as the
+formulas read, and returns the packed ints (f, base, dual); dual is None
+where the family has no closed form.  bentkit.constructions builds the
+same tables on bit-sliced planes, and tests/test_kernels.py compares the
+two bit for bit.  The trace masks here follow the definition of the
+trace, squaring with Field.mul, so they also serve as the oracle for
+Field.trace_mask.  The list helpers (to_bitlist, from_bits, mobius,
+walsh_naive, spectrum_from_values) and pullback_mask are the references
+for the packed transforms.
 """
 
 from bentkit import multipoly as mp
+from bentkit.boolfun import TruthTable, WalshSpectrum
 from bentkit.constructions import monomial_inverse_exponent, niho_exponents
-from bentkit.gf2n import BivariateDomain, Field, invert, pullback_mask
+from bentkit.gf2n import BivariateDomain, Field, invert
 
 
 def parity(x: int) -> int:
     return x.bit_count() & 1
+
+
+def to_bitlist(f: TruthTable) -> list[int]:
+    """The table's values, index by index."""
+    return [f.bit(i) for i in range(f.domain.size)]
+
+
+def from_bits(domain, values) -> TruthTable:
+    bits = 0
+    for i, v in enumerate(values):
+        if v:
+            bits |= 1 << i
+    return TruthTable(domain, bits)
+
+
+def mobius(values: list[int]) -> list[int]:
+    """In-place Moebius transform on the n-cube (its own inverse)."""
+    size = len(values)
+    h = 1
+    while h < size:
+        for i in range(0, size, h << 1):
+            for j in range(i, i + h):
+                values[j + h] ^= values[j]
+        h <<= 1
+    return values
+
+
+def spectrum_from_values(domain, values) -> WalshSpectrum:
+    """Pack per-beta integers into the n+2 planes."""
+    values = list(values)
+    planes = tuple(
+        int("".join("1" if (v >> k) & 1 else "0"
+                    for v in reversed(values)), 2)
+        for k in range(domain.n + 2))
+    return WalshSpectrum(domain, planes)
+
+
+def walsh_naive(f: TruthTable) -> WalshSpectrum:
+    """O(4^n) reference evaluation of the Walsh definition."""
+    dom = f.domain
+    signs = [1 - 2 * b for b in to_bitlist(f)]
+    values = []
+    for beta in range(dom.size):
+        mask = dom.walsh_index(beta)
+        values.append(sum(s if (mask & x).bit_count() % 2 == 0 else -s
+                          for x, s in enumerate(signs)))
+    return spectrum_from_values(dom, values)
+
+
+def pullback_mask(columns, mask: int) -> int:
+    """Mask M with parity(L(x) & mask) = parity(x & M), L(e_j) = columns[j]."""
+    return sum(((col & mask).bit_count() & 1) << j
+               for j, col in enumerate(columns))
 
 
 def frob_sum(field: Field, v: int, count: int) -> int:

@@ -210,6 +210,7 @@ def test_usage_error_exits_two(capsys):
     ("BF mod=0x13\n0000\n", "lacks n="),
     ("BF n=4\n0000\n", "lacks mod="),
     ("BF n=4 mod=0x13\nzz00\n", "not hex"),
+    ("BF n=2 mod=0x7\nff\n", "payload sets bits at or above index 4"),
 ])
 def test_verify_rejects_malformed_table_files(capsys, tmp_path, text,
                                               reason):
@@ -218,6 +219,45 @@ def test_verify_rejects_malformed_table_files(capsys, tmp_path, text,
     code, out, err = run(capsys, "verify", str(path))
     assert code == 2 and out == ""
     assert "FieldMismatch" in err and reason in err
+
+
+def construct(capsys, tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "construct", str(path))
+
+
+IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "KasamiGeneral", "n": 8, "lambda": "0x1", "u": ["0x1"],
+     "F": "X1"},
+    {"family": "MMLinear", "n": 6, "pi": IDENTITY3, "u": [["0x1", "0x0"]],
+     "F": "X1"},
+], ids=["field-n8", "grid-n6"])
+def test_verify_refuses_a_dual_from_another_domain(capsys, tmp_path, doc):
+    construct(capsys, tmp_path, "k6", {"family": "KasamiGeneral", "n": 6,
+                                       "lambda": "0x1", "u": ["0x1"],
+                                       "F": "X1"})
+    assert construct(capsys, tmp_path, "other", doc)[0] == 0
+    code, out, err = run(capsys, "verify", str(tmp_path / "k6.tt"),
+                         "--dual", str(tmp_path / "other.dual.tt"))
+    assert code == 2 and out == ""
+    assert "FieldMismatch" in err and "different domain" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "KasamiGeneral", "n": 6, "lambda": "0x1",
+     "u": ["0x1", "0x20"], "F": "X1*X2"},
+    {"family": "MMLinear", "n": 6, "pi": IDENTITY3,
+     "u": [["0x1", "0x1"], ["0x0", "0x1"]], "F": "X1*X2"},
+], ids=["KasamiGeneral", "MMLinear"])
+def test_construct_refuses_a_shift_pair_violation(capsys, tmp_path, doc):
+    code, out, err = construct(capsys, tmp_path, "pair", doc)
+    assert code == 2 and out == ""
+    assert "PreconditionViolated" in err and "pair (1,2)" in err
+    assert not list(tmp_path.glob("*.tt"))
 
 
 @pytest.mark.parametrize("claim, reason", [

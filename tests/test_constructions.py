@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import pointwise as pw
 from bentkit import boolfun as bf
 from bentkit import constructions as cx
 from bentkit import multipoly as mp
@@ -27,7 +28,6 @@ from bentkit.gf2n import (
     apply_linear,
     invert,
     make_field,
-    pullback_mask,
     rank,
     transpose,
 )
@@ -404,7 +404,7 @@ def test_mat_invert_roundtrip():
         rows = cx.random_invertible(m, rng)
         inv = invert(rows)
         for y in range(1 << m):
-            assert pullback_mask(inv, pullback_mask(rows, y)) == y
+            assert pw.pullback_mask(inv, pw.pullback_mask(rows, y)) == y
             assert apply_linear(invert(transpose(rows)),
                                 apply_linear(transpose(rows), y)) == y
     with pytest.raises(SingularPermutation):
@@ -424,7 +424,7 @@ def test_mm_linear_classic_base_dual():
     dom = BivariateDomain(base)
     b = 0x2
     pair = cx.mm_linear(m, (1, 2), b, [(1, 0)], mp.poly(1))
-    expected = bf.TruthTable.from_bits(dom, [
+    expected = pw.from_bits(dom, [
         base.trace_abs(base.mul(y, x) ^ base.mul(b, x))
         for i in range(dom.size)
         for x, y in [dom.split(i)]])
@@ -453,6 +453,10 @@ def test_mm_linear_rejections():
     # so use m=3 pairs ((1,1),(0,1)): t = 1*pi^-1(0)+1*pi^-1(1) = 1, Tr(1)=1
     with pytest.raises(PreconditionViolated):
         cx.mm_linear(3, (1, 2, 4), 0, [(1, 1), (0, 1)], mp.poly(2, 0b11))
+    # a coordinate beyond GF(2^2) must not spill into the pair index
+    for pair in ((0, 5), (4, 0), (-1, 1)):
+        with pytest.raises(ValueError):
+            cx.mm_linear(2, (1, 2), 0, [pair], mp.poly(1, 1))
 
 
 def test_mm_monomial_exponents_frozen():

@@ -2,12 +2,14 @@
 
 Random tables on fields with random irreducible moduli (n = 1..10, odd n
 included) and on bivariate grids.  The oracles are the list transforms
-fwht, mobius and walsh_naive, re-indexed point by point through
-walsh_index and squaring_perm, and, for the bit-sliced constructors, the
-per-point constructions in tests/pointwise.py, whose trace masks follow
-the definition of the trace.  The translation behind D_u is checked
-against the per-index shift T[i ^ s], and every pair family's dual against
-the theorem f~ = g~ + F(D_u1 g~, ...), with g~ and f~ read from spectra.
+(fwht, and mobius and walsh_naive from tests/pointwise.py), re-indexed
+point by point through walsh_index and squaring_perm, and, for the
+bit-sliced constructors, the per-point constructions in
+tests/pointwise.py, whose trace masks follow the definition of the trace.
+The translation behind D_u is checked against the per-index shift
+T[i ^ s], every pair family's dual against the theorem
+f~ = g~ + F(D_u1 g~, ...), with g~ and f~ read from spectra, and every
+family's pair predicate ok(u, v) against D_u D_v g~ = 0 on the table.
 Last, fuzzed spec JSON must parse and round-trip, and fuzzed .tt text must
 parse, or be refused with a BentkitError.
 """
@@ -31,8 +33,10 @@ from hypothesis import (  # noqa: E402
 import pointwise as pw  # noqa: E402
 from bentkit import boolfun as bf  # noqa: E402
 from bentkit import constructions as cx  # noqa: E402
+from bentkit import multipoly as mp  # noqa: E402
 from bentkit.errors import (  # noqa: E402
     BentkitError,
+    FieldMismatch,
     NoSolution,
     NotBent,
     OddDimension,
@@ -41,14 +45,15 @@ from bentkit.gf2n import (  # noqa: E402
     BivariateDomain,
     Field,
     apply_linear,
+    invert,
     is_irreducible,
     linear_planes,
     poly_mul,
     pull_linear,
-    pullback_mask,
     rank,
     trace_planes,
     translate,
+    transpose,
 )
 
 
@@ -110,7 +115,7 @@ def tables(draw, max_n=10):
 def list_spectrum(f) -> tuple[int, ...]:
     """The list FWHT, re-indexed beta by beta through walsh_index."""
     dom = f.domain
-    raw = bf.fwht([1 - 2 * b for b in f.to_bitlist()])
+    raw = bf.fwht([1 - 2 * b for b in pw.to_bitlist(f)])
     return tuple(raw[dom.walsh_index(beta)] for beta in range(dom.size))
 
 
@@ -134,14 +139,14 @@ def test_walsh_planes_match_the_list_transform(f):
     for k, plane in enumerate(spec.planes):
         assert plane == packed((v >> k) & 1 for v in old)
     assert spec.values == old
-    assert bf.WalshSpectrum.from_values(f.domain, old) == spec
+    assert pw.spectrum_from_values(f.domain, old) == spec
     assert [spec.value(beta) for beta in range(f.domain.size)] == list(old)
     assert spec.parseval_holds()
 
 
 @given(tables(max_n=6))
 def test_walsh_matches_the_naive_definition(f):
-    assert bf.walsh(f).values == bf.walsh_naive(f).values
+    assert bf.walsh(f).values == pw.walsh_naive(f).values
 
 
 @given(tables())
@@ -168,7 +173,7 @@ def test_extrema_bentness_and_dual_match_the_list_versions(f):
 
 @given(tables())
 def test_packed_anf_and_degree_match_moebius(f):
-    coeffs = bf.mobius(f.to_bitlist())
+    coeffs = pw.mobius(pw.to_bitlist(f))
     poly = bf.anf(f)
     assert poly.coeffs == packed(coeffs)
     assert poly.monomials == frozenset(i for i, c in enumerate(coeffs) if c)
@@ -275,7 +280,7 @@ def test_sliced_mul_pow_and_linear_maps_match_field_arithmetic(field, data):
         assert values_of(linear_planes(a, cols), size) == [
             image(x) for x in va]
         mask = data.draw(element)
-        assert trace_planes(a, pullback_mask(cols, mask)) == packed(
+        assert trace_planes(a, pw.pullback_mask(cols, mask)) == packed(
             pw.parity(image(x) & mask) for x in va)
 
 
@@ -453,6 +458,81 @@ def test_the_dual_theorem_holds_on_every_pair_family(sample, data, seed):
         assert pair.predicted_dual.bits == fdual
 
 
+def table_condition(gdual: int, n: int, u: int, v: int) -> bool:
+    """D_u D_v g~ = 0, read on the packed table g~."""
+    d = gdual ^ translate(gdual, n, u)
+    return d == translate(d, n, v)
+
+
+def spectrum_dual(base) -> int:
+    return bf.dual(bf.walsh(base)).bits
+
+
+@settings(max_examples=20)
+@given(fields(max_n=10, min_n=4, step=2), st.integers(0, 2**32 - 1))
+def test_kasami_pair_predicate_is_the_table_condition(field, seed):
+    rng = random.Random(seed)
+    for lam in field.subfield().members[1:]:
+        gdual = spectrum_dual(cx.kasami_base(field, lam))
+        ok = cx._kasami_ok(field, lam)
+        for _ in range(4):
+            u, v = rng.randrange(field.size), rng.randrange(field.size)
+            assert ok(u, v) == table_condition(gdual, field.n, u, v)
+
+
+@settings(max_examples=20)
+@given(fields(max_n=8, min_n=4, step=4), st.integers(0, 2**32 - 1))
+def test_gold_pair_predicate_is_the_table_condition(field, seed):
+    rng = random.Random(seed)
+    k = field.n // 4
+    lam = rng.choice([z for z in range(field.size)
+                      if z ^ field.frob(z, 3 * k) == 1])
+    gdual = spectrum_dual(cx.gold_like(field, lam, [1], mp.poly(1, 1)).base)
+    ok = cx._gold_ok(field, lam)
+    for _ in range(40):
+        u, v = rng.randrange(field.size), rng.randrange(field.size)
+        assert ok(u, v) == table_condition(gdual, field.n, u, v)
+
+
+@settings(max_examples=20)
+@given(fields(max_n=5, min_n=2), st.integers(0, 2**32 - 1))
+def test_mm_linear_pair_predicate_is_the_table_condition(K, seed):
+    rng = random.Random(seed)
+    m = K.n
+    rows = cx.random_invertible(m, rng)
+    b = rng.randrange(K.size)
+    base = cx.mm_linear(m, rows, b, [(1, 0)], mp.poly(1, 1),
+                        modulus=K.modulus).base
+    gdual = spectrum_dual(base)
+    ok = cx._mm_linear_ok(K, invert(transpose(rows)))
+    for _ in range(40):
+        u, v = rng.randrange(base.domain.size), rng.randrange(base.domain.size)
+        assert ok(u, v) == table_condition(gdual, 2 * m, u, v)
+
+
+@settings(max_examples=20)
+@given(fields(max_n=5, min_n=1), st.integers(0, 2**32 - 1))
+def test_mm_monomial_pair_predicate_implies_the_table_condition(K, seed):
+    """Only one way: the closed form is stricter than D_u D_v g~ = 0."""
+    rng = random.Random(seed)
+    m = K.n
+    s = rng.choice([s for s in range(1, m + 1)
+                    if m % s == 0 and (m // s) % 2 == 1])
+    base = cx.mm_monomial(m, s, [(1, 0)], mp.poly(1, 1),
+                          modulus=K.modulus).base
+    gdual = spectrum_dual(base)
+    ok = cx._mm_monomial_ok(K)
+    sub = [y for y in range(K.size) if K.frob(y, s) == y]
+    for _ in range(40):
+        u1, u2, c = rng.choice(sub), rng.choice(sub), rng.choice(sub)
+        # half the pairs collinear, where the cross product vanishes
+        v1, v2 = ((K.mul(c, u1), K.mul(c, u2)) if rng.random() < 0.5
+                  else (rng.choice(sub), rng.choice(sub)))
+        u, v = (u1 << m) | u2, (v1 << m) | v2
+        if ok(u, v):
+            assert table_condition(gdual, 2 * m, u, v)
+
+
 # Spec keys with values of their own shape; near misses of that shape
 # (and any JSON at all) stand in for one key of every other document.
 _hexes = st.integers(-5, 1 << 12).map(
@@ -543,3 +623,14 @@ def test_tt_text_parses_or_is_refused(tokens, payload, magic, extra_line):
     except BentkitError:
         return
     assert bf.parse_tt(bf.format_tt(f)) == f
+
+
+@pytest.mark.parametrize("text", [
+    "BF n=2 mod=0x7\nff\n",
+    "BF n=1 mod=0x3\n04\n",
+    "BF n=2 mod=0x3 grid=xy\n10\n",
+])
+def test_tt_payload_bits_beyond_the_table_are_refused(text):
+    """Below n = 3 the payload byte has room for bits past index 2^n."""
+    with pytest.raises(FieldMismatch, match="at or above index"):
+        bf.parse_tt(text)

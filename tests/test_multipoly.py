@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pointwise as pw
 from bentkit import boolfun as bf
 from bentkit import multipoly as mp
 from bentkit.errors import (
@@ -117,7 +118,7 @@ def test_rotation_closure():
 def test_compose_traces_examples():
     field = make_field(4)
     single = mp.compose_traces(field, mp.poly(1, 0b1), [1])
-    assert single.bits == bf.TruthTable.from_bits(
+    assert single.bits == pw.from_bits(
         field, [field.trace_abs(x) for x in range(16)]).bits
     assert mp.compose_traces(field, mp.poly(2), [1, 2]).bits == 0
     with pytest.raises(ZeroCoefficient):

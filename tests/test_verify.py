@@ -4,8 +4,8 @@ from bentkit import boolfun as bf
 from bentkit import constructions as cx
 from bentkit import multipoly as mp
 from bentkit import verify as vf
-from bentkit.errors import BentkitError, DimensionTooSmall
-from bentkit.gf2n import make_field
+from bentkit.errors import BentkitError, DimensionTooSmall, FieldMismatch
+from bentkit.gf2n import BivariateDomain, Field, make_field
 
 
 def test_verify_kasami_expectations_met():
@@ -36,6 +36,21 @@ def test_verify_predicted_dual_comparison():
     bad = vf.verify(g, vf.Expectation(bent=True), predicted_dual=g)
     assert bad.dual_match is False and not bad.all_claims_met
     assert any("beta" in msg for msg in bad.failures)
+
+
+def test_verify_refuses_a_dual_from_another_domain():
+    g = cx.kasami_base(make_field(6), 1)
+    true_dual = bf.add_const(g, 1)
+    for domain in (make_field(8), Field(6, 0x49),
+                   BivariateDomain(make_field(3))):
+        other = bf.TruthTable(domain, true_dual.bits)
+        with pytest.raises(FieldMismatch):
+            vf.verify(g, vf.Expectation(bent=True), predicted_dual=other)
+        with pytest.raises(FieldMismatch):
+            vf.verify(g, vf.Expectation(dual_table=other))
+    rep = vf.verify(g, vf.Expectation(dual_table=true_dual),
+                    predicted_dual=true_dual)
+    assert rep.all_claims_met and rep.dual_match
 
 
 def test_failure_messages_count_the_mismatches():
