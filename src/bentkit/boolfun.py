@@ -12,9 +12,10 @@ is floating point and nothing is sampled.
   turns that pairing into the plain dot product on indices.  The fast
   transform then runs its butterfly on n+2 two's-complement bit planes,
   one packed int per plane: plane k holds bit k of every W(beta), and the
-  last plane is the sign.  Each level is one ripple-carry add and one
-  subtract over the planes, masked by X_j.  Bentness, the extrema and
-  Parseval are read from the planes, the dual is the sign plane, and the
+  last plane is the sign.  Planes are added in one place, the ripple-carry
+  adder add_planes: each Walsh level is one call of it, and so are the
+  magnitude planes of |W| that bentness and the extrema are read from.
+  Parseval is read from the planes, the dual is the sign plane, and the
   per-beta integers are built only when a caller asks for ``values``.
 - ANF.  The Moebius transform is ``bits ^= (bits & ~X_j) << 2^j`` for each
   j; the degree is read against the masks of indices of each popcount.
@@ -95,22 +96,22 @@ class WalshSpectrum:
                     for wk, pk in zip(weights, self.planes))
         return total == 1 << (2 * self.domain.n)
 
+    @functools.cached_property
+    def magnitudes(self) -> tuple[int, ...]:
+        """|W(beta)| on unsigned planes, one fewer: (p ^ sign) + sign."""
+        sign = self.planes[-1]
+        flipped = [p ^ sign for p in self.planes[:-1]]
+        return tuple(add_planes(flipped, [0] * len(flipped), sign))
+
     def extrema(self) -> tuple[int, int]:
         """(min, max) of |W(beta)|.
 
-        A bit-sliced negation of the negative entries gives the magnitude
-        planes; each extremum is then fixed bit by bit from the top, by
-        narrowing a mask of the candidates that can still reach it.
+        Each extremum is fixed bit by bit from the top of the magnitude
+        planes, by narrowing a mask of the candidates that can still reach it.
         """
-        sign = self.planes[-1]
-        mags, carry = [], sign
-        for p in self.planes[:-1]:
-            x = p ^ sign
-            mags.append(x ^ carry)
-            carry &= x
-        full = (1 << self.domain.size) - 1
+        mags = self.magnitudes
         lo = hi = 0
-        lo_cand = hi_cand = full
+        lo_cand = hi_cand = (1 << self.domain.size) - 1
         for k in reversed(range(len(mags))):
             t = hi_cand & mags[k]
             if t:
@@ -123,19 +124,12 @@ class WalshSpectrum:
         return lo, hi
 
     def off_flat_mask(self) -> int:
-        """Packed mask of the beta with |W(beta)| != 2^(n//2).
-
-        +2^h has plane h set and every other plane clear; -2^h has the
-        planes below h clear and plane h and all above it set.
-        """
+        """Packed mask of the beta with |W(beta)| != 2^(n//2)."""
         h = self.domain.n // 2
-        sign = self.planes[-1]
-        off = ((1 << self.domain.size) - 1) ^ self.planes[h]
-        for k, p in enumerate(self.planes[:-1]):
-            if k < h:
-                off |= p
-            elif k > h:
-                off |= p ^ sign
+        mags = self.magnitudes
+        off = ((1 << self.domain.size) - 1) ^ mags[h]
+        for p in mags[:h] + mags[h + 1:]:
+            off |= p
         return off
 
 
@@ -185,29 +179,34 @@ def fwht(values: list[int]) -> list[int]:
     return values
 
 
+def add_planes(a, b, carry: int = 0) -> list[int]:
+    """Planes of a + b + carry in two's complement, as wide as a and b.
+
+    Planes run lowest bit first, and carry is a packed mask of the indices
+    that add one more: one ripple-carry adder for every index at once.
+    """
+    out = []
+    for p, q in zip(a, b):
+        x = p ^ q
+        out.append(x ^ carry)
+        carry = (p & q) | (carry & x)
+    return out
+
+
 def walsh(f: TruthTable) -> WalshSpectrum:
     """Exact spectrum W(beta) = sum_x (-1)^(f(x) + Tr(beta*x))."""
     dom = f.domain
     full = (1 << dom.size) - 1
     # (-1)^f(M z) in two's complement: +1 is ...01 and -1 is ...11
     planes = [full, pull_linear(f.bits, dom.walsh_map())]
-    for j, xj in enumerate(coordinate_tables(dom.n)):
+    for j, hi in enumerate(coordinate_tables(dom.n)):
         h = 1 << j
-        lo = full ^ xj
+        lo = full ^ hi
         planes.append(planes[-1])  # one more bit: |W| grows to 2^(j+1)
-        out = []
-        carry_add, carry_sub = 0, lo  # a - b = a + ~b + 1
-        for p in planes:
-            a = p & lo
-            b = (p >> h) & lo
-            x = a ^ b
-            out_add = x ^ carry_add
-            carry_add = (a & b) | (carry_add & x)
-            y = x ^ lo
-            out_sub = y ^ carry_sub
-            carry_sub = (a & ~b) | (carry_sub & y)
-            out.append(out_add | (out_sub << h))
-        planes = out
+        # W(i) + W(i + h) at each low index i, W(i) + ~W(i + h) + 1 at i + h
+        a = [(pl := p & lo) | pl << h for p in planes]
+        b = [(ph := p & hi) >> h | ph ^ hi for p in planes]
+        planes = add_planes(a, b, hi)
     return WalshSpectrum(dom, tuple(planes))
 
 

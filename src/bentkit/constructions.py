@@ -734,7 +734,7 @@ def spec_to_json(spec: ConstructionSpec) -> str:
 
 
 def spec_from_json(text: str) -> ConstructionSpec:
-    """Parse a spec; malformed JSON or a missing or bad field is BadSpec."""
+    """Parse a spec; bad JSON or a missing, bad or unknown key is BadSpec."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -745,6 +745,9 @@ def spec_from_json(text: str) -> ConstructionSpec:
     family = FAMILIES.get(name) if isinstance(name, str) else None
     if family is None:
         raise BadSpec(f"unknown family {name!r}")
+    unknown = sorted(set(doc) - {key for key, *_ in _CODEC})
+    if unknown:
+        raise BadSpec(f"{name} spec has unknown keys {', '.join(unknown)}")
     missing = [key for key in ("n",) + family.fields if key not in doc]
     if missing:
         raise BadSpec(f"{name} spec lacks {', '.join(missing)}")

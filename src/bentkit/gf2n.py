@@ -27,6 +27,10 @@ from .errors import (
 )
 
 MAX_DEGREE = 28
+# Largest n with tables on 2^n indices: at n = 24 the carlet degree ladder
+# takes about a minute and 282 MB (2-core Xeon, CPython 3.11), and each
+# step of 2 in n costs 6-9x that.
+MAX_TABLE_DEGREE = 24
 
 # Smallest irreducible polynomial of each degree (as a bitmask), so field
 # construction is deterministic when no modulus is supplied.  Regenerable
@@ -241,7 +245,13 @@ def coset_min(x: int, kernel) -> int:
 
 @functools.cache
 def coordinate_tables(n: int) -> tuple[int, ...]:
-    """X_0..X_(n-1) on 2^n indices: bit i of X_j is bit j of i."""
+    """X_0..X_(n-1) on 2^n indices: bit i of X_j is bit j of i.
+
+    Every table path starts here, so n > MAX_TABLE_DEGREE is refused here.
+    """
+    if n > MAX_TABLE_DEGREE:
+        raise UnsupportedDegree(
+            f"tables need n <= {MAX_TABLE_DEGREE}, got n={n}")
     size = 1 << n
     tables = []
     for j in range(n):

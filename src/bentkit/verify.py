@@ -3,6 +3,9 @@
 Failures are data, not exceptions: a report records every mismatch (with
 the offending spectrum index where that makes sense) so a falsified claim
 can be diagnosed instead of vanishing into a stack trace.
+
+The spectrum identity is checked on bit planes: master_identity_holds
+sums its weighted, translated sign tables with boolfun.add_planes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .errors import (
     FieldMismatch,
     NoSolution,
 )
-from .gf2n import make_field
+from .gf2n import make_field, translate
 from .multipoly import ReducedPoly
 
 
@@ -128,36 +131,32 @@ def verify(f: TruthTable, exp: Expectation,
         computed_dual=computed_dual)
 
 
-def master_identity_holds(pair: ConstructedPair, betas=None) -> bool:
-    """Check W_f against the Fourier expansion over shifted base-dual values.
+def master_identity_holds(pair: ConstructedPair) -> bool:
+    """Check W_f(beta) = 2^(n/2 - tau) sum_w chat[w] (-1)^(g~(beta + w.u)).
 
-    For every beta: W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] *
-    (-1)^(gdual(beta + sum_{i in w} u_i)), with gdual computed numerically
-    from the base function's spectrum.
+    g~ is read from the base's spectrum, w.u is the XOR of the u_i with i
+    in w, and the sum over w is added on bit planes, for every beta at once.
     """
     dom = pair.f.domain
-    tau = pair.poly.tau
     chat = multipoly.fourier(pair.poly).chat
-    gdual = boolfun.dual(boolfun.walsh(pair.base))
-    shift_xor = [0] * (1 << tau)
-    for w in range(1 << tau):
-        acc = 0
-        for i in range(tau):
-            if (w >> i) & 1:
-                acc ^= pair.shifts[i]
-        shift_xor[w] = acc
+    gdual = boolfun.dual(boolfun.walsh(pair.base)).bits
     spec = boolfun.walsh(pair.f)
-    scale = 1 << (dom.n // 2 - tau)
-    if betas is None:
-        betas = range(dom.size)
-    for beta in betas:
-        total = 0
-        for w in range(1 << tau):
-            s = 1 - 2 * gdual.bit(beta ^ shift_xor[w])
-            total += chat[w] * s
-        if spec.values[beta] != scale * total:
-            return False
-    return True
+    scale = 1 << (dom.n // 2 - pair.poly.tau)
+    full = (1 << dom.size) - 1
+    wu = [0]  # wu[w] = w.u
+    for u in pair.shifts:
+        wu += [s ^ u for s in wu]
+    # The sum wraps at the n+2 bits of the Walsh planes, which still decide
+    # equality: |sum| <= 2^(n/2 - tau) 2^(3 tau/2) <= 2^(3n/4) (Parseval on
+    # chat, and tau <= n/2) and |W_f| <= 2^n, so the two differ by < 2^(n+2).
+    total = [0] * len(spec.planes)
+    for c, s in zip(chat, wu):
+        t = translate(gdual, dom.n, s)  # +c where t is 0, -c where it is 1
+        c *= scale
+        term = [(full ^ t if (c >> k) & 1 else 0) | (t if (-c >> k) & 1 else 0)
+                for k in range(len(total))]
+        total = boolfun.add_planes(total, term)
+    return tuple(total) == spec.planes
 
 
 # ---------------------------------------------------------------------------

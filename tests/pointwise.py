@@ -9,9 +9,11 @@ two bit for bit.  The trace masks here follow the definition of the
 trace, squaring with Field.mul, so they also serve as the oracle for
 Field.trace_mask.  The list helpers (to_bitlist, from_bits, mobius,
 walsh_naive, spectrum_from_values) and pullback_mask are the references
-for the packed transforms.
+for the packed transforms, and master_identity_holds, beta by beta, for
+the packed spectrum identity in bentkit.verify.
 """
 
+from bentkit import boolfun as bf
 from bentkit import multipoly as mp
 from bentkit.boolfun import TruthTable, WalshSpectrum
 from bentkit.constructions import monomial_inverse_exponent, niho_exponents
@@ -67,6 +69,30 @@ def walsh_naive(f: TruthTable) -> WalshSpectrum:
         values.append(sum(s if (mask & x).bit_count() % 2 == 0 else -s
                           for x, s in enumerate(signs)))
     return spectrum_from_values(dom, values)
+
+
+def master_identity_holds(pair) -> bool:
+    """For every beta: W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] *
+    (-1)^(gdual(beta + sum_{i in w} u_i)), with gdual computed from the
+    base function's spectrum."""
+    dom = pair.f.domain
+    tau = pair.poly.tau
+    chat = mp.fourier(pair.poly).chat
+    gdual = bf.dual(bf.walsh(pair.base))
+    shift_xor = [0] * (1 << tau)
+    for w in range(1 << tau):
+        for i in range(tau):
+            if (w >> i) & 1:
+                shift_xor[w] ^= pair.shifts[i]
+    values = bf.walsh(pair.f).values
+    scale = 1 << (dom.n // 2 - tau)
+    for beta in range(dom.size):
+        total = 0
+        for w in range(1 << tau):
+            total += chat[w] * (1 - 2 * gdual.bit(beta ^ shift_xor[w]))
+        if values[beta] != scale * total:
+            return False
+    return True
 
 
 def pullback_mask(columns, mask: int) -> int:

@@ -24,6 +24,18 @@ def test_walsh_constant_zero():
     assert spec.values == (4, 0, 0, 0)
 
 
+@pytest.mark.parametrize("dom", [make_field(1), make_field(6),
+                                 BivariateDomain(make_field(3))],
+                         ids=["n1", "n6", "grid-n6"])
+def test_constant_tables_reach_the_largest_magnitude(dom):
+    """|W(0)| = 2^n, from W(0) = +2^n and -2^n: the top magnitude plane."""
+    full = (1 << dom.size) - 1
+    for bits in (0, full):
+        spec = bf.walsh(bf.TruthTable(dom, bits))
+        assert spec.extrema() == (0, 1 << dom.n)
+        assert spec.off_flat_mask() == full
+
+
 def test_walsh_cube_function_is_flat():
     # f(x) = x^3 on GF(4): value 1 everywhere except 0
     field = make_field(2)

@@ -353,3 +353,44 @@ def test_sweep_mm_monomial_at_m1_is_bent(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "MMMonomial", "--m", "1",
                        "--trials", "3")
     assert code == 0 and "3/3 claims met, 3/3 bent" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{dir}"],
+    ["construct", "{dir}"],
+    ["dual", "{tt}", "-o", "{dir}"],
+    ["verify", "{tt}", "--emit-tt", "{dir}"],
+    ["verify", "{bin}"],
+], ids=["verify-dir", "construct-dir", "dual-out-dir", "emit-tt-dir",
+        "verify-binary"])
+def test_file_errors_exit_two_without_a_traceback(capsys, tmp_path, argv):
+    bf.save_tt(cx.kasami_base(make_field(4), 1), tmp_path / "g.tt")
+    (tmp_path / "b.tt").write_bytes(b"\xff\xfe")
+    (tmp_path / "d").mkdir()
+    paths = {"dir": tmp_path / "d", "tt": tmp_path / "g.tt",
+             "bin": tmp_path / "b.tt"}
+    code, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_construct_refuses_unknown_spec_keys(capsys, tmp_path):
+    code, out, err = construct(capsys, tmp_path, "typo", {
+        "family": "KasamiGeneral", "n": 6, "modulus": "0x49",
+        "lambda": "0x1", "u": ["0x1"], "F": "X1"})
+    assert code == 2 and out == ""
+    assert "BadSpec" in err and "unknown keys modulus" in err
+    assert not list(tmp_path.glob("*.tt"))
+
+
+def test_tables_above_n24_are_refused_up_front(capsys):
+    for argv in (["demo", "carlet", "--m", "13"],
+                 ["sweep", "--family", "MMLinear", "--m", "13",
+                  "--trials", "1"],
+                 ["sweep", "--family", "KasamiGeneral", "--m", "13",
+                  "--trials", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "UnsupportedDegree" in err and "n=26" in err
+    # fields still reach n = 28 for scalar arithmetic
+    assert run(capsys, "field", "--n", "28")[0] == 0

@@ -14,6 +14,8 @@ from bentkit.errors import (
 )
 from bentkit.gf2n import (
     DEFAULT_MODULI,
+    MAX_TABLE_DEGREE,
+    coordinate_tables,
     is_irreducible,
     make_field,
     parse_field_desc,
@@ -62,6 +64,15 @@ def test_make_field_degree_bounds():
         make_field(0)
     with pytest.raises(UnsupportedDegree):
         make_field(29)
+
+
+def test_tables_above_the_size_limit_are_refused():
+    """Fields go to n = 28 for scalar arithmetic; tables stop at 24."""
+    assert MAX_TABLE_DEGREE == 24
+    assert make_field(28).n == 28
+    assert len(coordinate_tables(4)) == 4
+    with pytest.raises(UnsupportedDegree, match="n <= 24, got n=25"):
+        coordinate_tables(25)
 
 
 def test_mul_identities():

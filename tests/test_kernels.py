@@ -10,10 +10,14 @@ The translation behind D_u is checked against the per-index shift
 T[i ^ s], every pair family's dual against the theorem
 f~ = g~ + F(D_u1 g~, ...), with g~ and f~ read from spectra, and every
 family's pair predicate ok(u, v) against D_u D_v g~ = 0 on the table.
+The plane adder is checked against integer addition, and the packed
+spectrum identity against its beta-by-beta oracle, on real and tampered
+pairs.
 Last, fuzzed spec JSON must parse and round-trip, and fuzzed .tt text must
 parse, or be refused with a BentkitError.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -34,6 +38,7 @@ import pointwise as pw  # noqa: E402
 from bentkit import boolfun as bf  # noqa: E402
 from bentkit import constructions as cx  # noqa: E402
 from bentkit import multipoly as mp  # noqa: E402
+from bentkit import verify as vf  # noqa: E402
 from bentkit.errors import (  # noqa: E402
     BentkitError,
     FieldMismatch,
@@ -142,6 +147,24 @@ def test_walsh_planes_match_the_list_transform(f):
     assert pw.spectrum_from_values(f.domain, old) == spec
     assert [spec.value(beta) for beta in range(f.domain.size)] == list(old)
     assert spec.parseval_holds()
+
+
+@given(st.integers(1, 8), st.integers(0, 6), st.data())
+def test_add_planes_is_integer_addition(width, n, data):
+    size = 1 << n
+    ints = st.lists(st.integers(0, (1 << width) - 1), min_size=size,
+                    max_size=size)
+    xs, ys = data.draw(ints), data.draw(ints)
+    carry = data.draw(st.integers(0, size - 1))
+
+    def planes(vals):
+        return [packed((v >> k) & 1 for v in vals) for k in range(width)]
+
+    out = bf.add_planes(planes(xs), planes(ys), carry)
+    assert len(out) == width
+    for i in range(size):
+        got = sum(((p >> i) & 1) << k for k, p in enumerate(out))
+        assert got == (xs[i] + ys[i] + ((carry >> i) & 1)) % (1 << width)
 
 
 @given(tables(max_n=6))
@@ -456,6 +479,42 @@ def test_the_dual_theorem_holds_on_every_pair_family(sample, data, seed):
     assert cx._theorem_dual(dom, gdual, pair.shifts, pair.poly).bits == fdual
     if pair.predicted_dual is not None:
         assert pair.predicted_dual.bits == fdual
+
+
+@PAIR_SAMPLERS
+@settings(max_examples=20)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_packed_master_identity_matches_the_pointwise_oracle(sample, data,
+                                                            seed):
+    """True on the real pair; False, as the oracle says, when f has one bit
+    flipped, when F's constant monomial is toggled, and when one shift
+    moves so that f would change (no move does when F is constant)."""
+    rng = random.Random(seed)
+    try:
+        pair, _ = sample(data, rng)
+    except NoSolution:
+        assume(False)
+    dom, F = pair.f.domain, pair.poly
+    flip = rng.randrange(dom.size)
+    tampered = [
+        dataclasses.replace(pair, f=bf.TruthTable(
+            dom, pair.f.bits ^ (1 << flip))),
+        dataclasses.replace(pair, poly=F + mp.poly(F.tau, 0)),
+    ]
+    real = mp.compose_traces(dom, F, pair.shifts).bits
+    moves = [(i, v) for i in range(F.tau) for v in range(1, dom.size)]
+    for i, v in rng.sample(moves, len(moves)):
+        shifts = list(pair.shifts)
+        shifts[i] ^= v
+        if shifts[i] and mp.compose_traces(dom, F, shifts).bits != real:
+            tampered.append(dataclasses.replace(pair, shifts=tuple(shifts)))
+            break
+    assert len(tampered) == 3 or F.monomials <= {0}
+    assert vf.master_identity_holds(pair)
+    assert pw.master_identity_holds(pair)
+    for bad in tampered:
+        assert not vf.master_identity_holds(bad)
+        assert not pw.master_identity_holds(bad)
 
 
 def table_condition(gdual: int, n: int, u: int, v: int) -> bool:
