@@ -12,7 +12,15 @@ It hashes, in a fixed order:
   each entry's notes and verification report;
 - the f, predicted dual and computed dual tables of `demo carlet --m 7`;
 - f, base, predicted dual, notes and shifts of seeded instances drawn by
-  the families' samplers at m = 2..6 (GoldLike k = 1..2).
+  the families' samplers at m = 2..6 (GoldLike k = 1..2);
+- pair decisions of the public constructors with F = X1*X2: each
+  shift pair (u, v) with the outcome, PASS or the exception's type name,
+  over shifts -1..2^n (grid coordinates -1..2^m), so out-of-range shifts
+  are covered: kasami_general at n = 4 and 6 for every nonzero subfield
+  lambda, gold_like at n = 4 for every admissible lambda and at n = 8 on
+  2,000 seeded pairs (500 for each of its four lambdas), mm_linear at
+  m = 2 and 3 for two seeded (pi, b) each, and mm_monomial at m = 3 with
+  s = 1 and s = 3.
 
 Equal digests before and after a change mean these outputs are equal bit
 for bit.
@@ -23,15 +31,19 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from functools import partial
+from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bentkit import constructions, verify  # noqa: E402
+from bentkit import constructions, multipoly, verify  # noqa: E402
 from bentkit.constructions import ConstructedPair  # noqa: E402
 from bentkit.errors import NoSolution  # noqa: E402
+from bentkit.gf2n import make_field  # noqa: E402
 
 SAMPLES_PER_SIZE = 3
+X1X2 = multipoly.parse_poly("X1*X2", 2)
 
 
 def _sizes(family: str, small: range, gold: range) -> range:
@@ -89,9 +101,61 @@ def samples():
                     yield f"{family} m={m} {_table(built)}"
 
 
+def _decisions(name: str, build, shifts, rng=None, count=0):
+    """u, v and the outcome of build([u, v], X1*X2) for every pair of
+    shifts, or for count pairs drawn from rng."""
+    pairs = (product(shifts, shifts) if rng is None else
+             [(rng.choice(shifts), rng.choice(shifts)) for _ in range(count)])
+    for u, v in pairs:
+        try:
+            build([u, v], X1X2)
+            outcome = "PASS"
+        except Exception as exc:  # every refusal is an outcome to hash
+            outcome = type(exc).__name__
+        yield f"{name} {u} {v} {outcome}"
+
+
+def _grid(m: int) -> list[tuple[int, int]]:
+    """Shift pairs with coordinates -1..2^m."""
+    coords = range(-1, (1 << m) + 1)
+    return list(product(coords, coords))
+
+
+def pair_decisions():
+    for n in (4, 6):
+        field = make_field(n)
+        for lam in field.subfield().members[1:]:
+            yield from _decisions(
+                f"KasamiGeneral n={n} lam={lam:#x}",
+                partial(constructions.kasami_general, field, lam),
+                range(-1, field.size + 1))
+    for n, count in ((4, 0), (8, 500)):
+        field = make_field(n)
+        rng = random.Random(f"GoldLike n={n}") if count else None
+        for lam in range(field.size):
+            if lam ^ field.frob(lam, 3 * n // 4) == 1:
+                yield from _decisions(
+                    f"GoldLike n={n} lam={lam:#x}",
+                    partial(constructions.gold_like, field, lam),
+                    range(-1, field.size + 1), rng, count)
+    for m in (2, 3):
+        rng = random.Random(f"MMLinear m={m}")
+        grid = _grid(m)
+        for _ in range(2):
+            pi = constructions.random_invertible(m, rng)
+            b = rng.randrange(1 << m)
+            yield from _decisions(
+                f"MMLinear m={m} pi={pi} b={b:#x}",
+                partial(constructions.mm_linear, m, pi, b), grid)
+    for s in (1, 3):
+        yield from _decisions(f"MMMonomial m=3 s={s}",
+                              partial(constructions.mm_monomial, 3, s),
+                              _grid(3))
+
+
 def main() -> int:
     digest = hashlib.sha256()
-    for part in (sweeps, carlet, samples):
+    for part in (sweeps, carlet, samples, pair_decisions):
         for line in part():
             digest.update(line.encode() + b"\n")
     print(digest.hexdigest())

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import boolfun, constructions, multipoly
 from .boolfun import DualityClass
-from .errors import BadRange, BentkitError
+from .errors import BadRange, BentkitError, NotBent
 from .gf2n import Field
 from .verify import (
     Expectation,
@@ -123,6 +123,8 @@ def _cmd_verify(args) -> int:
         print(json.dumps(rep.to_dict(), indent=2))
     else:
         print(_report_line(args.ttfile, rep))
+    if args.emit_tt and not rep.is_bent:  # as `dual` refuses it
+        raise NotBent("spectrum is not flat; no dual exists")
     return 0 if rep.all_claims_met else 1
 
 
@@ -270,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: bent, nonbent, idempotent, degree=D, "
                         "duality=self|anti|neither (default: bent)")
     p.add_argument("--dual", help="predicted dual table to compare")
-    p.add_argument("--emit-tt", help="write the computed dual table here")
+    p.add_argument("--emit-tt", help="write the computed dual table here "
+                   "(exit 2 if the table is not bent)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -8,11 +8,12 @@ D_u h(x) = h(x) + h(x + u), then f is bent with dual
 
 So each family states only three things: its base table g, its base dual
 g~ (None for QuadFamily and MMMonomial, whose duals verification computes
-from the spectrum), and one pair predicate ok(u, v), the closed form of
-D_u D_v g~ = 0 on shift indices.  _shifted checks ok on every pair of
-shifts, builds f and attaches the predicted dual; the seeded samplers pick
-shifts with _scan under the same ok.  The returned pair also carries the
-base, the shifts u_i and F, so the spectrum identity
+from the spectrum), and one pair predicate ok(u, v) for D_u D_v g~ = 0:
+_polar_ok read off g~'s table where g~ is quadratic, a closed form for
+MMMonomial's cubic g~.  _shifted checks ok on every pair of shifts, builds
+f and attaches the predicted dual; the samplers _scan under the same ok.
+The returned pair also carries the base, the shifts u_i and F, so the
+spectrum identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
 
@@ -67,7 +68,6 @@ from .gf2n import (
     BivariateDomain,
     Field,
     add_const,
-    apply_linear,
     coordinate_tables,
     invert,
     linear_planes,
@@ -142,8 +142,8 @@ def _shifted(dom, base: int, gdual: int | None, shifts, F: ReducedPoly,
              notes: str, ok=None) -> ConstructedPair:
     """The pair f = g + F(Tr(u_1 x), ..., Tr(u_tau x)) of the base table g.
 
-    ok(u, v) is the family's closed form of D_u D_v g~ = 0 and must hold
-    on every pair of shifts.  The dual is predicted when g~ is known.
+    ok(u, v) is the family's test of D_u D_v g~ = 0 and must hold on
+    every pair of shifts.  The dual is predicted when g~ is known.
     """
     shifts = tuple(shifts)
     if ok is not None:
@@ -159,12 +159,26 @@ def _shifted(dom, base: int, gdual: int | None, shifts, F: ReducedPoly,
         notes=notes, base=TruthTable(dom, base), shifts=shifts, poly=F)
 
 
-def _conjugate_ok(field: Field, e: int, mask: int):
-    """ok(u, v): parity((u^(2^e) v + u v^(2^e)) & mask) = 0."""
+def _polar_ok(n: int, gdual: int):
+    """ok(u, v): D_u D_v g~ = 0 for a table g~ of degree at most 2, where it
+    is the constant g~(0) + g~(u) + g~(v) + g~(u + v).  A shift beyond the
+    n index bits is a ValueError before any bit is read."""
+    table = gdual.to_bytes(((1 << n) + 7) >> 3, "little")
+
+    def bit(i):
+        return table[i >> 3] >> (i & 7) & 1
+
     def ok(u, v):
-        sym = field.mul(field.frob(u, e), v) ^ field.mul(u, field.frob(v, e))
-        return not (sym & mask).bit_count() & 1
+        if (u | v) >> n:
+            raise ValueError(f"shifts {u:#x}, {v:#x} leave {n} index bits")
+        return not bit(0) ^ bit(u) ^ bit(v) ^ bit(u ^ v)
     return ok
+
+
+def _quadratic(field: Field, lin, mask: int) -> int:
+    """The sliced form parity(x L(x) & mask), L the map with columns lin."""
+    xs = coordinate_tables(field.n)
+    return trace_planes(field.mul_planes(xs, linear_planes(xs, lin)), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +188,7 @@ def _conjugate_ok(field: Field, e: int, mask: int):
 @lru_cache(maxsize=None)
 def _kasami_bits(field: Field, lam: int) -> int:
     """Tr_sub(lam * x^(2^m+1)) = Tr(theta lam * x x^(2^m)), sliced."""
-    xs = coordinate_tables(field.n)
-    norm = field.mul_planes(xs, linear_planes(xs, field.frob_map(field.m)))
-    return trace_planes(norm, field.subtrace_mask(lam))
+    return _quadratic(field, field.frob_map(field.m), field.subtrace_mask(lam))
 
 
 def kasami_base(field: Field, lam: int) -> TruthTable:
@@ -186,32 +198,25 @@ def kasami_base(field: Field, lam: int) -> TruthTable:
     return TruthTable(field, _kasami_bits(field, lam))
 
 
-def _kasami_ok(field: Field, lam: int):
-    """The Kasami pair condition, D_u D_v g~ = 0 for g~ the base's dual:
-    Tr_sub(lambda^-1 * (u^(2^m) v + u v^(2^m))) = 0, which is the
-    absolute-trace form Tr(lambda^-1 * u^(2^m) v) = 0."""
-    return _conjugate_ok(field, field.m, field.subtrace_mask(field.inv(lam)))
+def _kasami_dual(field: Field, lam: int) -> int:
+    """The base's dual Tr_sub(lambda^-1 * x^(2^m+1)) + 1: the inverted
+    lambda, which the un-inverted statement form matches only at 1."""
+    return _kasami_bits(field, field.inv(lam)) ^ _full(field)
 
 
 def _kasami_pair(field: Field, lam: int, us, F: ReducedPoly,
                  notes: str) -> ConstructedPair:
-    """Kasami base plus F of trace forms, its dual by the theorem.
-
-    The base's dual is Tr_sub(lambda^-1 * x^(2^m+1)) + 1: the inverted
-    lambda, which the un-inverted statement form only matches at lambda = 1.
-    Subfield shifts meet the pair condition trivially.
-    """
-    gdual = _kasami_bits(field, field.inv(lam)) ^ _full(field)
+    """Kasami base plus F of trace forms, its dual by the theorem;
+    subfield shifts meet the pair condition trivially."""
+    gdual = _kasami_dual(field, lam)
     return _shifted(field, _kasami_bits(field, lam), gdual, us, F, notes,
-                    _kasami_ok(field, lam))
+                    _polar_ok(field.n, gdual))
 
 
 def kasami_general(field: Field, lam: int, us,
                    F: ReducedPoly) -> ConstructedPair:
-    """Kasami base plus F of trace forms, for shifts anywhere in the field.
-
-    Shifts must pairwise meet the pair condition of _kasami_ok.
-    """
+    """Kasami base plus F of trace forms, for shifts anywhere in the field
+    that pairwise meet D_u D_v g~ = 0 on the base's dual g~."""
     m = _require_half(field)
     _check_lambda(field, lam)
     us = list(us)
@@ -282,9 +287,7 @@ def _quad_bits(field: Field, c: tuple[int, ...], eps: int) -> int:
         if c[i]:
             lin = [a ^ b for a, b in zip(lin, field.frob_map(i))]
     if any(lin):
-        xs = coordinate_tables(field.n)
-        bits ^= trace_planes(field.mul_planes(xs, linear_planes(xs, lin)),
-                             field.trace_mask(1))
+        bits ^= _quadratic(field, lin, field.trace_mask(1))
     if c[m]:
         bits ^= _kasami_bits(field, 1)
     return bits
@@ -347,9 +350,11 @@ def quad_idempotent_family(field: Field, c, eps: int, u: int,
 # Gold-like family on GF(2^(4k))
 # ---------------------------------------------------------------------------
 
-def _gold_ok(field: Field, lam: int):
-    """The Gold-like pair condition Tr(lambda (u^(2^k) v + u v^(2^k))) = 0."""
-    return _conjugate_ok(field, field.n // 4, field.trace_mask(lam))
+@lru_cache(maxsize=None)
+def _gold_bits(field: Field, lam: int) -> int:
+    """Tr(lam * x^(2^k+1)) with k = n/4, sliced; it is its own dual."""
+    return _quadratic(field, field.frob_map(field.n // 4),
+                      field.trace_mask(lam))
 
 
 def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
@@ -362,12 +367,10 @@ def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
             f"lambda {lam:#x} fails lambda + lambda^(2^(3k)) = 1")
     us = list(us)
     _check_tau(F, len(us), field.n // 2)
-    xs = coordinate_tables(field.n)
-    base = trace_planes(field.mul_planes(
-        xs, linear_planes(xs, field.frob_map(k))), field.trace_mask(lam))
+    base = _gold_bits(field, lam)
     return _shifted(field, base, base, us, F,  # self-dual
                     f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}",
-                    _gold_ok(field, lam))
+                    _polar_ok(field.n, base))
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +466,13 @@ def _check_pairs(K: Field, us) -> tuple[int, ...]:
     return shifts
 
 
-def _mm_linear_ok(K: Field, inv):
-    """The MMLinear pair condition on grid shifts u, v:
-    Tr(u2 pi^-1(v1) + v2 pi^-1(u1)) = 0, inv the columns of pi^-1."""
-    split = BivariateDomain(K).split
-
-    def ok(u, v):
-        (u1, u2), (v1, v2) = split(u), split(v)
-        return not K.trace_abs(K.mul(u2, apply_linear(inv, v1))
-                               ^ K.mul(v2, apply_linear(inv, u1)))
-    return ok
+def _mm_linear_dual(K: Field, inv, b: int) -> int:
+    """The MMLinear base's dual Tr(y pi^-1(x) + b pi^-1(x)), inv the
+    columns of pi^-1."""
+    xs, ys = _grid_planes(K)
+    pix = linear_planes(xs, inv)
+    return (trace_planes(K.mul_planes(ys, pix), K.trace_mask(1))
+            ^ trace_planes(pix, K.trace_mask(b)))
 
 
 def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
@@ -489,17 +489,13 @@ def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
     shifts = _check_pairs(K, us)
     _check_tau(F, len(shifts), m)
     xs, ys = _grid_planes(K)
-    tmask = K.trace_mask(1)
-    bmask = K.trace_mask(b)
-    base = (trace_planes(K.mul_planes(xs, linear_planes(ys, cols)), tmask)
-            ^ trace_planes(ys, bmask))
-    # the base's dual: Tr(y pi^-1(x) + b pi^-1(x))
-    pix = linear_planes(xs, inv)
-    gdual = (trace_planes(K.mul_planes(ys, pix), tmask)
-             ^ trace_planes(pix, bmask))
+    base = (trace_planes(K.mul_planes(xs, linear_planes(ys, cols)),
+                         K.trace_mask(1))
+            ^ trace_planes(ys, K.trace_mask(b)))
+    gdual = _mm_linear_dual(K, inv, b)
     return _shifted(BivariateDomain(K), base, gdual, shifts, F,
                     f"MMLinear m={m} b={b:#x} tau={F.tau}",
-                    _mm_linear_ok(K, inv))
+                    _polar_ok(2 * m, gdual))
 
 
 def monomial_inverse_exponent(m: int, s: int) -> int:
@@ -514,7 +510,8 @@ def monomial_inverse_exponent(m: int, s: int) -> int:
 
 def _mm_monomial_ok(K: Field):
     """The MMMonomial pair condition on GF(2^s)^2 grid shifts u, v:
-    u1 v2 + v1 u2 = 0 and Tr(u1^2 v2 + u2 v1^2) = 0."""
+    u1 v2 + v1 u2 = 0 and Tr(u1^2 v2 + u2 v1^2) = 0.  A closed form, as
+    g~ is cubic; stricter than D_u D_v g~ = 0, but golden records pin it."""
     split = BivariateDomain(K).split
 
     def ok(u, v):
@@ -600,16 +597,18 @@ def _scan(cands, tau: int, rng: random.Random, ok,
 
 def kasami_valid_us(field: Field, lam: int, tau: int, rng: random.Random,
                     subfield_only: bool = False) -> list[int]:
-    """Shift list satisfying the pairwise Kasami trace condition."""
+    """Shift list whose pairs meet the Kasami pair condition."""
     cands = ([u for u in field.subfield().members if u] if subfield_only
              else range(1, field.size))
-    return _scan(cands, tau, rng, _kasami_ok(field, lam), subfield_only)
+    ok = _polar_ok(field.n, _kasami_dual(field, lam))
+    return _scan(cands, tau, rng, ok, subfield_only)
 
 
 def gold_valid_us(field: Field, lam: int, tau: int,
                   rng: random.Random) -> list[int]:
-    """Shift list satisfying the pairwise Gold-like trace condition."""
-    return _scan(range(1, field.size), tau, rng, _gold_ok(field, lam))
+    """Shift list whose pairs meet the Gold-like pair condition."""
+    return _scan(range(1, field.size), tau, rng,
+                 _polar_ok(field.n, _gold_bits(field, lam)))
 
 
 def random_invertible(m: int, rng: random.Random) -> tuple[int, ...]:
@@ -627,7 +626,7 @@ def mm_linear_params(m: int, tau: int, rng: random.Random,
     inv = invert(transpose(rows))  # the columns of pi^-1
     b = rng.randrange(K.size)
     shifts = _scan(range(1, K.size * K.size), tau, rng,
-                   _mm_linear_ok(K, inv), indep=True)
+                   _polar_ok(2 * m, _mm_linear_dual(K, inv, b)), indep=True)
     return rows, b, [BivariateDomain(K).split(u) for u in shifts]
 
 
@@ -734,7 +733,8 @@ def spec_to_json(spec: ConstructionSpec) -> str:
 
 
 def spec_from_json(text: str) -> ConstructionSpec:
-    """Parse a spec; bad JSON or a missing, bad or unknown key is BadSpec."""
+    """Parse a spec; bad JSON, or a missing or bad key, or one that the
+    family does not take, is BadSpec."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -745,7 +745,8 @@ def spec_from_json(text: str) -> ConstructionSpec:
     family = FAMILIES.get(name) if isinstance(name, str) else None
     if family is None:
         raise BadSpec(f"unknown family {name!r}")
-    unknown = sorted(set(doc) - {key for key, *_ in _CODEC})
+    unknown = sorted(set(doc) - {"family", "n", "mod", *family.fields,
+                                 *family.optional})
     if unknown:
         raise BadSpec(f"{name} spec has unknown keys {', '.join(unknown)}")
     missing = [key for key in ("n",) + family.fields if key not in doc]
@@ -876,6 +877,7 @@ class Family:
     claims: Callable = lambda spec, built: {"bent": True}  # -> Expectation
     scale: int = 2           # n = scale * size; the size is m, or k (n = 4k)
     pairs: bool = False      # u holds [x, y] pairs on the GF(2^m)^2 grid
+    optional: tuple[str, ...] = ()  # spec keys it may take besides mod
 
 
 FAMILIES = {
@@ -908,11 +910,12 @@ FAMILIES = {
         lambda s: quad_idempotent_g(_field(s), s.c, s.eps or 0),
         lambda n, rng: ConstructionSpec("QuadIdem", n, c=tuple(
             rng.randint(0, 1) for _ in range(n // 2 + 1)), eps=rng.randint(0, 1)),
-        lambda s, b: {"bent": is_quad_bent_gcd(s.c), "idempotent": True}),
+        lambda s, b: {"bent": is_quad_bent_gcd(s.c), "idempotent": True},
+        optional=("eps",)),
     "QuadFamily": Family(("c", "u", "F"), _build_quad_family,
-                         _sample_quad_family),
+                         _sample_quad_family, optional=("eps",)),
     "GoldLike": Family(("u", "F"), _build_gold_like, _sample_gold_like,
-                       scale=4),
+                       scale=4, optional=("lambda", "k")),
     "Niho": Family(
         ("k", "u", "F"),
         lambda s: niho_family(_field(s), s.k, s.u, _F(s)),
@@ -921,7 +924,7 @@ FAMILIES = {
         ("pi", "u", "F"),
         lambda s: mm_linear(s.n // 2, s.pi, s.b or 0, s.u, _F(s),
                             modulus=s.mod),
-        _sample_mm_linear, pairs=True),
+        _sample_mm_linear, pairs=True, optional=("b",)),
     "MMMonomial": Family(
         ("s", "u", "F"),
         lambda s: mm_monomial(s.n // 2, s.s, s.u, _F(s), modulus=s.mod),

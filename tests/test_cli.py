@@ -383,6 +383,32 @@ def test_construct_refuses_unknown_spec_keys(capsys, tmp_path):
     assert not list(tmp_path.glob("*.tt"))
 
 
+@pytest.mark.parametrize("doc, keys", [
+    ({"family": "KasamiAntiSelfDual", "n": 6, "F": "X1*X2", "k": 3,
+      "lambda": "0x5", "s": 9, "b": "0x1"}, "b, k, lambda, s"),
+    ({"family": "Niho", "n": 6, "k": 1, "u": ["0x1"], "F": "X1",
+      "c": [0, 0, 0, 1], "pi": IDENTITY3}, "c, pi"),
+], ids=["KasamiAntiSelfDual", "Niho"])
+def test_construct_refuses_keys_the_family_does_not_take(capsys, tmp_path,
+                                                         doc, keys):
+    code, out, err = construct(capsys, tmp_path, "extra", doc)
+    assert code == 2 and out == ""
+    assert "BadSpec" in err and f"unknown keys {keys}" in err
+    assert not list(tmp_path.glob("*.tt"))
+
+
+def test_verify_emit_tt_refuses_a_table_without_a_dual(capsys, tmp_path):
+    table = tmp_path / "q.tt"
+    bf.save_tt(cx.quad_idempotent_g(make_field(6), [1, 0, 0, 0]), table)
+    out_path = tmp_path / "out.tt"
+    code, out, err = run(capsys, "verify", str(table), "--expect", "nonbent",
+                         "--emit-tt", str(out_path))
+    assert code == 2 and out.startswith("PASS")
+    assert err == run(capsys, "dual", str(table))[2]
+    assert err.startswith("error: NotBent: ")
+    assert not out_path.exists()
+
+
 def test_tables_above_n24_are_refused_up_front(capsys):
     for argv in (["demo", "carlet", "--m", "13"],
                  ["sweep", "--family", "MMLinear", "--m", "13",

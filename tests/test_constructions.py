@@ -330,6 +330,19 @@ def test_gold_like_rejections():
         raise AssertionError("no violating pair found")
 
 
+@pytest.mark.parametrize("n, build", [
+    (6, lambda field, us, F: cx.kasami_general(field, 1, us, F)),
+    (8, lambda field, us, F: cx.gold_like(
+        field, field.solve_semilinear(6, 1), us, F)),
+], ids=["KasamiGeneral", "GoldLike"])
+def test_shifts_outside_the_field_are_a_value_error(n, build):
+    """A shift below 0 or at 2^n is refused before any pair is judged."""
+    field = make_field(n)
+    for us in ([1 << n, 1], [1, 1 << n], [-1, 1], [1, -1]):
+        with pytest.raises(ValueError):
+            build(field, us, mp.poly(2, 0b11))
+
+
 # ---------------------------------------------------------------------------
 # Niho family
 # ---------------------------------------------------------------------------

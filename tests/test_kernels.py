@@ -9,7 +9,8 @@ tests/pointwise.py, whose trace masks follow the definition of the trace.
 The translation behind D_u is checked against the per-index shift
 T[i ^ s], every pair family's dual against the theorem
 f~ = g~ + F(D_u1 g~, ...), with g~ and f~ read from spectra, and every
-family's pair predicate ok(u, v) against D_u D_v g~ = 0 on the table.
+family's pair predicate ok(u, v) (the polar-form read of _polar_ok on each
+quadratic g~) against D_u D_v g~ = 0 on the table.
 The plane adder is checked against integer addition, and the packed
 spectrum identity against its beta-by-beta oracle, on real and tampered
 pairs.
@@ -527,13 +528,19 @@ def spectrum_dual(base) -> int:
     return bf.dual(bf.walsh(base)).bits
 
 
+def polar_ok(dom, gdual: int):
+    """cx._polar_ok on a family's own g~, after its precondition deg g~ <= 2."""
+    assert bf.degree(bf.TruthTable(dom, gdual)) <= 2
+    return cx._polar_ok(dom.n, gdual)
+
+
 @settings(max_examples=20)
 @given(fields(max_n=10, min_n=4, step=2), st.integers(0, 2**32 - 1))
 def test_kasami_pair_predicate_is_the_table_condition(field, seed):
     rng = random.Random(seed)
     for lam in field.subfield().members[1:]:
         gdual = spectrum_dual(cx.kasami_base(field, lam))
-        ok = cx._kasami_ok(field, lam)
+        ok = polar_ok(field, cx._kasami_dual(field, lam))
         for _ in range(4):
             u, v = rng.randrange(field.size), rng.randrange(field.size)
             assert ok(u, v) == table_condition(gdual, field.n, u, v)
@@ -547,7 +554,7 @@ def test_gold_pair_predicate_is_the_table_condition(field, seed):
     lam = rng.choice([z for z in range(field.size)
                       if z ^ field.frob(z, 3 * k) == 1])
     gdual = spectrum_dual(cx.gold_like(field, lam, [1], mp.poly(1, 1)).base)
-    ok = cx._gold_ok(field, lam)
+    ok = polar_ok(field, cx._gold_bits(field, lam))
     for _ in range(40):
         u, v = rng.randrange(field.size), rng.randrange(field.size)
         assert ok(u, v) == table_condition(gdual, field.n, u, v)
@@ -563,7 +570,8 @@ def test_mm_linear_pair_predicate_is_the_table_condition(K, seed):
     base = cx.mm_linear(m, rows, b, [(1, 0)], mp.poly(1, 1),
                         modulus=K.modulus).base
     gdual = spectrum_dual(base)
-    ok = cx._mm_linear_ok(K, invert(transpose(rows)))
+    inv = invert(transpose(rows))
+    ok = polar_ok(base.domain, cx._mm_linear_dual(K, inv, b))
     for _ in range(40):
         u, v = rng.randrange(base.domain.size), rng.randrange(base.domain.size)
         assert ok(u, v) == table_condition(gdual, 2 * m, u, v)
@@ -627,13 +635,15 @@ _spec_shapes = {  # key: (shape, near miss)
 
 @st.composite
 def spec_docs(draw):
-    """A family's spec; in half of them one key is dropped, given a near
-    miss of its shape, or given any JSON value."""
+    """A family's spec, each optional key of it present or not; in half of
+    them one key (of any family) is dropped, given a near miss of its
+    shape, or given any JSON value."""
     family = draw(st.sampled_from(sorted(cx.FAMILIES)))
-    needed = ("n",) + cx.FAMILIES[family].fields
+    record = cx.FAMILIES[family]
     doc = {"family": family}
     for key, (shape, _) in _spec_shapes.items():
-        if key in needed or draw(st.booleans()):
+        if key in ("n",) + record.fields or (
+                key in ("mod",) + record.optional and draw(st.booleans())):
             doc[key] = draw(shape)
     if draw(st.booleans()):
         key = draw(st.sampled_from(["family", "other", *_spec_shapes]))
