@@ -20,7 +20,11 @@ It hashes, in a fixed order:
   lambda, gold_like at n = 4 for every admissible lambda and at n = 8 on
   2,000 seeded pairs (500 for each of its four lambdas), mm_linear at
   m = 2 and 3 for two seeded (pi, b) each, and mm_monomial at m = 3 with
-  s = 1 and s = 3.
+  s = 1 and s = 3;
+- the polynomial layer: format_poly of the ANF and the degree of each
+  carlet rung's f and of each sampled f and base, fourier(F) of each
+  sampled F, and format_poly of elementary_symmetric(tau, d) and of
+  rotation_closure(mask, tau) for every d and nonzero mask at tau <= 6.
 
 Equal digests before and after a change mean these outputs are equal bit
 for bit.
@@ -28,6 +32,7 @@ for bit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import sys
@@ -37,7 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bentkit import constructions, multipoly, verify  # noqa: E402
+from bentkit import boolfun, constructions, multipoly, verify  # noqa: E402
 from bentkit.constructions import ConstructedPair  # noqa: E402
 from bentkit.errors import NoSolution  # noqa: E402
 from bentkit.gf2n import make_field  # noqa: E402
@@ -71,34 +76,49 @@ def sweeps():
                 yield entry.notes + _report(entry.report)
 
 
+@functools.cache
+def _carlet_entries():
+    return verify.demo_carlet(7)
+
+
 def carlet():
-    for entry in verify.demo_carlet(7):
+    for entry in _carlet_entries():
         yield (f"{entry.d} {_table(entry.pair.f)} "
                f"{_table(entry.pair.predicted_dual)} "
                f"{_table(entry.report.computed_dual)} {entry.ok}")
 
 
-def samples():
+@functools.cache
+def _sampled() -> list:
+    """(family, m, built) of each seeded sample; built is None if the
+    sampler found none in 64 attempts."""
+    out = []
     for family in sorted(constructions.FAMILIES):
         rng = random.Random(family)
         for m in _sizes(family, range(2, 7), range(1, 3)):
             for _ in range(SAMPLES_PER_SIZE):
+                built = None
                 for _attempt in range(64):
                     try:
                         built, _exp = verify._sample(family, m, rng)
                         break
                     except NoSolution:
                         continue
-                else:
-                    yield f"{family} m={m} no sample"
-                    continue
-                if isinstance(built, ConstructedPair):
-                    yield (f"{built.notes} {_table(built.f)} "
-                           f"{_table(built.base)} "
-                           f"{_table(built.predicted_dual)} "
-                           f"{[hex(u) for u in built.shifts]}")
-                else:
-                    yield f"{family} m={m} {_table(built)}"
+                out.append((family, m, built))
+    return out
+
+
+def samples():
+    for family, m, built in _sampled():
+        if built is None:
+            yield f"{family} m={m} no sample"
+        elif isinstance(built, ConstructedPair):
+            yield (f"{built.notes} {_table(built.f)} "
+                   f"{_table(built.base)} "
+                   f"{_table(built.predicted_dual)} "
+                   f"{[hex(u) for u in built.shifts]}")
+        else:
+            yield f"{family} m={m} {_table(built)}"
 
 
 def _decisions(name: str, build, shifts, rng=None, count=0):
@@ -153,9 +173,30 @@ def pair_decisions():
                               _grid(3))
 
 
+def _anf(t) -> str:
+    return f"{boolfun.degree(t)} {multipoly.format_poly(boolfun.anf(t))}"
+
+
+def polynomials():
+    for entry in _carlet_entries():
+        yield f"{entry.d} {_anf(entry.pair.f)}"
+    for family, m, built in _sampled():
+        if isinstance(built, ConstructedPair):
+            yield (f"{family} m={m} {_anf(built.f)} {_anf(built.base)} "
+                   f"{multipoly.fourier(built.poly)}")
+        elif built is not None:
+            yield f"{family} m={m} {_anf(built)}"
+    for tau in range(1, 7):
+        for d in range(1, tau + 1):
+            yield multipoly.format_poly(
+                multipoly.elementary_symmetric(tau, d))
+        for mask in range(1, 1 << tau):
+            yield multipoly.format_poly(multipoly.rotation_closure(mask, tau))
+
+
 def main() -> int:
     digest = hashlib.sha256()
-    for part in (sweeps, carlet, samples, pair_decisions):
+    for part in (sweeps, carlet, samples, pair_decisions, polynomials):
         for line in part():
             digest.update(line.encode() + b"\n")
     print(digest.hexdigest())

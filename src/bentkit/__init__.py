@@ -1,7 +1,6 @@
 """Construction and exact verification of bent functions over GF(2^n)."""
 
 from .boolfun import (
-    AnfPoly,
     DualityClass,
     TruthTable,
     WalshSpectrum,
@@ -41,7 +40,6 @@ from .constructions import (
 )
 from .gf2n import BivariateDomain, Field, make_field
 from .multipoly import (
-    FourierCoeffs,
     ReducedPoly,
     compose_traces,
     elementary_symmetric,

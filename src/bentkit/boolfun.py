@@ -18,13 +18,15 @@ is floating point and nothing is sampled.
   Parseval is read from the planes, the dual is the sign plane, and the
   per-beta integers are built only when a caller asks for ``values``.
 - ANF.  The Moebius transform is ``bits ^= (bits & ~X_j) << 2^j`` for each
-  j; the degree is read against the masks of indices of each popcount.
+  j.  Its result is a multipoly.ReducedPoly in the n index coordinates:
+  the coefficient table is packed like the truth table, so the polynomial
+  layer's degree and text format read it as they stand.
 - Idempotence.  f(x^2) = f(x) compares the table with itself pulled
   through the squaring map.
 
 Both index maps are F_2-linear and go through gf2n.pull_linear.  The list
-transform fwht serves multipoly.fourier; it and the list oracles in
-tests/pointwise.py are the reference the packed kernels are tested against.
+oracles in tests/pointwise.py (fwht, mobius, walsh_naive) are the
+reference the packed kernels are tested against.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 
 from .errors import FieldMismatch, NotBent, OddDimension
 from .gf2n import BivariateDomain, Field, coordinate_tables, pull_linear
+from .multipoly import ReducedPoly
 
 Domain = Field | BivariateDomain
 
@@ -133,52 +136,6 @@ class WalshSpectrum:
         return off
 
 
-@functools.cache
-def _weight_classes(n: int) -> tuple[int, ...]:
-    """Masks K_0..K_n on 2^n indices: bit i of K_d is set iff i has d ones."""
-    classes = [1]
-    for j in range(n):
-        h = 1 << j
-        classes = [same | (one_less << h) for same, one_less
-                   in zip(classes + [0], [0] + classes)]
-    return tuple(classes)
-
-
-@dataclass(frozen=True)
-class AnfPoly:
-    """ANF coefficients packed like a table.
-
-    Bit I of coeffs is the coefficient of the monomial prod_{j in I} x_j.
-    """
-    n: int
-    coeffs: int
-
-    @property
-    def monomials(self) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(reversed(f"{self.coeffs:b}"))
-                         if c == "1")
-
-    def degree(self) -> int:
-        classes = _weight_classes(self.n)
-        return next((d for d in range(self.n, 0, -1)
-                     if self.coeffs & classes[d]), 0)
-
-
-def fwht(values: list[int]) -> list[int]:
-    """In-place fast transform over the n-cube; returns its argument."""
-    size = len(values)
-    h = 1
-    while h < size:
-        for i in range(0, size, h << 1):
-            for j in range(i, i + h):
-                x = values[j]
-                y = values[j + h]
-                values[j] = x + y
-                values[j + h] = x - y
-        h <<= 1
-    return values
-
-
 def add_planes(a, b, carry: int = 0) -> list[int]:
     """Planes of a + b + carry in two's complement, as wide as a and b.
 
@@ -243,9 +200,9 @@ def _moebius_packed(bits: int, n: int) -> int:
     return bits
 
 
-def anf(f: TruthTable) -> AnfPoly:
+def anf(f: TruthTable) -> ReducedPoly:
     """Algebraic normal form of f over its index coordinates."""
-    return AnfPoly(f.domain.n, _moebius_packed(f.bits, f.domain.n))
+    return ReducedPoly(f.domain.n, _moebius_packed(f.bits, f.domain.n))
 
 
 def degree(f: TruthTable) -> int:
@@ -253,7 +210,11 @@ def degree(f: TruthTable) -> int:
     return anf(f).degree()
 
 
-def from_anf(domain: Domain, poly: AnfPoly) -> TruthTable:
+def from_anf(domain: Domain, poly: ReducedPoly) -> TruthTable:
+    """The table of an ANF in the domain's n index coordinates."""
+    if poly.tau != domain.n:
+        raise FieldMismatch(
+            f"ANF in {poly.tau} variables on a domain with n={domain.n}")
     return TruthTable(domain, _moebius_packed(poly.coeffs, domain.n))
 
 

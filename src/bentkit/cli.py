@@ -143,9 +143,7 @@ def _cmd_walsh(args) -> int:
 def _cmd_anf(args) -> int:
     table = boolfun.load_tt(args.ttfile)
     poly = boolfun.anf(table)
-    text = multipoly.format_poly(
-        multipoly.ReducedPoly(poly.n, poly.monomials)) if poly.monomials \
-        else "0"
+    text = multipoly.format_poly(poly)
     if args.json:
         print(json.dumps({"degree": poly.degree(), "anf": text}))
     else:

@@ -151,7 +151,7 @@ def _shifted(dom, base: int, gdual: int | None, shifts, F: ReducedPoly,
             if not ok(u, v):
                 raise PreconditionViolated(
                     f"shift condition fails for pair ({i},{j})")
-    f = base ^ multipoly.compose_traces(dom, F, shifts).bits
+    f = base ^ multipoly.compose_traces(dom, F, shifts)
     return ConstructedPair(
         f=TruthTable(dom, f),
         predicted_dual=(None if gdual is None
@@ -555,7 +555,7 @@ def random_poly(tau: int, rng: random.Random) -> ReducedPoly:
     """Random reduced polynomial with one to four monomials."""
     space = 1 << tau
     count = rng.randint(1, min(4, space))
-    return ReducedPoly(tau, frozenset(rng.sample(range(space), count)))
+    return multipoly.poly(tau, *rng.sample(range(space), count))
 
 
 def random_rotsym_poly(m: int, rng: random.Random) -> ReducedPoly:
@@ -564,7 +564,7 @@ def random_rotsym_poly(m: int, rng: random.Random) -> ReducedPoly:
         F = multipoly.rotation_closure(rng.randrange(1, 1 << m), m)
         if rng.random() < 0.5:
             F = F + multipoly.rotation_closure(rng.randrange(1, 1 << m), m)
-        if F.monomials:
+        if F.coeffs:
             return F
 
 
@@ -939,6 +939,8 @@ def build(spec: ConstructionSpec):
     returns its TruthTable.
     """
     family = FAMILIES[spec.family]
+    if spec.n < 1:
+        raise BadSpec(f"{spec.family} needs n >= 1, got n={spec.n}")
     if spec.n % family.scale:
         raise BadSpec(f"{spec.family} needs n divisible by {family.scale}, "
                       f"got n={spec.n}")

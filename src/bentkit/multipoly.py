@@ -1,89 +1,110 @@
 """Reduced multivariate polynomials over F_2 and their Fourier coefficients.
 
-A ReducedPoly stores its monomials as tau-bit masks: bit i selects the
-variable X_{i+1}, so every exponent is at most 1 by construction.  The
-Fourier side keeps scaled integer coefficients chat[w] = 2^tau * c_w, which
-downstream spectrum identities consume without ever leaving the integers.
+A ReducedPoly packs its coefficients like a truth table (boolfun.anf
+returns one): bit I of coeffs is the coefficient of the monomial on the
+set bits of I, bit i selecting X_{i+1}.  The degree is read against the
+masks K_d of the indices with d ones, e_d is K_d, and the scaled Fourier
+coefficients chat[w] = 2^tau * c_w are popcounts of packed tables.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import combinations
 
-from . import boolfun
-from .errors import ArityMismatch, DegreeOutOfRange, ZeroCoefficient, ZeroMask
-from .gf2n import coordinate_tables, trace_planes
+from .errors import (
+    ArityMismatch,
+    DegreeOutOfRange,
+    UnsupportedDegree,
+    ZeroCoefficient,
+    ZeroMask,
+)
+from .gf2n import MAX_TABLE_DEGREE, coordinate_tables, trace_planes
+
+
+def _check_arity(tau: int) -> None:
+    """1 <= tau, and tau obeys the table bound: coeffs has 2^tau bits."""
+    if tau < 1:
+        raise ArityMismatch("at least one variable is required")
+    if tau > MAX_TABLE_DEGREE:
+        raise UnsupportedDegree(
+            f"polynomials need tau <= {MAX_TABLE_DEGREE}, got tau={tau}")
+
+
+@functools.cache
+def _weight_classes(n: int) -> tuple[int, ...]:
+    """Masks K_0..K_n on 2^n indices: bit i of K_d is set iff i has d ones."""
+    classes = [1]
+    for j in range(n):
+        h = 1 << j
+        classes = [same | (one_less << h) for same, one_less
+                   in zip(classes + [0], [0] + classes)]
+    return tuple(classes)
+
+
+def _masks(coeffs: int) -> list[int]:
+    """The monomial masks of a coefficient table, in increasing order."""
+    return [i for i, c in enumerate(reversed(f"{coeffs:b}")) if c == "1"]
+
+
+def _rotate(mask: int, tau: int) -> int:
+    """The monomial with X_i replaced by X_(i+1), cyclically in tau."""
+    return ((mask << 1) & ((1 << tau) - 1)) | (mask >> (tau - 1))
 
 
 @dataclass(frozen=True)
 class ReducedPoly:
     tau: int
-    monomials: frozenset[int]
+    coeffs: int
 
     def __post_init__(self):
-        if self.tau < 1:
-            raise ArityMismatch("at least one variable is required")
-        if any(m >> self.tau for m in self.monomials):
+        _check_arity(self.tau)
+        if self.coeffs < 0 or self.coeffs >> (1 << self.tau):
             raise ArityMismatch("monomial mask exceeds the variable count")
 
     def degree(self) -> int:
-        return max((m.bit_count() for m in self.monomials), default=0)
+        classes = _weight_classes(self.tau)
+        return next((d for d in range(self.tau, 0, -1)
+                     if self.coeffs & classes[d]), 0)
 
     def __add__(self, other: "ReducedPoly") -> "ReducedPoly":
         if self.tau != other.tau:
             raise ArityMismatch("variable counts differ")
-        return ReducedPoly(self.tau, self.monomials ^ other.monomials)
-
-
-@dataclass(frozen=True)
-class FourierCoeffs:
-    tau: int
-    chat: tuple[int, ...]
+        return ReducedPoly(self.tau, self.coeffs ^ other.coeffs)
 
 
 def poly(tau: int, *monomials: int) -> ReducedPoly:
-    """Shorthand constructor from monomial masks."""
-    return ReducedPoly(tau, frozenset(monomials))
+    """Shorthand constructor from monomial masks; a repeat counts once."""
+    _check_arity(tau)
+    if any(m < 0 or m >> tau for m in monomials):
+        raise ArityMismatch("monomial mask exceeds the variable count")
+    return ReducedPoly(tau, sum(1 << m for m in set(monomials)))
 
 
-def evaluate(F: ReducedPoly, x: int) -> int:
-    """Value of F at the assignment packed into the tau-bit mask x."""
-    acc = 0
-    for mono in F.monomials:
-        if x & mono == mono:
-            acc ^= 1
-    return acc
+def fourier(F: ReducedPoly) -> tuple[int, ...]:
+    """Scaled coefficients chat[w] = sum_X (-1)^(F(X) + w.X), exact.
 
-
-def fourier(F: ReducedPoly) -> FourierCoeffs:
-    """Scaled coefficients chat[w] = sum_X (-1)^(F(X) + w.X), exact."""
-    signs = [1 - 2 * evaluate(F, x) for x in range(1 << F.tau)]
-    return FourierCoeffs(F.tau, tuple(boolfun.fwht(signs)))
+    On the 2^tau points, F(X) + w.X is the table of F XOR the trace plane
+    of w, so chat[w] = 2^tau - 2 * popcount of that XOR.
+    """
+    xs = coordinate_tables(F.tau)
+    size = 1 << F.tau
+    table = compose(F, xs, (1 << size) - 1)
+    return tuple(size - 2 * (table ^ trace_planes(xs, w)).bit_count()
+                 for w in range(size))
 
 
 def is_rotation_symmetric(F: ReducedPoly) -> bool:
     """True iff a cyclic shift of the variables maps F to itself."""
-    tau = F.tau
-    top = 1 << (tau - 1)
-
-    def shift(mask):
-        return ((mask << 1) & ((1 << tau) - 1)) | (1 if mask & top else 0)
-
-    return frozenset(shift(m) for m in F.monomials) == F.monomials
+    return sum(1 << _rotate(m, F.tau) for m in _masks(F.coeffs)) == F.coeffs
 
 
 def elementary_symmetric(tau: int, d: int) -> ReducedPoly:
-    """Sum of the C(tau, d) square-free monomials of degree d."""
+    """Sum of the C(tau, d) square-free monomials of degree d: K_d."""
     if not 1 <= d <= tau:
         raise DegreeOutOfRange(f"need 1 <= d <= tau, got d={d}, tau={tau}")
-    masks = set()
-    for combo in combinations(range(tau), d):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        masks.add(mask)
-    return ReducedPoly(tau, frozenset(masks))
+    _check_arity(tau)
+    return ReducedPoly(tau, _weight_classes(tau)[d])
 
 
 def rotation_closure(mask: int, tau: int) -> ReducedPoly:
@@ -92,13 +113,12 @@ def rotation_closure(mask: int, tau: int) -> ReducedPoly:
         raise ZeroMask("generator monomial must be nonzero")
     if mask >> tau:
         raise ArityMismatch("monomial mask exceeds the variable count")
-    top = 1 << (tau - 1)
     orbit = set()
     cur = mask
     while cur not in orbit:
         orbit.add(cur)
-        cur = ((cur << 1) & ((1 << tau) - 1)) | (1 if cur & top else 0)
-    return ReducedPoly(tau, frozenset(orbit))
+        cur = _rotate(cur, tau)
+    return poly(tau, *orbit)
 
 
 def compose(F: ReducedPoly, args, full: int) -> int:
@@ -112,7 +132,7 @@ def compose(F: ReducedPoly, args, full: int) -> int:
     if len(args) != F.tau:
         raise ArityMismatch(f"{F.tau} variables but {len(args)} arguments")
     acc = 0
-    for mono in F.monomials:
+    for mono in _masks(F.coeffs):
         term = full
         for i, arg in enumerate(args):
             if (mono >> i) & 1:
@@ -121,9 +141,8 @@ def compose(F: ReducedPoly, args, full: int) -> int:
     return acc
 
 
-def compose_traces(dom: "boolfun.Domain", F: ReducedPoly,
-                   us) -> "boolfun.TruthTable":
-    """Truth table of x -> F(Tr(u_1 x), ..., Tr(u_tau x)) on a field or grid.
+def compose_traces(dom, F: ReducedPoly, us) -> int:
+    """Packed table of x -> F(Tr(u_1 x), ..., Tr(u_tau x)) on a field or grid.
 
     Tr(u x) is the XOR of the coordinate tables X_j that
     dom.walsh_index(u) selects: trace_mask(u) on a field, and on the grid
@@ -136,7 +155,7 @@ def compose_traces(dom: "boolfun.Domain", F: ReducedPoly,
         raise ZeroCoefficient("all trace coefficients must be nonzero")
     xs = coordinate_tables(dom.n)
     args = [trace_planes(xs, dom.walsh_index(u)) for u in us]
-    return boolfun.TruthTable(dom, compose(F, args, (1 << dom.size) - 1))
+    return compose(F, args, (1 << dom.size) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -144,28 +163,21 @@ def compose_traces(dom: "boolfun.Domain", F: ReducedPoly,
 # ---------------------------------------------------------------------------
 
 def format_poly(F: ReducedPoly) -> str:
-    if not F.monomials:
-        return "0"
-    parts = []
-    for mask in sorted(F.monomials):
-        if mask == 0:
-            parts.append("1")
-        else:
-            parts.append("*".join(f"X{i + 1}" for i in range(F.tau)
-                                  if (mask >> i) & 1))
-    return "+".join(parts)
+    parts = ["*".join(f"X{i + 1}" for i in range(F.tau) if (mask >> i) & 1)
+             or "1" for mask in _masks(F.coeffs)]
+    return "+".join(parts) or "0"
 
 
 def parse_poly(text: str, tau: int) -> ReducedPoly:
+    """Parse format_poly's text; a repeated term cancels, as over F_2."""
+    _check_arity(tau)
     text = text.strip().replace(" ", "")
     if text == "0":
-        return ReducedPoly(tau, frozenset())
-    masks = set()
+        return ReducedPoly(tau, 0)
+    coeffs = 0
     for term in text.split("+"):
-        if term == "1":
-            mask = 0
-        else:
-            mask = 0
+        mask = 0
+        if term != "1":
             for var in term.split("*"):
                 if not (var.startswith("X") and var[1:].isdecimal()):
                     raise ArityMismatch(f"bad variable {var!r}")
@@ -173,5 +185,5 @@ def parse_poly(text: str, tau: int) -> ReducedPoly:
                 if not 1 <= i <= tau:
                     raise ArityMismatch(f"variable {var} out of range 1..{tau}")
                 mask |= 1 << (i - 1)
-        masks ^= {mask}
-    return ReducedPoly(tau, frozenset(masks))
+        coeffs ^= 1 << mask
+    return ReducedPoly(tau, coeffs)

@@ -138,7 +138,7 @@ def master_identity_holds(pair: ConstructedPair) -> bool:
     in w, and the sum over w is added on bit planes, for every beta at once.
     """
     dom = pair.f.domain
-    chat = multipoly.fourier(pair.poly).chat
+    chat = multipoly.fourier(pair.poly)
     gdual = boolfun.dual(boolfun.walsh(pair.base)).bits
     spec = boolfun.walsh(pair.f)
     scale = 1 << (dom.n // 2 - pair.poly.tau)

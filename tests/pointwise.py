@@ -7,11 +7,15 @@ where the family has no closed form.  bentkit.constructions builds the
 same tables on bit-sliced planes, and tests/test_kernels.py compares the
 two bit for bit.  The trace masks here follow the definition of the
 trace, squaring with Field.mul, so they also serve as the oracle for
-Field.trace_mask.  The list helpers (to_bitlist, from_bits, mobius,
+Field.trace_mask.  The list helpers (to_bitlist, from_bits, fwht, mobius,
 walsh_naive, spectrum_from_values) and pullback_mask are the references
-for the packed transforms, and master_identity_holds, beta by beta, for
-the packed spectrum identity in bentkit.verify.
+for the packed transforms; monomials and evaluate, which read a
+ReducedPoly monomial by monomial, for the packed polynomial layer; and
+master_identity_holds, beta by beta, for the packed spectrum identity in
+bentkit.verify.
 """
+
+from itertools import combinations
 
 from bentkit import boolfun as bf
 from bentkit import multipoly as mp
@@ -35,6 +39,63 @@ def from_bits(domain, values) -> TruthTable:
         if v:
             bits |= 1 << i
     return TruthTable(domain, bits)
+
+
+def monomials(F) -> frozenset[int]:
+    """The monomial masks of a ReducedPoly, read bit by bit from coeffs."""
+    return frozenset(i for i in range(1 << F.tau) if (F.coeffs >> i) & 1)
+
+
+def evaluate(F, x: int) -> int:
+    """Value of F at the assignment packed into the tau-bit mask x."""
+    acc = 0
+    for mono in monomials(F):
+        if x & mono == mono:
+            acc ^= 1
+    return acc
+
+
+def rotate(mask: int, tau: int) -> int:
+    """The monomial with X_i replaced by X_(i+1), cyclically, bit by bit."""
+    return sum(((mask >> i) & 1) << ((i + 1) % tau) for i in range(tau))
+
+
+def rotation_orbit(mask: int, tau: int) -> frozenset[int]:
+    """The tau cyclic shifts of one monomial, repeats merged."""
+    orbit = [mask]
+    for _ in range(tau - 1):
+        orbit.append(rotate(orbit[-1], tau))
+    return frozenset(orbit)
+
+
+def elementary_monomials(tau: int, d: int) -> frozenset[int]:
+    """The masks of the C(tau, d) monomials of degree d."""
+    return frozenset(sum(1 << i for i in combo)
+                     for combo in combinations(range(tau), d))
+
+
+def format_monomials(monos, tau: int) -> str:
+    """The text format, one term per mask in increasing order."""
+    terms = []
+    for mask in sorted(monos):
+        names = [f"X{i + 1}" for i in range(tau) if (mask >> i) & 1]
+        terms.append("*".join(names) if names else "1")
+    return "+".join(terms) if terms else "0"
+
+
+def fwht(values: list[int]) -> list[int]:
+    """In-place fast transform over the n-cube; returns its argument."""
+    size = len(values)
+    h = 1
+    while h < size:
+        for i in range(0, size, h << 1):
+            for j in range(i, i + h):
+                x = values[j]
+                y = values[j + h]
+                values[j] = x + y
+                values[j + h] = x - y
+        h <<= 1
+    return values
 
 
 def mobius(values: list[int]) -> list[int]:
@@ -77,7 +138,7 @@ def master_identity_holds(pair) -> bool:
     base function's spectrum."""
     dom = pair.f.domain
     tau = pair.poly.tau
-    chat = mp.fourier(pair.poly).chat
+    chat = mp.fourier(pair.poly)
     gdual = bf.dual(bf.walsh(pair.base))
     shift_xor = [0] * (1 << tau)
     for w in range(1 << tau):
@@ -137,7 +198,7 @@ def compose_traces(field: Field, F, us) -> int:
         args = 0
         for i, mask in enumerate(masks):
             args |= parity(x & mask) << i
-        return mp.evaluate(F, args)
+        return evaluate(F, args)
     return packed(field.size, value)
 
 
@@ -163,7 +224,7 @@ def kasami_general(field: Field, lam: int, us, F):
         for i, u in enumerate(us):
             sym = field.mul(xm, u) ^ field.mul(x, ums[i]) ^ norms[i]
             args |= parity(sym & smask) << i
-        return ((dual_base >> x) & 1) ^ mp.evaluate(F, args) ^ 1
+        return ((dual_base >> x) & 1) ^ evaluate(F, args) ^ 1
     return f, base, packed(field.size, dual)
 
 
@@ -180,7 +241,7 @@ def kasami_subfield(field: Field, lam: int, us, F):
         args = 0
         for i, mask in enumerate(masks):
             args |= (parity(x & mask) ^ consts[i]) << i
-        return ((dual_base >> x) & 1) ^ mp.evaluate(F, args) ^ 1
+        return ((dual_base >> x) & 1) ^ evaluate(F, args) ^ 1
     return f, base, packed(field.size, dual)
 
 
@@ -202,7 +263,7 @@ def kasami_idempotent(field: Field, u: int, F):
         args = 0
         for i, mask in enumerate(masks):
             args |= parity(x & mask) << i
-        return ((base >> x) & 1) ^ mp.evaluate(F, args ^ full) ^ 1
+        return ((base >> x) & 1) ^ evaluate(F, args ^ full) ^ 1
     return f, base, packed(field.size, dual)
 
 
@@ -248,7 +309,7 @@ def gold_like(field: Field, lam: int, us, F):
         for i, u in enumerate(us):
             sym = field.mul(xk, u) ^ field.mul(x, uks[i]) ^ norms[i]
             args |= parity(field.mul(lam, sym) & tmask) << i
-        return ((base >> x) & 1) ^ mp.evaluate(F, args)
+        return ((base >> x) & 1) ^ evaluate(F, args)
     return f, base, packed(field.size, dual)
 
 
@@ -286,7 +347,7 @@ def niho_family(field: Field, k: int, us, F):
         args = 0
         for i, mask in enumerate(masks):
             args |= parity(apow[x] & mask) << i
-        return ((d_bits >> x) & 1) ^ mp.evaluate(F, args)
+        return ((d_bits >> x) & 1) ^ evaluate(F, args)
     return f, g_bits, packed(field.size, dual)
 
 
@@ -301,7 +362,7 @@ def _grid_forms(K: Field, pairs, F, dom: BivariateDomain, base_value):
         for i, (u1, u2) in enumerate(pairs):
             args |= parity((K.mul(u1, x) ^ K.mul(u2, y)) & tmask) << i
         base |= gval << idx
-        f |= (gval ^ mp.evaluate(F, args)) << idx
+        f |= (gval ^ evaluate(F, args)) << idx
     return f, base
 
 
@@ -324,7 +385,7 @@ def mm_linear(m: int, rows, b: int, pairs, F, modulus=None):
             t = (K.mul(y ^ b, pullback_mask(inv_rows, u1))
                  ^ K.mul(u2, pix) ^ self_terms[i])
             args |= parity(t & tmask) << i
-        return gval ^ mp.evaluate(F, args)
+        return gval ^ evaluate(F, args)
     return f, base, packed(dom.size, dual)
 
 

@@ -325,6 +325,8 @@ def test_demo_carlet_refuses_m_below_two(capsys):
      "MMLinear field elements must be below 2^3"),
     ('{"family": "MMMonomial", "n": 6, "s": 1, "u": [["0x9", "0x1"]],'
      ' "F": "X1"}', "MMMonomial field elements must be below 2^3"),
+    ('{"family": "KasamiGeneral", "n": -4, "lambda": "0x1", "u": ["0x1"],'
+     ' "F": "X1"}', "KasamiGeneral needs n >= 1, got n=-4"),
 ])
 def test_construct_rejects_malformed_specs(capsys, tmp_path, text, reason):
     path = tmp_path / "bad.json"

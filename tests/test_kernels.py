@@ -2,7 +2,7 @@
 
 Random tables on fields with random irreducible moduli (n = 1..10, odd n
 included) and on bivariate grids.  The oracles are the list transforms
-(fwht, and mobius and walsh_naive from tests/pointwise.py), re-indexed
+(fwht, mobius and walsh_naive from tests/pointwise.py), re-indexed
 point by point through walsh_index and squaring_perm, and, for the
 bit-sliced constructors, the per-point constructions in
 tests/pointwise.py, whose trace masks follow the definition of the trace.
@@ -121,7 +121,7 @@ def tables(draw, max_n=10):
 def list_spectrum(f) -> tuple[int, ...]:
     """The list FWHT, re-indexed beta by beta through walsh_index."""
     dom = f.domain
-    raw = bf.fwht([1 - 2 * b for b in pw.to_bitlist(f)])
+    raw = pw.fwht([1 - 2 * b for b in pw.to_bitlist(f)])
     return tuple(raw[dom.walsh_index(beta)] for beta in range(dom.size))
 
 
@@ -200,11 +200,49 @@ def test_packed_anf_and_degree_match_moebius(f):
     coeffs = pw.mobius(pw.to_bitlist(f))
     poly = bf.anf(f)
     assert poly.coeffs == packed(coeffs)
-    assert poly.monomials == frozenset(i for i, c in enumerate(coeffs) if c)
+    assert pw.monomials(poly) == frozenset(
+        i for i, c in enumerate(coeffs) if c)
     assert poly.degree() == max(
         (i.bit_count() for i, c in enumerate(coeffs) if c), default=0)
     assert bf.degree(f) == poly.degree()
     assert bf.from_anf(f.domain, poly).bits == f.bits
+
+
+@given(st.integers(1, 8), st.data())
+def test_packed_polynomial_ops_match_monomial_sets(tau, data):
+    masks = st.integers(0, (1 << tau) - 1)
+    gens = data.draw(st.lists(masks.filter(bool), max_size=3))
+    if data.draw(st.booleans()):  # a sum of orbits: rotation-symmetric
+        a = frozenset()
+        for g in gens:
+            a ^= pw.rotation_orbit(g, tau)
+    else:
+        a = data.draw(st.frozensets(masks, max_size=12))
+    b = data.draw(st.frozensets(masks, max_size=12))
+    F, G = mp.poly(tau, *a), mp.poly(tau, *b)
+    assert pw.monomials(F) == a
+    assert F.degree() == max((m.bit_count() for m in a), default=0)
+    assert pw.monomials(F + G) == a ^ b
+    assert mp.is_rotation_symmetric(F) == (
+        frozenset(pw.rotate(m, tau) for m in a) == a)
+    for g in gens:
+        closure = mp.rotation_closure(g, tau)
+        assert pw.monomials(closure) == pw.rotation_orbit(g, tau)
+    d = data.draw(st.integers(1, tau))
+    assert (pw.monomials(mp.elementary_symmetric(tau, d))
+            == pw.elementary_monomials(tau, d))
+    text = mp.format_poly(F)
+    assert text == pw.format_monomials(a, tau)
+    assert mp.parse_poly(text, tau) == F
+
+
+@pytest.mark.parametrize("tau", range(1, 9))
+def test_fourier_matches_the_list_transform(tau):
+    rng = random.Random(tau)
+    for _ in range(6):
+        F = mp.ReducedPoly(tau, rng.getrandbits(1 << tau))
+        signs = [1 - 2 * pw.evaluate(F, x) for x in range(1 << tau)]
+        assert mp.fourier(F) == tuple(pw.fwht(signs))
 
 
 @given(tables())
@@ -502,15 +540,15 @@ def test_packed_master_identity_matches_the_pointwise_oracle(sample, data,
             dom, pair.f.bits ^ (1 << flip))),
         dataclasses.replace(pair, poly=F + mp.poly(F.tau, 0)),
     ]
-    real = mp.compose_traces(dom, F, pair.shifts).bits
+    real = mp.compose_traces(dom, F, pair.shifts)
     moves = [(i, v) for i in range(F.tau) for v in range(1, dom.size)]
     for i, v in rng.sample(moves, len(moves)):
         shifts = list(pair.shifts)
         shifts[i] ^= v
-        if shifts[i] and mp.compose_traces(dom, F, shifts).bits != real:
+        if shifts[i] and mp.compose_traces(dom, F, shifts) != real:
             tampered.append(dataclasses.replace(pair, shifts=tuple(shifts)))
             break
-    assert len(tampered) == 3 or F.monomials <= {0}
+    assert len(tampered) == 3 or pw.monomials(F) <= {0}
     assert vf.master_identity_holds(pair)
     assert pw.master_identity_holds(pair)
     for bad in tampered:
