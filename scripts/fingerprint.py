@@ -1,11 +1,13 @@
-"""Print one sha256 over bentkit's seeded outputs, to show a refactor
+"""Print sha256 digests of bentkit's seeded outputs, to show a refactor
 changed no behaviour.
 
 Run from the root of a checkout:
 
     python scripts/fingerprint.py
 
-It hashes, in a fixed order:
+It prints one digest per part, named, and then on the last line one
+digest over all parts in order.  A change that moves outputs on purpose
+shows which parts moved and which stayed.  The parts, in order:
 
 - the sweep report of every family at m = 3..5 (GoldLike at k = 2) with
   20 trials, seeds 0 and 1, minus its elapsed times: the totals, and
@@ -27,7 +29,8 @@ It hashes, in a fixed order:
   rotation_closure(mask, tau) for every d and nonzero mask at tau <= 6.
 
 Equal digests before and after a change mean these outputs are equal bit
-for bit.
+for bit.  The script reads only long-standing entry points, so one copy of
+it runs on two neighbouring commits; it takes about 3 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -144,7 +147,8 @@ def _grid(m: int) -> list[tuple[int, int]]:
 def pair_decisions():
     for n in (4, 6):
         field = make_field(n)
-        for lam in field.subfield().members[1:]:
+        for lam in [y for y in range(1, field.size)
+                    if field.frob(y, n // 2) == y]:
             yield from _decisions(
                 f"KasamiGeneral n={n} lam={lam:#x}",
                 partial(constructions.kasami_general, field, lam),
@@ -197,8 +201,12 @@ def polynomials():
 def main() -> int:
     digest = hashlib.sha256()
     for part in (sweeps, carlet, samples, pair_decisions, polynomials):
+        part_digest = hashlib.sha256()
         for line in part():
-            digest.update(line.encode() + b"\n")
+            data = line.encode() + b"\n"
+            part_digest.update(data)
+            digest.update(data)
+        print(f"{part.__name__:<14} {part_digest.hexdigest()}")
     print(digest.hexdigest())
     return 0
 

@@ -15,8 +15,8 @@ is floating point and nothing is sampled.
   last plane is the sign.  Planes are added in one place, the ripple-carry
   adder add_planes: each Walsh level is one call of it, and so are the
   magnitude planes of |W| that bentness and the extrema are read from.
-  Parseval is read from the planes, the dual is the sign plane, and the
-  per-beta integers are built only when a caller asks for ``values``.
+  The dual is the sign plane, and the per-beta integers are built only
+  when a caller asks for ``values`` (the ``walsh`` command's printout).
 - ANF.  The Moebius transform is ``bits ^= (bits & ~X_j) << 2^j`` for each
   j.  Its result is a multipoly.ReducedPoly in the n index coordinates:
   the coefficient table is packed like the truth table, so the polynomial
@@ -53,12 +53,6 @@ class TruthTable:
     domain: Domain
     bits: int
 
-    def bit(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
 
 @dataclass(frozen=True)
 class WalshSpectrum:
@@ -89,15 +83,6 @@ class WalshSpectrum:
         top = len(self.planes) - 1
         v = sum(((p >> beta) & 1) << k for k, p in enumerate(self.planes))
         return v - ((v >> top) << (top + 1))
-
-    def parseval_holds(self) -> bool:
-        """sum W(beta)^2 = 4^n, as sums of weighted plane-pair popcounts."""
-        top = len(self.planes) - 1
-        weights = [1 << k for k in range(top)] + [-(1 << top)]
-        total = sum(wj * wk * (pj & pk).bit_count()
-                    for wj, pj in zip(weights, self.planes)
-                    for wk, pk in zip(weights, self.planes))
-        return total == 1 << (2 * self.domain.n)
 
     @functools.cached_property
     def magnitudes(self) -> tuple[int, ...]:
@@ -208,14 +193,6 @@ def anf(f: TruthTable) -> ReducedPoly:
 def degree(f: TruthTable) -> int:
     """Algebraic degree; the zero function has degree 0 by convention."""
     return anf(f).degree()
-
-
-def from_anf(domain: Domain, poly: ReducedPoly) -> TruthTable:
-    """The table of an ANF in the domain's n index coordinates."""
-    if poly.tau != domain.n:
-        raise FieldMismatch(
-            f"ANF in {poly.tau} variables on a domain with n={domain.n}")
-    return TruthTable(domain, _moebius_packed(poly.coeffs, domain.n))
 
 
 def is_idempotent(f: TruthTable) -> bool:

@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("field", help="validate and print a field description")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mod", type=_hex_int, default=None,
-                   help="modulus bitmask in hex (default: built-in table)")
+                   help="modulus bitmask in hex (default: the smallest "
+                        "irreducible with constant term 1)")
     p.set_defaults(func=_cmd_field)
 
     p = sub.add_parser("construct",

@@ -23,10 +23,6 @@ class DivisionByZero(BentkitError):
     pass
 
 
-class NotADivisor(BentkitError):
-    pass
-
-
 class NotInSubfield(BentkitError):
     pass
 

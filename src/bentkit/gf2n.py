@@ -7,7 +7,14 @@ multiplicative identities, addition is ``^``.  All operations are pure;
 a Field never mutates after construction apart from internal caches.
 
 Polynomials over F_2 (used for the modulus and the quadratic-family gcd
-test) are also ints: bit i is the coefficient of X^i.
+test) are also ints: bit i is the coefficient of X^i.  Without an explicit
+modulus, Field(n) takes the smallest irreducible polynomial of degree n
+with constant term 1, found by an upward scan (X + 1 at n = 1, 0x11b at
+n = 8).
+
+For even n = 2m the subfield GF(2^m) is the one the constructions use:
+subfield() lists its members, trace_sub() is its trace, and a normal
+element (is_normal, find_normal) is always one of GF(2^m).
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from .errors import (
     DimensionTooSmall,
     DivisionByZero,
     NoSolution,
-    NotADivisor,
     NotInSubfield,
     ReducibleModulus,
     SingularPermutation,
@@ -31,41 +37,6 @@ MAX_DEGREE = 28
 # takes about a minute and 282 MB (2-core Xeon, CPython 3.11), and each
 # step of 2 in n costs 6-9x that.
 MAX_TABLE_DEGREE = 24
-
-# Smallest irreducible polynomial of each degree (as a bitmask), so field
-# construction is deterministic when no modulus is supplied.  Regenerable
-# by scanning upward from 2^n with is_irreducible().
-DEFAULT_MODULI = {
-    1: 0x3,
-    2: 0x7,
-    3: 0xb,
-    4: 0x13,
-    5: 0x25,
-    6: 0x43,
-    7: 0x83,
-    8: 0x11b,
-    9: 0x203,
-    10: 0x409,
-    11: 0x805,
-    12: 0x1009,
-    13: 0x201b,
-    14: 0x4021,
-    15: 0x8003,
-    16: 0x1002b,
-    17: 0x20009,
-    18: 0x40009,
-    19: 0x80027,
-    20: 0x100009,
-    21: 0x200005,
-    22: 0x400003,
-    23: 0x800021,
-    24: 0x100001b,
-    25: 0x2000009,
-    26: 0x400001b,
-    27: 0x8000027,
-    28: 0x10000003,
-}
-
 
 # ---------------------------------------------------------------------------
 # F_2[X] helpers on int bitmasks
@@ -365,11 +336,13 @@ class Field:
         if not 1 <= n <= MAX_DEGREE:
             raise UnsupportedDegree(f"n={n} outside 1..{MAX_DEGREE}")
         if modulus is None:
-            modulus = DEFAULT_MODULI[n]
-        if modulus < 0 or modulus.bit_length() - 1 != n:
+            # the smallest irreducible with constant term 1, so X + 1 at n = 1
+            modulus = next(p for p in range((1 << n) | 1, 2 << n, 2)
+                           if is_irreducible(p))
+        elif modulus < 0 or modulus.bit_length() - 1 != n:
             raise ReducibleModulus(
                 f"modulus {modulus:#x} is not a polynomial of degree {n}")
-        if not is_irreducible(modulus):
+        elif not is_irreducible(modulus):
             raise ReducibleModulus(f"modulus 0x{modulus:x} is reducible")
         self.n = n
         self.modulus = modulus
@@ -498,10 +471,6 @@ class Field:
             raise DivisionByZero("0 has no multiplicative inverse")
         return self.pow(a, -1)
 
-    def sqrt(self, a: int) -> int:
-        """Unique square root (the inverse Frobenius)."""
-        return self.frob(a, self.n - 1)
-
     # -- traces ----------------------------------------------------------------
 
     def trace_form(self) -> list[int]:
@@ -533,17 +502,6 @@ class Field:
         """Absolute trace sum_i x^(2^i), always 0 or 1."""
         return (x & self.trace_mask()).bit_count() & 1
 
-    def trace_rel(self, x: int, k: int) -> int:
-        """Relative trace onto GF(2^k): x + x^(2^k) + ... + x^(2^(n-k))."""
-        if k <= 0 or self.n % k != 0:
-            raise NotADivisor(f"k={k} does not divide n={self.n}")
-        r = 0
-        t = x
-        for _ in range(self.n // k):
-            r ^= t
-            t = self.frob(t, k)
-        return r
-
     def trace_sub(self, y: int) -> int:
         """Absolute trace of a subfield element, viewed inside GF(2^m)."""
         m = self._require_m()
@@ -569,7 +527,8 @@ class Field:
 
     # -- subfield and bases ------------------------------------------------------
 
-    def subfield(self) -> "SubfieldView":
+    def subfield(self) -> tuple[int, ...]:
+        """The 2^m elements of GF(2^m) inside GF(2^(2m)), in index order."""
         if self._subfield is None:
             # the kernel of x -> x + x^(2^m), spanned from a basis
             m = self._require_m()
@@ -577,40 +536,33 @@ class Field:
             members = [0]
             for b in solve_f2(images, 0)[1]:
                 members += [y ^ b for y in members]
-            self._subfield = SubfieldView(self, tuple(sorted(members)))
+            self._subfield = tuple(sorted(members))
         return self._subfield
 
-    def is_normal(self, u: int, in_subfield: bool = False) -> bool:
-        """True iff the Frobenius orbit of u is an F_2-basis of the (sub)field."""
+    def is_normal(self, u: int) -> bool:
+        """True iff u is in GF(2^m) and its Frobenius orbit spans GF(2^m)."""
         if u == 0:
             raise ZeroElement("0 is never a normal element")
-        if in_subfield:
-            d = self._require_m()
-            if self.frob(u, d) != u:
-                return False
-        else:
-            d = self.n
+        m = self._require_m()
+        if self.frob(u, m) != u:
+            return False
         orbit = []
         t = u
-        for _ in range(d):
+        for _ in range(m):
             orbit.append(t)
             t = self.sqr(t)
-        return rank(orbit) == d
+        return rank(orbit) == m
 
-    def find_normal(self, seed: int = 0, in_subfield: bool = False) -> int:
-        """First normal element met by a wrapped scan from the seed position."""
-        cands = self.subfield().members if in_subfield else range(self.size)
+    def find_normal(self, seed: int = 0) -> int:
+        """First normal element of GF(2^m) met by a wrapped scan of its
+        members from the seed position."""
+        cands = self.subfield()
         count = len(cands)
         for i in range(count):
             u = cands[(seed + i) % count]
-            if u != 0 and self.is_normal(u, in_subfield=in_subfield):
+            if u != 0 and self.is_normal(u):
                 return u
         raise NoSolution("no normal element found")  # unreachable
-
-    def lin_indep(self, elems) -> bool:
-        """True iff the elements are linearly independent over F_2."""
-        elems = list(elems)
-        return rank(elems) == len(elems)
 
     def trace_zero_basis(self) -> list[int]:
         """Basis of the subfield hyperplane {y in GF(2^m) : Tr_sub(y) = 0}."""
@@ -619,7 +571,7 @@ class Field:
             raise DimensionTooSmall("m >= 2 required for a trace-zero basis")
         basis = []
         chosen = []
-        for y in self.subfield().members:
+        for y in self.subfield():
             if y == 0 or self.trace_sub(y) != 0:
                 continue
             if rank(chosen + [y]) > len(chosen):
@@ -671,20 +623,6 @@ class Field:
         return f"n={self.n} mod=0x{self.modulus:x}"
 
 
-class SubfieldView:
-    """The 2^m elements of GF(2^m) inside GF(2^(2m)), in index order."""
-
-    def __init__(self, parent: Field, members: tuple[int, ...]):
-        self.parent = parent
-        self.members = members
-
-    def __contains__(self, y: int) -> bool:
-        return self.parent.frob(y, self.parent.m) == y
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 class BivariateDomain:
     """Index space GF(2^m) x GF(2^m) for bivariate constructions.
 
@@ -707,9 +645,6 @@ class BivariateDomain:
 
     def __repr__(self):
         return f"BivariateDomain({self.base.describe()})"
-
-    def index(self, x: int, y: int) -> int:
-        return (x << self.m) | y
 
     def split(self, idx: int) -> tuple[int, int]:
         return idx >> self.m, idx & (self.base.size - 1)
@@ -750,9 +685,3 @@ def make_field(n: int, modulus: int | None = None) -> Field:
     One shared Field per (n, modulus): a Field only fills its own caches.
     """
     return Field(n, modulus)
-
-
-def parse_field_desc(text: str) -> Field:
-    """Parse the 'n=<int>,mod=0x<hex>' field description."""
-    parts = dict(p.split("=", 1) for p in text.strip().split(","))
-    return Field(int(parts["n"]), int(parts["mod"], 16))

@@ -18,6 +18,7 @@ from . import boolfun, constructions, multipoly
 from .boolfun import DualityClass, TruthTable
 from .constructions import ConstructedPair
 from .errors import (
+    BadRange,
     DimensionTooSmall,
     EmptyExpectation,
     FieldMismatch,
@@ -181,7 +182,7 @@ def demo_carlet(m: int, seed: int = 0) -> list[CarletEntry]:
         raise DimensionTooSmall(
             f"m >= 2 required for a degree-2 rung, got {m}")
     field = make_field(2 * m)
-    u = field.find_normal(seed, in_subfield=True)
+    u = field.find_normal(seed)
     out = []
     for d in range(2, m + 1):
         pair = constructions.kasami_idempotent(
@@ -284,6 +285,10 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
     they are k (n = 4k).  Rejection sampling keeps every drawn parameter
     set inside the family preconditions.
     """
+    m_values = list(m_values)
+    for m in m_values:  # before anything is drawn
+        if m < 1:
+            raise BadRange(f"{family} sizes must be at least 1, got {m}")
     rng = random.Random(seed)
     start = time.perf_counter()
     entries = []

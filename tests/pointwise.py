@@ -12,7 +12,9 @@ walsh_naive, spectrum_from_values) and pullback_mask are the references
 for the packed transforms; monomials and evaluate, which read a
 ReducedPoly monomial by monomial, for the packed polynomial layer; and
 master_identity_holds, beta by beta, for the packed spectrum identity in
-bentkit.verify.
+bentkit.verify.  kasami_base and parseval_holds are the tests' own
+references for the Kasami base table and for Parseval's identity, which
+the library does not need.
 """
 
 from itertools import combinations
@@ -30,7 +32,7 @@ def parity(x: int) -> int:
 
 def to_bitlist(f: TruthTable) -> list[int]:
     """The table's values, index by index."""
-    return [f.bit(i) for i in range(f.domain.size)]
+    return [(f.bits >> i) & 1 for i in range(f.domain.size)]
 
 
 def from_bits(domain, values) -> TruthTable:
@@ -120,6 +122,11 @@ def spectrum_from_values(domain, values) -> WalshSpectrum:
     return WalshSpectrum(domain, planes)
 
 
+def parseval_holds(spec: WalshSpectrum) -> bool:
+    """sum W(beta)^2 = 4^n over the per-beta values."""
+    return sum(v * v for v in spec.values) == 1 << (2 * spec.domain.n)
+
+
 def walsh_naive(f: TruthTable) -> WalshSpectrum:
     """O(4^n) reference evaluation of the Walsh definition."""
     dom = f.domain
@@ -150,7 +157,8 @@ def master_identity_holds(pair) -> bool:
     for beta in range(dom.size):
         total = 0
         for w in range(1 << tau):
-            total += chat[w] * (1 - 2 * gdual.bit(beta ^ shift_xor[w]))
+            sign = (gdual.bits >> (beta ^ shift_xor[w])) & 1
+            total += chat[w] * (1 - 2 * sign)
         if values[beta] != scale * total:
             return False
     return True
@@ -206,6 +214,11 @@ def kasami_bits(field: Field, lam: int) -> int:
     mask = field.subtrace_mask(lam)
     return packed(field.size, lambda x: parity(
         field.mul(x, field.frob(x, field.m)) & mask))
+
+
+def kasami_base(field: Field, lam: int) -> TruthTable:
+    """The quadratic bent base Tr_sub(lam * x^(2^m+1)) as a table."""
+    return TruthTable(field, kasami_bits(field, lam))
 
 
 def kasami_general(field: Field, lam: int, us, F):

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+import pointwise as pw
 from bentkit import boolfun as bf
 from bentkit import constructions as cx
 from bentkit import multipoly as mp
+from bentkit import verify as vf
 from bentkit.cli import main
+from bentkit.errors import BadRange
 from bentkit.gf2n import make_field, rank
 
 
@@ -17,7 +20,7 @@ def run(capsys, *argv):
 
 def subfield_basis(field, count):
     basis = []
-    for y in field.subfield().members:
+    for y in field.subfield():
         if y and rank(basis + [y]) == len(basis) + 1:
             basis.append(y)
         if len(basis) == count:
@@ -118,7 +121,7 @@ def test_verify_json_report(capsys, tmp_path):
 
 def test_walsh_and_anf_commands(capsys, tmp_path):
     field = make_field(4)
-    g = cx.kasami_base(field, 1)
+    g = pw.kasami_base(field, 1)
     path = tmp_path / "g.tt"
     bf.save_tt(g, path)
     code, out, _ = run(capsys, "walsh", str(path))
@@ -132,7 +135,7 @@ def test_walsh_and_anf_commands(capsys, tmp_path):
 
 def test_dual_command_roundtrip(capsys, tmp_path):
     field = make_field(4)
-    g = cx.kasami_base(field, 1)
+    g = pw.kasami_base(field, 1)
     path = tmp_path / "g.tt"
     bf.save_tt(g, path)
     out_path = tmp_path / "gdual.tt"
@@ -267,7 +270,7 @@ def test_construct_refuses_a_shift_pair_violation(capsys, tmp_path, doc):
 def test_verify_rejects_malformed_expectations(capsys, tmp_path, claim,
                                                reason):
     path = tmp_path / "g.tt"
-    bf.save_tt(cx.kasami_base(make_field(4), 1), path)
+    bf.save_tt(pw.kasami_base(make_field(4), 1), path)
     code, out, err = run(capsys, "verify", str(path), "--expect", claim)
     assert code == 2 and out == "" and reason in err
 
@@ -351,6 +354,32 @@ def test_sweep_rejects_trial_counts_below_one(capsys, trials):
     assert code == 2 and out == "" and "BadRange" in err
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+@pytest.mark.parametrize("family",
+                         ["KasamiAntiSelfDual", "MMLinear", "MMMonomial"])
+def test_sweep_rejects_sizes_below_one(capsys, family, size):
+    code, out, err = run(capsys, "sweep", "--family", family, "--m", size,
+                         "--trials", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: BadRange: {family} sizes must be at least 1, " \
+                  f"got {size}\n"
+
+
+def test_library_sweep_refuses_a_size_below_one():
+    with pytest.raises(BadRange, match="got 0"):
+        vf.sweep("MMLinear", [3, 0], 1, 0)
+
+
+def test_kasami_antiselfdual_at_m1_is_a_precondition(capsys, tmp_path):
+    path = tmp_path / "asd.json"
+    path.write_text('{"family": "KasamiAntiSelfDual", "n": 2, "F": "X1"}')
+    want = "error: PreconditionViolated: need n = 2m with m >= 2, got n=2\n"
+    assert run(capsys, "construct", str(path)) == (2, "", want)
+    assert run(capsys, "sweep", "--family", "KasamiAntiSelfDual", "--m", "1",
+               "--trials", "1") == (2, "", want)
+    assert not (tmp_path / "asd.tt").exists()
+
+
 def test_sweep_mm_monomial_at_m1_is_bent(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "MMMonomial", "--m", "1",
                        "--trials", "3")
@@ -366,7 +395,7 @@ def test_sweep_mm_monomial_at_m1_is_bent(capsys):
 ], ids=["verify-dir", "construct-dir", "dual-out-dir", "emit-tt-dir",
         "verify-binary"])
 def test_file_errors_exit_two_without_a_traceback(capsys, tmp_path, argv):
-    bf.save_tt(cx.kasami_base(make_field(4), 1), tmp_path / "g.tt")
+    bf.save_tt(pw.kasami_base(make_field(4), 1), tmp_path / "g.tt")
     (tmp_path / "b.tt").write_bytes(b"\xff\xfe")
     (tmp_path / "d").mkdir()
     paths = {"dir": tmp_path / "d", "tt": tmp_path / "g.tt",

@@ -35,7 +35,7 @@ from bentkit.verify import master_identity_holds
 
 
 def subfield_units(field):
-    return [y for y in field.subfield().members if y]
+    return [y for y in field.subfield() if y]
 
 
 def subfield_basis(field, count):
@@ -79,9 +79,9 @@ def test_kasami_general_f_zero_reduces_to_base():
     field = make_field(6)
     lam = subfield_units(field)[3]
     pair = cx.kasami_general(field, lam, [1], mp.poly(1))
-    assert pair.f.bits == cx.kasami_base(field, lam).bits
+    assert pair.f.bits == pw.kasami_base(field, lam).bits
     # the closed-form dual is the inverse-coefficient base plus one
-    expected = bf.add_const(cx.kasami_base(field, field.inv(lam)), 1)
+    expected = bf.add_const(pw.kasami_base(field, field.inv(lam)), 1)
     assert pair.predicted_dual.bits == expected.bits
     assert_bent_with_dual(pair)
 
@@ -159,7 +159,7 @@ def test_kasami_subfield_rejections():
 def test_kasami_idempotent_elementary_symmetric_ladder():
     for m in (2, 3, 4):
         field = make_field(2 * m)
-        u = field.find_normal(0, in_subfield=True)
+        u = field.find_normal(0)
         for d in range(2, m + 1):
             pair = cx.kasami_idempotent(field, u,
                                         mp.elementary_symmetric(m, d))
@@ -173,7 +173,7 @@ def test_kasami_idempotent_rejections():
     field = make_field(6)
     with pytest.raises(NotNormal):
         cx.kasami_idempotent(field, 1, mp.elementary_symmetric(3, 2))
-    u = field.find_normal(0, in_subfield=True)
+    u = field.find_normal(0)
     with pytest.raises(NotRotationSymmetric):
         cx.kasami_idempotent(field, u, mp.poly(3, 0b011))
 
@@ -186,7 +186,7 @@ def test_kasami_antiselfdual():
             == bf.DualityClass.ANTI_SELF_DUAL)
     # F = 0 leaves the base, itself anti-self-dual
     base_pair = cx.kasami_antiselfdual(field, mp.poly(2))
-    assert base_pair.f.bits == cx.kasami_base(field, 1).bits
+    assert base_pair.f.bits == pw.kasami_base(field, 1).bits
     assert_bent_with_dual(base_pair)
 
 
@@ -212,7 +212,7 @@ def test_quad_idempotent_g_examples():
     field = make_field(6)
     m = 3
     kasami_like = cx.quad_idempotent_g(field, [0] * m + [1], 0)
-    assert kasami_like.bits == cx.kasami_base(field, 1).bits
+    assert kasami_like.bits == pw.kasami_base(field, 1).bits
     const_one = cx.quad_idempotent_g(field, [0] * (m + 1), 1)
     assert const_one.bits == (1 << field.size) - 1
     assert not bf.is_bent(bf.walsh(const_one))
@@ -272,7 +272,7 @@ def test_quad_idempotent_family_degree_ladder():
             c = [rng.randint(0, 1) for _ in range(m + 1)]
             if cx.is_quad_bent_gcd(c):
                 break
-        u = field.find_normal(1, in_subfield=True)
+        u = field.find_normal(1)
         for d in range(2, m + 1):
             pair = cx.quad_idempotent_family(
                 field, c, 0, u, mp.elementary_symmetric(m, d))
@@ -356,7 +356,7 @@ def test_niho_exponents_frozen_values():
 
 def test_niho_k1_reduces_to_norm_base():
     field = make_field(6)
-    assert cx.niho_g(field, 1).bits == cx.kasami_base(field, 1).bits
+    assert cx.niho_g(field, 1).bits == pw.kasami_base(field, 1).bits
 
 
 @pytest.mark.parametrize("m,k", [(3, 1), (3, 2), (4, 3)])
@@ -379,7 +379,7 @@ def test_niho_family_dual_and_reduction():
 
 def test_niho_normal_orbit_gives_idempotent():
     field = make_field(6)
-    u = field.find_normal(0, in_subfield=True)
+    u = field.find_normal(0)
     orbit = [field.frob(u, i) for i in range(3)]
     pair = cx.niho_family(field, 2, orbit,
                           mp.rotation_closure(0b011, 3))
@@ -408,7 +408,7 @@ def test_bivariate_index_roundtrip():
         dom = BivariateDomain(base)
         for x in range(base.size):
             for y in range(base.size):
-                assert dom.split(dom.index(x, y)) == (x, y)
+                assert dom.split((x << m) | y) == (x, y)
 
 
 def test_mat_invert_roundtrip():
@@ -514,7 +514,7 @@ def test_master_identity_every_family():
     rng = random.Random(100)
     field6 = make_field(6)
     us6 = subfield_basis(field6, 2)
-    u_norm = field6.find_normal(0, in_subfield=True)
+    u_norm = field6.find_normal(0)
     gold_field = make_field(8)
     gold_lam = gold_field.solve_semilinear(6, 1)
     instances = [
@@ -590,9 +590,9 @@ def test_build_dispatches_and_validates():
 
     table = cx.build(cx.ConstructionSpec(family="QuadIdem", n=6, mod=0x43,
                                          c=(0, 0, 0, 1), eps=0))
-    assert table.bits == cx.kasami_base(field, 1).bits
+    assert table.bits == pw.kasami_base(field, 1).bits
 
-    u_norm = field.find_normal(0, in_subfield=True)
+    u_norm = field.find_normal(0)
     idem = cx.build(cx.ConstructionSpec(
         family="QuadFamily", n=6, mod=0x43, c=(0, 0, 0, 1), eps=0,
         u=(u_norm,), F="X1*X2+X2*X3+X1*X3"))

@@ -6,19 +6,17 @@ from bentkit.errors import (
     DimensionTooSmall,
     DivisionByZero,
     NoSolution,
-    NotADivisor,
     NotInSubfield,
     ReducibleModulus,
     UnsupportedDegree,
     ZeroElement,
 )
 from bentkit.gf2n import (
-    DEFAULT_MODULI,
     MAX_TABLE_DEGREE,
+    Field,
     coordinate_tables,
     is_irreducible,
     make_field,
-    parse_field_desc,
     rank,
 )
 
@@ -37,7 +35,11 @@ def test_default_moduli_are_smallest_irreducible():
         cand = 1 << n
         while not is_irreducible(cand):
             cand += 1
-        assert DEFAULT_MODULI[n] == cand
+        assert make_field(n).modulus == cand
+    # X + 1 at n = 1, not X; and the moduli behind the benchmark's records
+    pinned = {1: 0x3, 8: 0x11b, 14: 0x4021, 16: 0x1002b}
+    for n, modulus in pinned.items():
+        assert make_field(n).modulus == modulus
 
 
 def test_make_field_degree_two_unique_choice():
@@ -47,6 +49,7 @@ def test_make_field_degree_two_unique_choice():
 def test_make_field_accepts_explicit_irreducible():
     field = make_field(4, 0x13)
     assert field.describe() == "n=4,mod=0x13"
+    assert field == Field(4) and hash(field) == hash(Field(4))
 
 
 def test_make_field_rejects_reducible():
@@ -102,10 +105,8 @@ def test_frobenius_is_multiplicative():
 @pytest.mark.parametrize("n", [2, 3, 6, 12])
 def test_fermat_and_sqrt_exhaustive(n):
     field = make_field(n)
-    for a in range(field.size):
-        assert field.sqrt(field.mul(a, a)) == a
-        if a:
-            assert field.pow(a, field.size - 1) == 1
+    for a in range(1, field.size):
+        assert field.pow(a, field.size - 1) == 1
 
 
 def test_pow_conventions():
@@ -145,25 +146,6 @@ def test_trace_examples():
     assert make_field(2).trace_abs(2) == 1  # alpha + alpha^2 = 1
 
 
-def test_trace_rel_identity_and_two_term():
-    field = make_field(6)
-    for x in range(field.size):
-        assert field.trace_rel(x, 6) == x
-        assert field.trace_rel(x, 3) == x ^ field.frob(x, 3)
-
-
-def test_trace_rel_transitivity_exhaustive():
-    field = make_field(4)
-    for x in range(16):
-        inner = field.trace_rel(x, 2)
-        assert field.trace_sub(inner) == field.trace_abs(x)
-
-
-def test_trace_rel_rejects_non_divisor():
-    with pytest.raises(NotADivisor):
-        make_field(6).trace_rel(5, 4)
-
-
 def test_trace_sub_matches_subfield_bruteforce():
     field = make_field(4)
     for x in range(16):
@@ -187,58 +169,55 @@ def test_trace_sub_examples_and_errors():
 def test_subfield_membership_and_closure(n):
     field = make_field(n)
     sub = field.subfield()
-    assert len(sub) == 1 << field.m
-    members = set(sub.members)
-    for a in sub.members:
-        assert a in sub
-        for b in sub.members:
+    assert len(sub) == 1 << field.m and list(sub) == sorted(sub)
+    members = set(sub)
+    for a in sub:
+        assert field.frob(a, field.m) == a
+        for b in sub:
             assert (a ^ b) in members
             assert field.mul(a, b) in members
 
 
 def test_is_normal_examples():
-    assert make_field(2).is_normal(2)
-    assert not make_field(4).is_normal(1)
+    assert make_field(2).is_normal(1)  # GF(2) = {0, 1} is its own basis
+    assert not make_field(4).is_normal(1)  # 1 spans only GF(2) in GF(4)
     with pytest.raises(ZeroElement):
         make_field(4).is_normal(0)
+    with pytest.raises(NotInSubfield):
+        make_field(5).is_normal(1)
 
 
 def test_is_normal_matches_rank_oracle():
-    field = make_field(4)
-    for u in range(1, 16):
+    field = make_field(8)
+    for u in field.subfield()[1:]:
         orbit = [u, field.sqr(u), field.frob(u, 2), field.frob(u, 3)]
         assert field.is_normal(u) == (rank(orbit) == 4)
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_is_normal_is_false_outside_the_subfield(n):
+    field = make_field(n)
+    outside = set(range(field.size)) - set(field.subfield())
+    assert outside and not any(field.is_normal(u) for u in outside)
+
+
 def test_find_normal_deterministic():
     field = make_field(2)
-    assert field.find_normal(0) == 2  # first candidate past 0 and 1
+    assert field.find_normal(0) == 1  # the only candidate in GF(2)
     big = make_field(8)
-    u1 = big.find_normal(17, in_subfield=True)
-    u2 = big.find_normal(17, in_subfield=True)
-    assert u1 == u2
-    assert big.is_normal(u1, in_subfield=True)
-
-
-def test_lin_indep():
-    field = make_field(6)
-    assert field.lin_indep([])
-    assert not field.lin_indep([5, 5])
-    # a subfield basis stays independent inside the big field
-    basis = []
-    for y in field.subfield().members:
-        if y and rank(basis + [y]) == len(basis) + 1:
-            basis.append(y)
-    assert len(basis) == 3 and field.lin_indep(basis)
+    u1 = big.find_normal(17)
+    u2 = big.find_normal(17)
+    assert u1 == u2 and u1 in big.subfield()
+    assert big.is_normal(u1)
 
 
 def test_trace_zero_basis_spans_hyperplane():
     field = make_field(6)
     basis = field.trace_zero_basis()
     assert len(basis) == 2
-    assert field.lin_indep(basis)
+    assert rank(basis) == 2
     assert all(field.trace_sub(v) == 0 for v in basis)
-    t0 = {y for y in field.subfield().members if field.trace_sub(y) == 0}
+    t0 = {y for y in field.subfield() if field.trace_sub(y) == 0}
     assert len(t0) == 4
     span = {0, basis[0], basis[1], basis[0] ^ basis[1]}
     assert span == t0
@@ -275,10 +254,3 @@ def test_solve_semilinear_no_solution():
                if all(z ^ field.frob(z, 2) != t for z in range(field.size)))
     with pytest.raises(NoSolution):
         field.solve_semilinear(2, bad)
-
-
-def test_field_description_roundtrip():
-    field = make_field(7)
-    again = parse_field_desc(field.describe())
-    assert again == field
-    assert hash(again) == hash(field)

@@ -147,7 +147,7 @@ def test_walsh_planes_match_the_list_transform(f):
     assert spec.values == old
     assert pw.spectrum_from_values(f.domain, old) == spec
     assert [spec.value(beta) for beta in range(f.domain.size)] == list(old)
-    assert spec.parseval_holds()
+    assert pw.parseval_holds(spec)
 
 
 @given(st.integers(1, 8), st.integers(0, 6), st.data())
@@ -205,7 +205,7 @@ def test_packed_anf_and_degree_match_moebius(f):
     assert poly.degree() == max(
         (i.bit_count() for i, c in enumerate(coeffs) if c), default=0)
     assert bf.degree(f) == poly.degree()
-    assert bf.from_anf(f.domain, poly).bits == f.bits
+    assert pw.mobius(coeffs) == pw.to_bitlist(f)
 
 
 @given(st.integers(1, 8), st.data())
@@ -249,7 +249,7 @@ def test_fourier_matches_the_list_transform(tau):
 def test_idempotence_matches_the_squaring_permutation(f):
     perm = f.domain.squaring_perm()
     assert bf.is_idempotent(f) == all(
-        f.bit(i) == f.bit(j) for i, j in enumerate(perm))
+        (f.bits >> i) & 1 == (f.bits >> j) & 1 for i, j in enumerate(perm))
 
 
 @given(domains(), st.data())
@@ -298,7 +298,7 @@ def test_translate_matches_the_per_index_shift(dom, data):
     bits = data.draw(st.integers(0, (1 << dom.size) - 1))
     if isinstance(dom, BivariateDomain):
         element = st.integers(0, dom.base.size - 1)
-        s = dom.index(data.draw(element), data.draw(element))
+        s = (data.draw(element) << dom.m) | data.draw(element)
     else:
         s = data.draw(st.integers(0, dom.size - 1))
     assert translate(bits, dom.n, s) == packed(
@@ -352,7 +352,7 @@ def test_trace_masks_match_the_definition(field, data):
     assert field.trace_mask(u) == pw.trace_mask(field, u)
     assert field.walsh_index(u) == pw.trace_mask(field, u)
     if field.m is not None:
-        y = data.draw(st.sampled_from(field.subfield().members))
+        y = data.draw(st.sampled_from(field.subfield()))
         assert field.trace_sub(y) == pw.trace_sub(field, y)
 
 
@@ -379,13 +379,13 @@ def test_field_products_refuse_a_negative_operand(field, negative, data):
 
 @given(fields(max_n=12, min_n=2, step=2))
 def test_subfield_is_the_frobenius_fixed_set(field):
-    assert field.subfield().members == tuple(
+    assert field.subfield() == tuple(
         y for y in range(field.size) if field.frob(y, field.m) == y)
 
 
 def sample_kasami_general(data, rng, subfield_only=False):
     field = data.draw(fields(max_n=10, min_n=4, step=2))
-    lam = rng.choice([y for y in field.subfield().members if y])
+    lam = rng.choice([y for y in field.subfield() if y])
     tau = rng.randint(1, field.m)
     us = cx.kasami_valid_us(field, lam, tau, rng, subfield_only=subfield_only)
     F = cx.random_poly(tau, rng)
@@ -398,7 +398,7 @@ def sample_kasami_general(data, rng, subfield_only=False):
 
 def sample_kasami_idempotent(data, rng):
     field = data.draw(fields(max_n=10, min_n=4, step=2))
-    u = field.find_normal(rng.randrange(1 << field.m), in_subfield=True)
+    u = field.find_normal(rng.randrange(1 << field.m))
     F = cx.random_rotsym_poly(field.m, rng)
     return (cx.kasami_idempotent(field, u, F),
             pw.kasami_idempotent(field, u, F))
@@ -420,7 +420,7 @@ def sample_quad_family(data, rng):
     assert base.bits == pw.quad_bits(field, c, eps)
     assume(cx.is_quad_bent_gcd(c))
     tau = rng.randint(1, m)
-    us = rng.sample([y for y in field.subfield().members if y], tau)
+    us = rng.sample([y for y in field.subfield() if y], tau)
     F = cx.random_poly(tau, rng)
     return (cx.quad_family(field, c, eps, us, F),
             pw.quad_family(field, c, eps, us, F))
@@ -440,7 +440,7 @@ def sample_niho(data, rng):
     m = field.m
     k = rng.choice([k for k in range(1, m + 1) if math.gcd(k, m) == 1])
     tau = rng.randint(1, m)
-    us = rng.sample([y for y in field.subfield().members if y], tau)
+    us = rng.sample([y for y in field.subfield() if y], tau)
     F = cx.random_poly(tau, rng)
     return cx.niho_family(field, k, us, F), pw.niho_family(field, k, us, F)
 
@@ -576,8 +576,8 @@ def polar_ok(dom, gdual: int):
 @given(fields(max_n=10, min_n=4, step=2), st.integers(0, 2**32 - 1))
 def test_kasami_pair_predicate_is_the_table_condition(field, seed):
     rng = random.Random(seed)
-    for lam in field.subfield().members[1:]:
-        gdual = spectrum_dual(cx.kasami_base(field, lam))
+    for lam in field.subfield()[1:]:
+        gdual = spectrum_dual(pw.kasami_base(field, lam))
         ok = polar_ok(field, cx._kasami_dual(field, lam))
         for _ in range(4):
             u, v = rng.randrange(field.size), rng.randrange(field.size)

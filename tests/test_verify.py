@@ -1,5 +1,6 @@
 import pytest
 
+import pointwise as pw
 from bentkit import boolfun as bf
 from bentkit import constructions as cx
 from bentkit import multipoly as mp
@@ -10,7 +11,7 @@ from bentkit.gf2n import BivariateDomain, Field, make_field
 
 def test_verify_kasami_expectations_met():
     field = make_field(4)
-    g = cx.kasami_base(field, 1)
+    g = pw.kasami_base(field, 1)
     rep = vf.verify(g, vf.Expectation(bent=True, degree=2, idempotent=True))
     assert rep.all_claims_met
     assert rep.walsh_min_abs == rep.walsh_max_abs == 4
@@ -29,7 +30,7 @@ def test_verify_flags_failures_with_witness():
 
 def test_verify_predicted_dual_comparison():
     field = make_field(4)
-    g = cx.kasami_base(field, 1)
+    g = pw.kasami_base(field, 1)
     good = vf.verify(g, vf.Expectation(bent=True),
                      predicted_dual=bf.add_const(g, 1))
     assert good.dual_match is True and good.all_claims_met
@@ -39,7 +40,7 @@ def test_verify_predicted_dual_comparison():
 
 
 def test_verify_refuses_a_dual_from_another_domain():
-    g = cx.kasami_base(make_field(6), 1)
+    g = pw.kasami_base(make_field(6), 1)
     true_dual = bf.add_const(g, 1)
     for domain in (make_field(8), Field(6, 0x49),
                    BivariateDomain(make_field(3))):
@@ -59,7 +60,7 @@ def test_failure_messages_count_the_mismatches():
     # W(0) = 16 and W(beta) = 0 elsewhere: every beta is off +-4
     assert zero.failures == [
         "expected bent but W(0x0) = 16; 16 beta have |W| != 4"]
-    g = cx.kasami_base(field, 1)
+    g = pw.kasami_base(field, 1)
     true_dual = bf.add_const(g, 1)
     near = bf.TruthTable(field, true_dual.bits ^ 0b1010_0100)
     rep = vf.verify(g, vf.Expectation(bent=True), predicted_dual=near)
@@ -68,7 +69,7 @@ def test_failure_messages_count_the_mismatches():
 
 def test_report_carries_the_computed_dual():
     field = make_field(4)
-    g = cx.kasami_base(field, 1)
+    g = pw.kasami_base(field, 1)
     rep = vf.verify(g, vf.Expectation(bent=True))
     assert rep.computed_dual.bits == bf.dual(bf.walsh(g)).bits
     assert "computed_dual" not in rep.to_dict()
@@ -93,7 +94,7 @@ def test_expectation_must_claim_something():
 
 def test_report_serializes():
     field = make_field(4)
-    rep = vf.verify(cx.kasami_base(field, 1), vf.Expectation(bent=True))
+    rep = vf.verify(pw.kasami_base(field, 1), vf.Expectation(bent=True))
     doc = rep.to_dict()
     assert doc["is_bent"] is True
     assert doc["duality"] == "AntiSelfDual"
