@@ -96,14 +96,15 @@ def _sampled() -> list:
     """(family, m, built) of each seeded sample; built is None if the
     sampler found none in 64 attempts."""
     out = []
-    for family in sorted(constructions.FAMILIES):
+    for family, record in sorted(constructions.FAMILIES.items()):
         rng = random.Random(family)
         for m in _sizes(family, range(2, 7), range(1, 3)):
             for _ in range(SAMPLES_PER_SIZE):
                 built = None
                 for _attempt in range(64):
                     try:
-                        built, _exp = verify._sample(family, m, rng)
+                        built = constructions.build(
+                            record.sample(record.scale * m, rng))
                         break
                     except NoSolution:
                         continue

@@ -856,6 +856,13 @@ def _sample_mm_monomial(n: int, rng: random.Random) -> ConstructionSpec:
     return _with_shifts("MMMonomial", n, pairs, rng, s=s)
 
 
+def _idempotent_claims(spec: ConstructionSpec, built: ConstructedPair) -> dict:
+    """A bent idempotent of degree deg F, or 2 (the quadratic base) for an
+    affine F."""
+    return {"bent": True, "idempotent": True,
+            "degree": max(2, built.poly.degree())}
+
+
 @dataclass(frozen=True)
 class Family:
     """One family.  build and sample call the constructors by their module
@@ -886,8 +893,7 @@ FAMILIES = {
         lambda n, rng: ConstructionSpec("KasamiIdempotent", n, u=(
             gf2n.make_field(n).find_normal(rng.randrange((1 << n // 2) - 1)),),
             F=multipoly.format_poly(random_rotsym_poly(n // 2, rng))),
-        lambda s, b: {"bent": True, "idempotent": True,
-                      "degree": max(2, b.poly.degree())}),
+        _idempotent_claims),
     "KasamiAntiSelfDual": Family(
         ("F",),
         # the size is checked before F is read in m - 1 variables
@@ -904,8 +910,12 @@ FAMILIES = {
             rng.randint(0, 1) for _ in range(n // 2 + 1)), eps=rng.randint(0, 1)),
         lambda s, b: {"bent": is_quad_bent_gcd(s.c), "idempotent": True},
         optional=("eps",)),
-    "QuadFamily": Family(("c", "u", "F"), _build_quad_family,
-                         _sample_quad_family, optional=("eps",)),
+    "QuadFamily": Family(
+        ("c", "u", "F"), _build_quad_family, _sample_quad_family,
+        # one shift expanded into its normal orbit: the idempotent branch
+        lambda s, b: (_idempotent_claims(s, b) if len(b.shifts) != len(s.u)
+                      else {"bent": True}),
+        optional=("eps",)),
     "GoldLike": Family(("u", "F"), _build_gold_like, _sample_gold_like,
                        scale=4, optional=("lambda", "k")),
     "Niho": Family(

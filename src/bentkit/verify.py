@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import boolfun, constructions, multipoly
 from .boolfun import DualityClass, TruthTable
-from .constructions import ConstructedPair
+from .constructions import ConstructedPair, ConstructionSpec
 from .errors import (
     BadRange,
     DimensionTooSmall,
@@ -34,12 +34,10 @@ class Expectation:
     degree: int | None = None
     idempotent: bool | None = None
     duality: DualityClass | None = None
-    dual_table: TruthTable | None = None
 
     def __post_init__(self):
         if (self.bent is None and self.degree is None
-                and self.idempotent is None and self.duality is None
-                and self.dual_table is None):
+                and self.idempotent is None and self.duality is None):
             raise EmptyExpectation("expectation is empty")
 
 
@@ -77,11 +75,10 @@ def verify(f: TruthTable, exp: Expectation,
            predicted_dual: TruthTable | None = None) -> VerificationReport:
     """Run the full exact pipeline on f and compare against expectations.
 
-    A predicted or expected dual from another domain is FieldMismatch.
+    A predicted dual from another domain is FieldMismatch.
     """
-    for other in (predicted_dual, exp.dual_table):
-        if other is not None and other.domain != f.domain:
-            raise FieldMismatch("dual table lives on a different domain")
+    if predicted_dual is not None and predicted_dual.domain != f.domain:
+        raise FieldMismatch("dual table lives on a different domain")
     start = time.perf_counter()
     spec = boolfun.walsh(f)
     lo, hi = spec.extrema()
@@ -107,7 +104,9 @@ def verify(f: TruthTable, exp: Expectation,
                                 f"first at beta={beta:#x}")
 
     if exp.bent is not None and bent != exp.bent:
-        if exp.bent:
+        if exp.bent and f.domain.n % 2:
+            failures.append(f"expected bent but n={f.domain.n} is odd")
+        elif exp.bent:
             off = spec.off_flat_mask()
             bad = (off & -off).bit_length() - 1
             failures.append(
@@ -121,15 +120,32 @@ def verify(f: TruthTable, exp: Expectation,
         failures.append(f"idempotent={idem} != expected {exp.idempotent}")
     if exp.duality is not None and dcls != exp.duality:
         failures.append(f"duality {dcls.value} != expected {exp.duality.value}")
-    if exp.dual_table is not None:
-        if computed_dual is None or exp.dual_table.bits != computed_dual.bits:
-            failures.append("computed dual differs from the expected table")
     return VerificationReport(
         is_bent=bent, walsh_min_abs=lo, walsh_max_abs=hi, degree=deg,
         idempotent=idem, duality=dcls, dual_match=dual_match,
         elapsed=time.perf_counter() - start,
         all_claims_met=not failures, failures=failures,
         computed_dual=computed_dual)
+
+
+@dataclass
+class Checked:
+    label: str
+    f: TruthTable
+    predicted_dual: TruthTable | None
+    report: VerificationReport
+
+
+def check(spec: ConstructionSpec) -> Checked:
+    """Build a spec and verify its family's claims, and f against the
+    predicted dual where the family has one."""
+    built = constructions.build(spec)
+    exp = Expectation(**constructions.FAMILIES[spec.family].claims(spec, built))
+    if isinstance(built, ConstructedPair):
+        label, f, dual = built.notes, built.f, built.predicted_dual
+    else:  # QuadIdem: the bare base, with no dual attached
+        label, f, dual = f"{spec.family} m={spec.n // 2}", built, None
+    return Checked(label, f, dual, verify(f, exp, predicted_dual=dual))
 
 
 def master_identity_holds(pair: ConstructedPair) -> bool:
@@ -208,19 +224,20 @@ class MesnagerBundle:
             r.all_claims_met for r in self.reports)
 
 
-def demo_mesnager(m: int, F1: ReducedPoly | None = None,
-                  F2: ReducedPoly | None = None,
-                  F3: ReducedPoly | None = None) -> MesnagerBundle:
-    """Three anti-self-dual functions whose sum stays anti-self-dual."""
+def demo_mesnager(m: int, F1: ReducedPoly | str | None = None,
+                  F2: ReducedPoly | str | None = None,
+                  F3: ReducedPoly | str | None = None) -> MesnagerBundle:
+    """Three anti-self-dual functions whose sum stays anti-self-dual.
+
+    Each F is in m - 1 variables; an F given as text is parsed only after
+    m is checked."""
     if m < 3:
         raise NoSolution("m >= 3 required so degree >= 2 choices exist")
     tau = m - 1
-    if F1 is None:
-        F1 = multipoly.poly(tau, 0b11)
-    if F2 is None:
-        F2 = multipoly.poly(tau, 0b10)
-    if F3 is None:
-        F3 = multipoly.poly(tau, 0b01)
+    F1, F2, F3 = (multipoly.poly(tau, mask) if F is None
+                  else multipoly.parse_poly(F, tau) if isinstance(F, str)
+                  else F
+                  for F, mask in ((F1, 0b11), (F2, 0b10), (F3, 0b01)))
     field = make_field(2 * m)
     want = Expectation(bent=True, duality=DualityClass.ANTI_SELF_DUAL)
     pairs = [constructions.kasami_antiselfdual(field, F)
@@ -270,12 +287,10 @@ class SweepReport:
         }
 
 
-def _sample(family: str, m: int, rng: random.Random):
-    """One random valid instance of size m: (pair-or-table, Expectation)."""
+def _sample(family: str, m: int, rng: random.Random) -> ConstructionSpec:
+    """One random valid spec of size m."""
     record = constructions.FAMILIES[family]
-    spec = record.sample(record.scale * m, rng)
-    built = constructions.build(spec)
-    return built, Expectation(**record.claims(spec, built))
+    return record.sample(record.scale * m, rng)
 
 
 def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
@@ -283,45 +298,38 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
 
     m_values are subfield degrees m (n = 2m), except for GoldLike where
     they are k (n = 4k).  Rejection sampling keeps every drawn parameter
-    set inside the family preconditions.
+    set inside the family preconditions.  A sweep that would check
+    nothing (no sizes, or fewer than one trial) is BadRange.
     """
     m_values = list(m_values)
+    if not m_values:
+        raise BadRange(f"{family} needs at least one size")
+    if trials < 1:
+        raise BadRange(f"trials must be at least 1, got {trials}")
     for m in m_values:  # before anything is drawn
         if m < 1:
             raise BadRange(f"{family} sizes must be at least 1, got {m}")
     rng = random.Random(seed)
     start = time.perf_counter()
     entries = []
-    bent_count = claims_met = dual_checked = dual_matched = 0
-    total = 0
     for m in m_values:
         for _ in range(trials):
             for _attempt in range(64):
                 try:
-                    built, exp = _sample(family, m, rng)
+                    spec = _sample(family, m, rng)
                     break
                 except NoSolution:
                     continue
             else:
                 raise NoSolution(
                     f"could not sample valid {family} parameters at m={m}")
-            if isinstance(built, ConstructedPair):
-                rep = verify(built.f, exp,
-                             predicted_dual=built.predicted_dual)
-                notes = built.notes
-                if built.predicted_dual is not None:
-                    dual_checked += 1
-                    if rep.dual_match:
-                        dual_matched += 1
-            else:
-                rep = verify(built, exp)
-                notes = f"{family} m={m}"
-            total += 1
-            bent_count += rep.is_bent
-            claims_met += rep.all_claims_met
-            entries.append(SweepEntry(notes, rep))
+            checked = check(spec)
+            entries.append(SweepEntry(checked.label, checked.report))
+    reports = [e.report for e in entries]
     return SweepReport(
-        family=family, trials=total, claims_met=claims_met,
-        bent_count=bent_count, dual_checked=dual_checked,
-        dual_matched=dual_matched,
+        family=family, trials=len(reports),
+        claims_met=sum(r.all_claims_met for r in reports),
+        bent_count=sum(r.is_bent for r in reports),
+        dual_checked=sum(r.dual_match is not None for r in reports),
+        dual_matched=sum(r.dual_match is True for r in reports),
         elapsed=time.perf_counter() - start, entries=entries)

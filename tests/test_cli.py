@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ from bentkit import constructions as cx
 from bentkit import multipoly as mp
 from bentkit import verify as vf
 from bentkit.cli import main
-from bentkit.errors import BadRange
+from bentkit.errors import BadRange, NoSolution
 from bentkit.gf2n import make_field, rank
 
 
@@ -164,6 +165,15 @@ def test_demo_mesnager_command(capsys):
                        "--f1", "X1*X2", "--f2", "X2", "--f3", "X1")
     assert code == 0
     assert out.count("PASS") == 5  # f1, f2, f3, sum, table equality
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("fs", [[], ["--f1", "X1"],
+                                ["--f1", "X1*X2", "--f2", "X2", "--f3", "X1"]],
+                         ids=["default", "f1", "all"])
+def test_demo_mesnager_checks_m_before_reading_f(capsys, m, fs):
+    want = "error: NoSolution: m >= 3 required so degree >= 2 choices exist\n"
+    assert run(capsys, "demo", "mesnager", "--m", str(m), *fs) == (2, "", want)
 
 
 def test_sweep_command(capsys):
@@ -451,3 +461,30 @@ def test_tables_above_n24_are_refused_up_front(capsys):
         assert "UnsupportedDegree" in err and "n=26" in err
     # fields still reach n = 28 for scalar arithmetic
     assert run(capsys, "field", "--n", "28")[0] == 0
+
+
+@pytest.mark.parametrize("family", sorted(cx.FAMILIES))
+def test_construct_and_sweep_report_what_check_reports(capsys, tmp_path,
+                                                       family):
+    m, seed = (1 if family == "GoldLike" else 3), 5
+    rng = random.Random(seed)
+    for _attempt in range(64):  # the sweep's first draw
+        try:
+            spec = vf._sample(family, m, rng)
+            break
+        except NoSolution:
+            continue
+    checked = vf.check(spec)
+    want = checked.report.to_dict() | {"elapsed": 0}
+    path = tmp_path / "inst.json"
+    path.write_text(cx.spec_to_json(spec))
+    code, out, _ = run(capsys, "construct", str(path), "--json")
+    doc = json.loads(out)
+    files = doc.pop("files")
+    assert code == 0 and doc | {"elapsed": 0} == want
+    assert bf.load_tt(files[0]).bits == checked.f.bits
+    code, out, _ = run(capsys, "construct", str(path))
+    assert code == 0 and f"PASS {checked.label}: " in out
+    entry = vf.sweep(family, [m], 1, seed).entries[0]
+    assert entry.notes == checked.label
+    assert entry.report.to_dict() | {"elapsed": 0} == want

@@ -5,7 +5,12 @@ from bentkit import boolfun as bf
 from bentkit import constructions as cx
 from bentkit import multipoly as mp
 from bentkit import verify as vf
-from bentkit.errors import BentkitError, DimensionTooSmall, FieldMismatch
+from bentkit.errors import (
+    BadRange,
+    BentkitError,
+    DimensionTooSmall,
+    FieldMismatch,
+)
 from bentkit.gf2n import BivariateDomain, Field, make_field
 
 
@@ -47,11 +52,14 @@ def test_verify_refuses_a_dual_from_another_domain():
         other = bf.TruthTable(domain, true_dual.bits)
         with pytest.raises(FieldMismatch):
             vf.verify(g, vf.Expectation(bent=True), predicted_dual=other)
-        with pytest.raises(FieldMismatch):
-            vf.verify(g, vf.Expectation(dual_table=other))
-    rep = vf.verify(g, vf.Expectation(dual_table=true_dual),
-                    predicted_dual=true_dual)
+    rep = vf.verify(g, vf.Expectation(bent=True), predicted_dual=true_dual)
     assert rep.all_claims_met and rep.dual_match
+
+
+def test_bent_claim_on_odd_n_says_n_is_odd():
+    table = bf.parse_tt("BF n=3 mod=0xb\nff\n")
+    rep = vf.verify(table, vf.Expectation(bent=True))
+    assert rep.failures == ["expected bent but n=3 is odd"]
 
 
 def test_failure_messages_count_the_mismatches():
@@ -155,9 +163,15 @@ def test_sweep_deterministic_and_all_pass():
             == [e.report.to_dict() | {"elapsed": 0} for e in b.entries])
 
 
-def test_sweep_zero_trials():
-    rep = vf.sweep("GoldLike", [1], 0, seed=7)
-    assert rep.trials == 0 and rep.all_ok
+@pytest.mark.parametrize("trials", [0, -2])
+def test_sweep_refuses_trial_counts_below_one(trials):
+    with pytest.raises(BadRange, match=f"got {trials}"):
+        vf.sweep("GoldLike", [1], trials, seed=7)
+
+
+def test_sweep_refuses_an_empty_size_list():
+    with pytest.raises(BadRange, match="at least one size"):
+        vf.sweep("MMLinear", [], 5, seed=0)
 
 
 def test_sweep_gold_duals():
@@ -176,3 +190,37 @@ def test_sweep_every_family_samples_cleanly(family):
     assert rep.all_ok, [  # surface the first failing entry
         (e.notes, e.report.failures) for e in rep.entries
         if not e.report.all_claims_met]
+
+
+QUAD_IDEM_FAMILY = ('{"family": "QuadFamily", "n": 8, "c": [1, 0, 0, 0, 1],'
+                    ' "u": ["0xc"],'
+                    ' "F": "X1*X2*X3+X2*X3*X4+X3*X4*X1+X4*X1*X2"}')
+
+
+def test_quad_idempotent_family_claims_idempotence_and_degree():
+    spec = cx.spec_from_json(QUAD_IDEM_FAMILY)
+    built = cx.build(spec)
+    assert built.notes.startswith("QuadIdemFamily")
+    assert cx.FAMILIES["QuadFamily"].claims(spec, built) == {
+        "bent": True, "idempotent": True, "degree": 3}
+    checked = vf.check(spec)
+    assert checked.label == built.notes and checked.report.all_claims_met
+    # affine F: the degree is the quadratic base's
+    affine = cx.spec_from_json(QUAD_IDEM_FAMILY.replace(
+        "X1*X2*X3+X2*X3*X4+X3*X4*X1+X4*X1*X2", "X1+X2+X3+X4"))
+    assert cx.FAMILIES["QuadFamily"].claims(
+        affine, cx.build(affine))["degree"] == 2
+    # several shifts, F in one variable per shift: only bentness is claimed
+    plain = cx.ConstructionSpec("QuadFamily", 8, c=(1, 0, 0, 0, 1),
+                                u=(0xc, 0xd), F="X1*X2")
+    assert cx.FAMILIES["QuadFamily"].claims(
+        plain, cx.build(plain)) == {"bent": True}
+
+
+def test_check_labels_the_bare_quad_base_by_m():
+    spec = cx.ConstructionSpec("QuadIdem", 6, c=(1, 0, 0, 0))
+    checked = vf.check(spec)
+    assert checked.label == "QuadIdem m=3"
+    assert checked.predicted_dual is None
+    assert checked.report.dual_match is None
+    assert not checked.report.is_bent and checked.report.all_claims_met
