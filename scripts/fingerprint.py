@@ -30,7 +30,8 @@ shows which parts moved and which stayed.  The parts, in order:
 
 Equal digests before and after a change mean these outputs are equal bit
 for bit.  The script reads only long-standing entry points, so one copy of
-it runs on two neighbouring commits; it takes about 3 s on a 2-core Xeon.
+it usually runs on two neighbouring commits; where a signature changed,
+run each commit's own copy.  It takes about 3 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -171,10 +172,11 @@ def pair_decisions():
             b = rng.randrange(1 << m)
             yield from _decisions(
                 f"MMLinear m={m} pi={pi} b={b:#x}",
-                partial(constructions.mm_linear, m, pi, b), grid)
+                partial(constructions.mm_linear, make_field(m), pi, b), grid)
     for s in (1, 3):
         yield from _decisions(f"MMMonomial m=3 s={s}",
-                              partial(constructions.mm_monomial, 3, s),
+                              partial(constructions.mm_monomial,
+                                      make_field(3), s),
                               _grid(3))
 
 

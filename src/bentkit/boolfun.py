@@ -36,7 +36,8 @@ import functools
 from dataclasses import dataclass
 
 from .errors import FieldMismatch, NotBent, OddDimension
-from .gf2n import BivariateDomain, Field, coordinate_tables, pull_linear
+from .gf2n import (BivariateDomain, Field, coordinate_tables, make_field,
+                   pull_linear)
 from .multipoly import ReducedPoly
 
 Domain = Field | BivariateDomain
@@ -246,9 +247,9 @@ def parse_tt(text: str) -> TruthTable:
     if grid == "xy":
         if n % 2:
             raise FieldMismatch(f"grid=xy needs an even n, got {n}")
-        domain: Domain = BivariateDomain(Field(n // 2, mod))
+        domain: Domain = BivariateDomain(make_field(n // 2, mod))
     elif grid is None:
-        domain = Field(n, mod)
+        domain = make_field(n, mod)
     else:
         raise FieldMismatch(f"unknown grid={grid!r}")
     try:

@@ -468,13 +468,12 @@ def _mm_linear_dual(K: Field, inv, b: int) -> int:
             ^ trace_planes(pix, K.trace_mask(b)))
 
 
-def mm_linear(m: int, pi, b: int, us, F: ReducedPoly,
-              modulus: int | None = None) -> ConstructedPair:
-    """Tr(x pi(y)) + Tr(b y) + F of pair trace forms, pi a linear bijection.
+def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
+    """Tr(x pi(y)) + Tr(b y) + F of pair trace forms on K = GF(2^m).
 
-    pi is an m x m matrix over F_2 in row-bitmask form.
+    pi is a linear bijection, an m x m matrix over F_2 in row-bitmask form.
     """
-    K = gf2n.make_field(m, modulus)
+    m = K.n
     if len(pi) != m:
         raise SingularPermutation(f"pi must be {m}x{m}")
     cols = transpose(pi)
@@ -514,17 +513,16 @@ def _mm_monomial_ok(K: Field):
     return ok
 
 
-def mm_monomial(m: int, s: int, us, F: ReducedPoly,
-                modulus: int | None = None) -> ConstructedPair:
-    """Tr(x y^d) + F of pair trace forms, with d inverting 2^s + 1.
+def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
+    """Tr(x y^d) + F of pair trace forms on K = GF(2^m), d inverting 2^s + 1.
 
     Shift pairs come from GF(2^s) x GF(2^s) and must pairwise meet the
     pair condition of _mm_monomial_ok.
     """
+    m = K.n
     if s < 1 or m % s != 0 or (m // s) % 2 == 0:
         raise BadDivisor(f"need s | m with m/s odd, got m={m}, s={s}")
     d = monomial_inverse_exponent(m, s)
-    K = gf2n.make_field(m, modulus)
     dom = BivariateDomain(K)
     shifts = _check_pairs(K, us)
     _check_tau(F, len(shifts), m)
@@ -610,24 +608,21 @@ def random_invertible(m: int, rng: random.Random) -> tuple[int, ...]:
             return rows
 
 
-def mm_linear_params(m: int, tau: int, rng: random.Random,
-                     modulus: int | None = None):
+def mm_linear_params(K: Field, tau: int, rng: random.Random):
     """Random (pi, b, pairs) satisfying the linear-permutation conditions."""
-    K = gf2n.make_field(m, modulus)
-    rows = random_invertible(m, rng)
+    rows = random_invertible(K.n, rng)
     inv = invert(transpose(rows))  # the columns of pi^-1
     b = rng.randrange(K.size)
     shifts = _scan(range(1, K.size * K.size), tau, rng,
-                   _polar_ok(2 * m, _mm_linear_dual(K, inv, b)), indep=True)
+                   _polar_ok(2 * K.n, _mm_linear_dual(K, inv, b)), indep=True)
     return rows, b, [BivariateDomain(K).split(u) for u in shifts]
 
 
-def mm_monomial_pairs(m: int, s: int, tau: int, rng: random.Random,
-                      modulus: int | None = None) -> list[tuple[int, int]]:
+def mm_monomial_pairs(K: Field, s: int, tau: int,
+                      rng: random.Random) -> list[tuple[int, int]]:
     """Random shift pairs in GF(2^s)^2 meeting the monomial-family conditions."""
-    K = gf2n.make_field(m, modulus)
     sub = [y for y in range(K.size) if K.frob(y, s) == y]
-    cands = [(a << m) | b for a in sub for b in sub if a or b]
+    cands = [(a << K.n) | b for a in sub for b in sub if a or b]
     shifts = _scan(cands, tau, rng, _mm_monomial_ok(K), indep=True)
     return [BivariateDomain(K).split(u) for u in shifts]
 
@@ -763,8 +758,10 @@ def spec_from_json(text: str) -> ConstructionSpec:
 # ---------------------------------------------------------------------------
 
 def _field(spec: ConstructionSpec) -> Field:
-    """The spec's field: one shared Field per (n, modulus)."""
-    return gf2n.make_field(spec.n, spec.mod)
+    """The spec's field, GF(2^(n/2)) for a grid family and GF(2^n) for the
+    rest: one shared Field per (n, modulus)."""
+    pairs = FAMILIES[spec.family].pairs
+    return gf2n.make_field(spec.n // 2 if pairs else spec.n, spec.mod)
 
 
 def _F(spec: ConstructionSpec, tau: int | None = None) -> ReducedPoly:
@@ -843,16 +840,16 @@ def _sample_niho(n: int, rng: random.Random) -> ConstructionSpec:
 
 
 def _sample_mm_linear(n: int, rng: random.Random) -> ConstructionSpec:
-    m = n // 2
-    rows, b, pairs = mm_linear_params(m, rng.randint(1, min(m, 3)), rng)
+    K = gf2n.make_field(n // 2)
+    rows, b, pairs = mm_linear_params(K, rng.randint(1, min(K.n, 3)), rng)
     return _with_shifts("MMLinear", n, pairs, rng, pi=rows, b=b)
 
 
 def _sample_mm_monomial(n: int, rng: random.Random) -> ConstructionSpec:
-    m = n // 2
+    K, m = gf2n.make_field(n // 2), n // 2
     s = rng.choice([s for s in range(1, m + 1)
                     if m % s == 0 and (m // s) % 2 == 1])
-    pairs = mm_monomial_pairs(m, s, 1 if s == 1 else rng.randint(1, 2), rng)
+    pairs = mm_monomial_pairs(K, s, 1 if s == 1 else rng.randint(1, 2), rng)
     return _with_shifts("MMMonomial", n, pairs, rng, s=s)
 
 
@@ -924,12 +921,11 @@ FAMILIES = {
         _sample_niho),
     "MMLinear": Family(
         ("pi", "u", "F"),
-        lambda s: mm_linear(s.n // 2, s.pi, s.b or 0, s.u, _F(s),
-                            modulus=s.mod),
+        lambda s: mm_linear(_field(s), s.pi, s.b or 0, s.u, _F(s)),
         _sample_mm_linear, pairs=True, optional=("b",)),
     "MMMonomial": Family(
         ("s", "u", "F"),
-        lambda s: mm_monomial(s.n // 2, s.s, s.u, _F(s), modulus=s.mod),
+        lambda s: mm_monomial(_field(s), s.s, s.u, _F(s)),
         _sample_mm_monomial, pairs=True),
 }
 

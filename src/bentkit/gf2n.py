@@ -109,6 +109,12 @@ def is_irreducible(p: int) -> bool:
     return True
 
 
+def default_modulus(n: int) -> int:
+    """Smallest degree-n irreducible with constant term 1: X + 1 at n = 1."""
+    return next(p for p in range((1 << n) | 1, 2 << n, 2)
+                if is_irreducible(p))
+
+
 # ---------------------------------------------------------------------------
 # F_2-linear algebra on int coordinate vectors
 # ---------------------------------------------------------------------------
@@ -214,15 +220,20 @@ def coset_min(x: int, kernel) -> int:
 # Packed tables: bit i of an int holds a table's value at index i
 # ---------------------------------------------------------------------------
 
+def require_table_degree(n: int) -> None:
+    """Refuse a table on 2^n indices for n > MAX_TABLE_DEGREE."""
+    if n > MAX_TABLE_DEGREE:
+        raise UnsupportedDegree(
+            f"tables need n <= {MAX_TABLE_DEGREE}, got n={n}")
+
+
 @functools.cache
 def coordinate_tables(n: int) -> tuple[int, ...]:
     """X_0..X_(n-1) on 2^n indices: bit i of X_j is bit j of i.
 
     Every table path starts here, so n > MAX_TABLE_DEGREE is refused here.
     """
-    if n > MAX_TABLE_DEGREE:
-        raise UnsupportedDegree(
-            f"tables need n <= {MAX_TABLE_DEGREE}, got n={n}")
+    require_table_degree(n)
     size = 1 << n
     tables = []
     for j in range(n):
@@ -336,9 +347,7 @@ class Field:
         if not 1 <= n <= MAX_DEGREE:
             raise UnsupportedDegree(f"n={n} outside 1..{MAX_DEGREE}")
         if modulus is None:
-            # the smallest irreducible with constant term 1, so X + 1 at n = 1
-            modulus = next(p for p in range((1 << n) | 1, 2 << n, 2)
-                           if is_irreducible(p))
+            modulus = default_modulus(n)
         elif modulus < 0 or modulus.bit_length() - 1 != n:
             raise ReducibleModulus(
                 f"modulus {modulus:#x} is not a polynomial of degree {n}")
@@ -682,6 +691,9 @@ class BivariateDomain:
 def make_field(n: int, modulus: int | None = None) -> Field:
     """Field of degree n; the built-in default modulus when none is given.
 
-    One shared Field per (n, modulus): a Field only fills its own caches.
+    One shared Field per (n, modulus), whether the default modulus is named
+    or left out: a Field only fills its own caches.
     """
+    if modulus is None and 1 <= n <= MAX_DEGREE:  # Field refuses other n
+        return make_field(n, default_modulus(n))
     return Field(n, modulus)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields, replace
 
 from . import boolfun, constructions, multipoly
 from .boolfun import DualityClass, TruthTable
@@ -24,7 +24,7 @@ from .errors import (
     FieldMismatch,
     NoSolution,
 )
-from .gf2n import make_field, translate
+from .gf2n import make_field, require_table_degree, translate
 from .multipoly import ReducedPoly
 
 
@@ -39,6 +39,16 @@ class Expectation:
         if (self.bent is None and self.degree is None
                 and self.idempotent is None and self.duality is None):
             raise EmptyExpectation("expectation is empty")
+
+
+def _json_fields(report, skip: str) -> dict:
+    """A report's fields in order but skip, a DualityClass by its value."""
+    doc = {}
+    for f in fields(report):
+        if f.name != skip:
+            v = getattr(report, f.name)
+            doc[f.name] = v.value if isinstance(v, DualityClass) else v
+    return doc
 
 
 @dataclass
@@ -57,18 +67,7 @@ class VerificationReport:
     computed_dual: TruthTable | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "is_bent": self.is_bent,
-            "walsh_min_abs": self.walsh_min_abs,
-            "walsh_max_abs": self.walsh_max_abs,
-            "degree": self.degree,
-            "idempotent": self.idempotent,
-            "duality": self.duality.value,
-            "dual_match": self.dual_match,
-            "elapsed": self.elapsed,
-            "all_claims_met": self.all_claims_met,
-            "failures": list(self.failures),
-        }
+        return _json_fields(self, "computed_dual")
 
 
 def verify(f: TruthTable, exp: Expectation,
@@ -276,15 +275,7 @@ class SweepReport:
         return self.claims_met == self.trials
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "trials": self.trials,
-            "claims_met": self.claims_met,
-            "bent_count": self.bent_count,
-            "dual_checked": self.dual_checked,
-            "dual_matched": self.dual_matched,
-            "elapsed": self.elapsed,
-        }
+        return _json_fields(self, "entries")
 
 
 def _sample(family: str, m: int, rng: random.Random) -> ConstructionSpec:
@@ -299,7 +290,8 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
     m_values are subfield degrees m (n = 2m), except for GoldLike where
     they are k (n = 4k).  Rejection sampling keeps every drawn parameter
     set inside the family preconditions.  A sweep that would check
-    nothing (no sizes, or fewer than one trial) is BadRange.
+    nothing (no sizes, or fewer than one trial) is BadRange, and a size
+    whose tables are too large is refused before any is drawn.
     """
     m_values = list(m_values)
     if not m_values:
@@ -309,6 +301,7 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
     for m in m_values:  # before anything is drawn
         if m < 1:
             raise BadRange(f"{family} sizes must be at least 1, got {m}")
+        require_table_degree(constructions.FAMILIES[family].scale * m)
     rng = random.Random(seed)
     start = time.perf_counter()
     entries = []
@@ -323,8 +316,9 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
             else:
                 raise NoSolution(
                     f"could not sample valid {family} parameters at m={m}")
-            checked = check(spec)
-            entries.append(SweepEntry(checked.label, checked.report))
+            checked = check(spec)  # kept without its 2^n-bit dual table
+            entries.append(SweepEntry(checked.label, replace(
+                checked.report, computed_dual=None)))
     reports = [e.report for e in entries]
     return SweepReport(
         family=family, trials=len(reports),

@@ -58,8 +58,9 @@ def test_criterion_01_transform_correctness():
         cx.niho_family(make_field(10), 3,
                        [make_field(10).subfield()[3]],
                        mp.poly(1, 0b1)).f,
-        cx.mm_linear(3, (1, 2, 4), 0x5, [(1, 0)], mp.poly(1, 0b1)).f,
-        cx.mm_monomial(3, 1, [(1, 1)], mp.poly(1, 0b1)).f,
+        cx.mm_linear(make_field(3), (1, 2, 4), 0x5, [(1, 0)],
+                     mp.poly(1, 0b1)).f,
+        cx.mm_monomial(make_field(3), 1, [(1, 1)], mp.poly(1, 0b1)).f,
     ]
     for f in instances:
         if not pw.parseval_holds(bf.walsh(f)):
@@ -264,10 +265,11 @@ def test_criterion_09_maiorana_mcfarland():
     rng = random.Random(9)
     ok = True
     for m in (2, 3, 4):
+        K = make_field(m)
         for _ in range(15):
             tau = rng.randint(1, 2)
-            rows, b, pairs = cx.mm_linear_params(m, tau, rng)
-            pair = cx.mm_linear(m, rows, b, pairs, cx.random_poly(tau, rng))
+            rows, b, pairs = cx.mm_linear_params(K, tau, rng)
+            pair = cx.mm_linear(K, rows, b, pairs, cx.random_poly(tau, rng))
             if not _spectrum_dual_matches(pair):
                 ok = False
         divisors = [s for s in range(1, m + 1)
@@ -275,8 +277,8 @@ def test_criterion_09_maiorana_mcfarland():
         for _ in range(15):
             s = rng.choice(divisors)
             tau = 1 if s == 1 else rng.randint(1, 2)
-            pairs = cx.mm_monomial_pairs(m, s, tau, rng)
-            pair = cx.mm_monomial(m, s, pairs, cx.random_poly(tau, rng))
+            pairs = cx.mm_monomial_pairs(K, s, tau, rng)
+            pair = cx.mm_monomial(K, s, pairs, cx.random_poly(tau, rng))
             if not bf.is_bent(bf.walsh(pair.f)):
                 ok = False
             d = cx.monomial_inverse_exponent(m, s)
@@ -299,6 +301,7 @@ def test_criterion_10_master_identity():
     u6 = field6.find_normal(0)
     gold8 = make_field(8)
     lam8 = gold8.solve_semilinear(6, 1)
+    K4 = make_field(4)
     instances = [
         cx.kasami_general(field6, units6[4],
                           cx.kasami_valid_us(field6, units6[4], 2, rng),
@@ -313,8 +316,8 @@ def test_criterion_10_master_identity():
         cx.gold_like(gold8, lam8, cx.gold_valid_us(gold8, lam8, 3, rng),
                      cx.random_poly(3, rng)),
         cx.niho_family(field6, 2, basis6[:2], mp.poly(2, 0b11, 0)),
-        cx.mm_linear(4, *cx.mm_linear_params(4, 2, rng), mp.poly(2, 0b11)),
-        cx.mm_monomial(4, 4, cx.mm_monomial_pairs(4, 4, 2, rng),
+        cx.mm_linear(K4, *cx.mm_linear_params(K4, 2, rng), mp.poly(2, 0b11)),
+        cx.mm_monomial(K4, 4, cx.mm_monomial_pairs(K4, 4, 2, rng),
                        mp.poly(2, 0b11)),
     ]
     ok = all(vf.master_identity_holds(pair) for pair in instances)

@@ -1,11 +1,12 @@
-"""src/bentkit keeps only what it runs.
+"""src/bentkit keeps only what it runs, and makes each Field in one place.
 
 Every function, class and method defined in the package must be named in
 its code somewhere outside its own definition, or be exported by
 bentkit/__init__, or be an entry point that perfbench/shim.py wraps.  A
 name counts only as code (an ast.Name or an ast.Attribute), never in a
 docstring or a comment.  Names are matched without their owner, so two
-methods of one name share their uses.
+methods of one name share their uses.  gf2n.make_field is the only code
+that calls Field(...).
 """
 
 import ast
@@ -86,3 +87,23 @@ def unused_names() -> list[str]:
 def test_every_definition_in_src_is_used_or_exported():
     assert unused_names() == []
 
+
+def field_calls() -> list[str]:
+    """'file:line' of each Field(...) call outside gf2n.make_field."""
+    calls = []
+    for filename, tree in _trees().items():
+        inside = set()
+        for qual, node in _definitions(tree):
+            if filename == "gf2n.py" and qual == "make_field":
+                inside = set(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and (getattr(node.func, "id", None) == "Field"
+                         or getattr(node.func, "attr", None) == "Field")
+                    and node.lineno not in inside):
+                calls.append(f"{filename}:{node.lineno}")
+    return calls
+
+
+def test_only_make_field_constructs_a_field():
+    assert field_calls() == []

@@ -4,6 +4,7 @@ import pytest
 
 import pointwise as pw
 from bentkit import boolfun as bf
+from bentkit import constructions as cx
 from bentkit.errors import FieldMismatch, NotBent, OddDimension
 from bentkit.gf2n import BivariateDomain, make_field
 
@@ -197,3 +198,23 @@ def test_tt_file_rejects_garbage():
         bf.parse_tt("not a table\n00\n")
     with pytest.raises(FieldMismatch):
         bf.parse_tt("BF n=4 mod=0x13\n00\n")  # payload too short
+
+
+def _field_of(f):
+    dom = f.domain
+    return dom.base if isinstance(dom, BivariateDomain) else dom
+
+
+@pytest.mark.parametrize("doc", [
+    '{"family": "QuadIdem", "n": 6, "mod": "0x5b", "c": [0, 0, 0, 1]}',
+    '{"family": "MMLinear", "n": 6, "mod": "0xd", "pi": [[1, 0, 0], '
+    '[0, 1, 0], [0, 0, 1]], "u": [["0x1", "0x0"]], "F": "X1"}',
+], ids=["field", "grid"])
+def test_tables_and_specs_share_one_field(tmp_path, doc):
+    built = cx.build(cx.spec_from_json(doc))
+    f = getattr(built, "f", built)  # QuadIdem builds a bare table
+    bf.save_tt(f, tmp_path / "f.tt")
+    loaded = bf.load_tt(tmp_path / "f.tt")
+    assert loaded == f and _field_of(loaded) is _field_of(f)
+    # as verify X.tt --dual Y.tt loads both tables onto one Field
+    assert _field_of(bf.load_tt(tmp_path / "f.tt")) is _field_of(loaded)

@@ -176,6 +176,13 @@ def test_demo_mesnager_checks_m_before_reading_f(capsys, m, fs):
     assert run(capsys, "demo", "mesnager", "--m", str(m), *fs) == (2, "", want)
 
 
+@pytest.mark.parametrize("flag", ["--f1", "--f2", "--f3"])
+def test_demo_mesnager_refuses_an_empty_f(capsys, flag):
+    code, out, err = run(capsys, "demo", "mesnager", "--m", "3", flag, "")
+    assert (code, out) == (2, "")
+    assert err == "error: ArityMismatch: bad variable ''\n"
+
+
 def test_sweep_command(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "KasamiSubfield",
                        "--m", "2..3", "--trials", "2", "--seed", "7")
@@ -439,15 +446,20 @@ def test_construct_refuses_keys_the_family_does_not_take(capsys, tmp_path,
 
 
 def test_verify_emit_tt_refuses_a_table_without_a_dual(capsys, tmp_path):
-    table = tmp_path / "q.tt"
-    bf.save_tt(cx.quad_idempotent_g(make_field(6), [1, 0, 0, 0]), table)
-    out_path = tmp_path / "out.tt"
-    code, out, err = run(capsys, "verify", str(table), "--expect", "nonbent",
-                         "--emit-tt", str(out_path))
-    assert code == 2 and out.startswith("PASS")
-    assert err == run(capsys, "dual", str(table))[2]
-    assert err.startswith("error: NotBent: ")
-    assert not out_path.exists()
+    """A spectrum that is not flat, and an odd n: each refused as `dual`
+    refuses it."""
+    quad = bf.format_tt(cx.quad_idempotent_g(make_field(6), [1, 0, 0, 0]))
+    for text, error in ((quad, "NotBent"),
+                        ("BF n=3 mod=0xb\nff\n", "OddDimension")):
+        table = tmp_path / "q.tt"
+        table.write_text(text)
+        out_path = tmp_path / "out.tt"
+        code, out, err = run(capsys, "verify", str(table), "--expect",
+                             "nonbent", "--emit-tt", str(out_path))
+        assert code == 2 and out.startswith("PASS")
+        assert err == run(capsys, "dual", str(table))[2]
+        assert err.startswith(f"error: {error}: ")
+        assert not out_path.exists()
 
 
 def test_tables_above_n24_are_refused_up_front(capsys):
@@ -488,3 +500,4 @@ def test_construct_and_sweep_report_what_check_reports(capsys, tmp_path,
     entry = vf.sweep(family, [m], 1, seed).entries[0]
     assert entry.notes == checked.label
     assert entry.report.to_dict() | {"elapsed": 0} == want
+    assert entry.report.computed_dual is None  # no table kept per entry

@@ -426,7 +426,7 @@ def test_mat_invert_roundtrip():
 
 def test_mm_linear_identity_pi():
     identity = (1, 2)
-    pair = cx.mm_linear(2, identity, 0, [(1, 0)], mp.poly(1, 0b1))
+    pair = cx.mm_linear(make_field(2), identity, 0, [(1, 0)], mp.poly(1, 0b1))
     assert_bent_with_dual(pair)
 
 
@@ -436,7 +436,7 @@ def test_mm_linear_classic_base_dual():
     base = make_field(m)
     dom = BivariateDomain(base)
     b = 0x2
-    pair = cx.mm_linear(m, (1, 2), b, [(1, 0)], mp.poly(1))
+    pair = cx.mm_linear(base, (1, 2), b, [(1, 0)], mp.poly(1))
     expected = pw.from_bits(dom, [
         base.trace_abs(base.mul(y, x) ^ base.mul(b, x))
         for i in range(dom.size)
@@ -450,26 +450,28 @@ def test_mm_linear_random_parameters():
     for m in (2, 3):
         for _ in range(3):
             tau = rng.randint(1, 2)
-            rows, b, pairs = cx.mm_linear_params(m, tau, rng)
-            pair = cx.mm_linear(m, rows, b, pairs,
+            rows, b, pairs = cx.mm_linear_params(make_field(m), tau, rng)
+            pair = cx.mm_linear(make_field(m), rows, b, pairs,
                                 cx.random_poly(tau, rng))
             assert_bent_with_dual(pair)
 
 
 def test_mm_linear_rejections():
     with pytest.raises(SingularPermutation):
-        cx.mm_linear(2, (1, 1), 0, [(1, 0)], mp.poly(1, 1))
+        cx.mm_linear(make_field(2), (1, 1), 0, [(1, 0)], mp.poly(1, 1))
     with pytest.raises(NotIndependent):
-        cx.mm_linear(2, (1, 2), 0, [(1, 0), (1, 0)], mp.poly(2, 0b11))
+        cx.mm_linear(make_field(2), (1, 2), 0, [(1, 0), (1, 0)],
+                     mp.poly(2, 0b11))
     # engineered condition violation: pi = identity, pairs (1,0) and (0,1)
     # give Tr(1*1 + 0) = Tr(1) = 1 on GF(2^2) ... trace of 1 is 0 for m=2,
     # so use m=3 pairs ((1,1),(0,1)): t = 1*pi^-1(0)+1*pi^-1(1) = 1, Tr(1)=1
     with pytest.raises(PreconditionViolated):
-        cx.mm_linear(3, (1, 2, 4), 0, [(1, 1), (0, 1)], mp.poly(2, 0b11))
+        cx.mm_linear(make_field(3), (1, 2, 4), 0, [(1, 1), (0, 1)],
+                     mp.poly(2, 0b11))
     # a coordinate beyond GF(2^2) must not spill into the pair index
     for pair in ((0, 5), (4, 0), (-1, 1)):
         with pytest.raises(ValueError):
-            cx.mm_linear(2, (1, 2), 0, [pair], mp.poly(1, 1))
+            cx.mm_linear(make_field(2), (1, 2), 0, [pair], mp.poly(1, 1))
 
 
 def test_mm_monomial_exponents_frozen():
@@ -481,7 +483,7 @@ def test_mm_monomial_exponents_frozen():
 
 def test_mm_monomial_single_pair():
     for (m, s) in [(1, 1), (2, 2), (3, 1), (3, 3)]:
-        pair = cx.mm_monomial(m, s, [(1, 0)], mp.poly(1, 0b1))
+        pair = cx.mm_monomial(make_field(m), s, [(1, 0)], mp.poly(1, 0b1))
         assert bf.is_bent(bf.walsh(pair.f))
         assert pair.predicted_dual is None
 
@@ -489,21 +491,23 @@ def test_mm_monomial_single_pair():
 def test_mm_monomial_searched_pairs():
     rng = random.Random(90)
     for (m, s) in [(2, 2), (3, 3)]:
-        pairs = cx.mm_monomial_pairs(m, s, 2, rng)
-        pair = cx.mm_monomial(m, s, pairs, cx.random_poly(2, rng))
+        pairs = cx.mm_monomial_pairs(make_field(m), s, 2, rng)
+        pair = cx.mm_monomial(make_field(m), s, pairs, cx.random_poly(2, rng))
         assert bf.is_bent(bf.walsh(pair.f))
 
 
 def test_mm_monomial_rejections():
     with pytest.raises(BadDivisor):
-        cx.mm_monomial(4, 2, [(1, 0)], mp.poly(1, 1))  # m/s even
+        cx.mm_monomial(make_field(4), 2, [(1, 0)], mp.poly(1, 1))  # m/s even
     with pytest.raises(BadDivisor):
-        cx.mm_monomial(3, 2, [(1, 0)], mp.poly(1, 1))  # s does not divide m
+        # s does not divide m
+        cx.mm_monomial(make_field(3), 2, [(1, 0)], mp.poly(1, 1))
     with pytest.raises(PreconditionViolated):
         # (1, 0) and (0, 1) violate the cross-product condition
-        cx.mm_monomial(3, 3, [(1, 0), (0, 1)], mp.poly(2, 0b11))
+        cx.mm_monomial(make_field(3), 3, [(1, 0), (0, 1)], mp.poly(2, 0b11))
     with pytest.raises(PreconditionViolated):
-        cx.mm_monomial(3, 1, [(2, 0)], mp.poly(1, 1))  # outside GF(2^s)
+        # outside GF(2^s)
+        cx.mm_monomial(make_field(3), 1, [(2, 0)], mp.poly(1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +536,10 @@ def test_master_identity_every_family():
                      cx.gold_valid_us(gold_field, gold_lam, 2, rng),
                      mp.poly(2, 0b11)),
         cx.niho_family(field6, 2, us6, mp.poly(2, 0b11)),
-        cx.mm_linear(3, *cx.mm_linear_params(3, 2, rng), mp.poly(2, 0b11)),
-        cx.mm_monomial(3, 1, [(1, 1)], mp.poly(1, 0b1)),
+        cx.mm_linear(make_field(3),
+                     *cx.mm_linear_params(make_field(3), 2, rng),
+                     mp.poly(2, 0b11)),
+        cx.mm_monomial(make_field(3), 1, [(1, 1)], mp.poly(1, 0b1)),
     ]
     for pair in instances:
         assert master_identity_holds(pair), pair.notes

@@ -449,9 +449,9 @@ def sample_mm_linear(data, rng):
     base = data.draw(fields(max_n=5, min_n=2))
     m, mod = base.n, base.modulus
     tau = rng.randint(1, min(m, 3))
-    rows, b, pairs = cx.mm_linear_params(m, tau, rng, modulus=mod)
+    rows, b, pairs = cx.mm_linear_params(base, tau, rng)
     F = cx.random_poly(tau, rng)
-    return (cx.mm_linear(m, rows, b, pairs, F, modulus=mod),
+    return (cx.mm_linear(base, rows, b, pairs, F),
             pw.mm_linear(m, rows, b, pairs, F, modulus=mod))
 
 
@@ -461,9 +461,9 @@ def sample_mm_monomial(data, rng):
     s = rng.choice([s for s in range(1, m + 1)
                     if m % s == 0 and (m // s) % 2 == 1])
     tau = 1 if s == 1 else rng.randint(1, 2)
-    pairs = cx.mm_monomial_pairs(m, s, tau, rng, modulus=mod)
+    pairs = cx.mm_monomial_pairs(base, s, tau, rng)
     F = cx.random_poly(tau, rng)
-    return (cx.mm_monomial(m, s, pairs, F, modulus=mod),
+    return (cx.mm_monomial(base, s, pairs, F),
             pw.mm_monomial(m, s, pairs, F, modulus=mod))
 
 
@@ -605,8 +605,7 @@ def test_mm_linear_pair_predicate_is_the_table_condition(K, seed):
     m = K.n
     rows = cx.random_invertible(m, rng)
     b = rng.randrange(K.size)
-    base = cx.mm_linear(m, rows, b, [(1, 0)], mp.poly(1, 1),
-                        modulus=K.modulus).base
+    base = cx.mm_linear(K, rows, b, [(1, 0)], mp.poly(1, 1)).base
     gdual = spectrum_dual(base)
     inv = invert(transpose(rows))
     ok = polar_ok(base.domain, cx._mm_linear_dual(K, inv, b))
@@ -623,8 +622,7 @@ def test_mm_monomial_pair_predicate_implies_the_table_condition(K, seed):
     m = K.n
     s = rng.choice([s for s in range(1, m + 1)
                     if m % s == 0 and (m // s) % 2 == 1])
-    base = cx.mm_monomial(m, s, [(1, 0)], mp.poly(1, 1),
-                          modulus=K.modulus).base
+    base = cx.mm_monomial(K, s, [(1, 0)], mp.poly(1, 1)).base
     gdual = spectrum_dual(base)
     ok = cx._mm_monomial_ok(K)
     sub = [y for y in range(K.size) if K.frob(y, s) == y]

@@ -10,6 +10,7 @@ from bentkit.errors import (
     BentkitError,
     DimensionTooSmall,
     FieldMismatch,
+    UnsupportedDegree,
 )
 from bentkit.gf2n import BivariateDomain, Field, make_field
 
@@ -172,6 +173,15 @@ def test_sweep_refuses_trial_counts_below_one(trials):
 def test_sweep_refuses_an_empty_size_list():
     with pytest.raises(BadRange, match="at least one size"):
         vf.sweep("MMLinear", [], 5, seed=0)
+
+
+def test_sweep_refuses_a_size_it_cannot_finish_before_checking_any(
+        monkeypatch):
+    def unexpected(spec):
+        raise AssertionError(f"checked {spec.family} n={spec.n}")
+    monkeypatch.setattr(vf, "check", unexpected)
+    with pytest.raises(UnsupportedDegree, match="n <= 24, got n=26"):
+        vf.sweep("QuadIdem", [11, 13], 1, 0)
 
 
 def test_sweep_gold_duals():
