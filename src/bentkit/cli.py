@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import boolfun, constructions, multipoly
+from . import boolfun, multipoly
 from .boolfun import DualityClass
 from .errors import BadRange, BentkitError
 from .gf2n import make_field
@@ -52,6 +52,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions
     spec_path = Path(args.specfile)
     checked = check(constructions.spec_from_json(spec_path.read_text()))
     stem = spec_path.parent / spec_path.stem
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep",
                        help="seeded random verification across a size range")
     p.add_argument("--family", required=True,
-                   choices=constructions.FAMILIES)
+                   help="family name (an unknown name lists the known ones)")
     p.add_argument("--m", required=True,
                    help="sizes like 3 or 2..4 or 2,3,5 (k values for GoldLike)")
     p.add_argument("--trials", type=int, required=True)

@@ -729,9 +729,7 @@ def spec_from_json(text: str) -> ConstructionSpec:
     if not isinstance(doc, dict) or "family" not in doc:
         raise BadSpec("spec must be a JSON object with a family")
     name = doc["family"]
-    family = FAMILIES.get(name) if isinstance(name, str) else None
-    if family is None:
-        raise BadSpec(f"unknown family {name!r}")
+    family = lookup_family(name)
     unknown = sorted(set(doc) - {"family", "n", "mod", *family.fields,
                                  *family.optional})
     if unknown:
@@ -930,13 +928,22 @@ FAMILIES = {
 }
 
 
+def lookup_family(name) -> Family:
+    """The family record of name; an unknown name is BadSpec."""
+    family = FAMILIES.get(name) if isinstance(name, str) else None
+    if family is None:
+        raise BadSpec(f"unknown family {name!r}; "
+                      f"known: {', '.join(FAMILIES)}")
+    return family
+
+
 def build(spec: ConstructionSpec):
     """Materialize a ConstructionSpec.
 
     Returns a ConstructedPair, except for the bare QuadIdem base which
     returns its TruthTable.
     """
-    family = FAMILIES[spec.family]
+    family = lookup_family(spec.family)
     if spec.n < 1:
         raise BadSpec(f"{spec.family} needs n >= 1, got n={spec.n}")
     if spec.n % family.scale:

@@ -14,9 +14,8 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field, fields, replace
 
-from . import boolfun, constructions, multipoly
+from . import boolfun, multipoly
 from .boolfun import DualityClass, TruthTable
-from .constructions import ConstructedPair, ConstructionSpec
 from .errors import (
     BadRange,
     DimensionTooSmall,
@@ -26,6 +25,10 @@ from .errors import (
 )
 from .gf2n import make_field, require_table_degree, translate
 from .multipoly import ReducedPoly
+
+# ConstructedPair and ConstructionSpec (bentkit.constructions) appear only
+# in postponed annotations, which are never evaluated: constructions loads
+# only in the drivers that build.
 
 
 @dataclass
@@ -138,9 +141,10 @@ class Checked:
 def check(spec: ConstructionSpec) -> Checked:
     """Build a spec and verify its family's claims, and f against the
     predicted dual where the family has one."""
+    from . import constructions
     built = constructions.build(spec)
     exp = Expectation(**constructions.FAMILIES[spec.family].claims(spec, built))
-    if isinstance(built, ConstructedPair):
+    if isinstance(built, constructions.ConstructedPair):
         label, f, dual = built.notes, built.f, built.predicted_dual
     else:  # QuadIdem: the bare base, with no dual attached
         label, f, dual = f"{spec.family} m={spec.n // 2}", built, None
@@ -193,6 +197,7 @@ class CarletEntry:
 
 def demo_carlet(m: int, seed: int = 0) -> list[CarletEntry]:
     """Bent idempotents of every degree 2..m on GF(2^(2m)), verified."""
+    from . import constructions
     if m < 2:
         raise DimensionTooSmall(
             f"m >= 2 required for a degree-2 rung, got {m}")
@@ -230,6 +235,7 @@ def demo_mesnager(m: int, F1: ReducedPoly | str | None = None,
 
     Each F is in m - 1 variables; an F given as text is parsed only after
     m is checked."""
+    from . import constructions
     if m < 3:
         raise NoSolution("m >= 3 required so degree >= 2 choices exist")
     tau = m - 1
@@ -280,6 +286,7 @@ class SweepReport:
 
 def _sample(family: str, m: int, rng: random.Random) -> ConstructionSpec:
     """One random valid spec of size m."""
+    from . import constructions
     record = constructions.FAMILIES[family]
     return record.sample(record.scale * m, rng)
 
@@ -291,8 +298,11 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
     they are k (n = 4k).  Rejection sampling keeps every drawn parameter
     set inside the family preconditions.  A sweep that would check
     nothing (no sizes, or fewer than one trial) is BadRange, and a size
-    whose tables are too large is refused before any is drawn.
+    whose tables are too large is refused before any is drawn.  An
+    unknown family is BadSpec.
     """
+    from . import constructions
+    record = constructions.lookup_family(family)
     m_values = list(m_values)
     if not m_values:
         raise BadRange(f"{family} needs at least one size")
@@ -301,7 +311,7 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
     for m in m_values:  # before anything is drawn
         if m < 1:
             raise BadRange(f"{family} sizes must be at least 1, got {m}")
-        require_table_degree(constructions.FAMILIES[family].scale * m)
+        require_table_degree(record.scale * m)
     rng = random.Random(seed)
     start = time.perf_counter()
     entries = []

@@ -43,9 +43,13 @@ def _uses(tree: ast.Module):
 
 
 def _exports(trees) -> set[str]:
-    return {alias.asname or alias.name
-            for node in ast.walk(trees["__init__.py"])
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    """The names in bentkit/__init__'s lazy export table, _EXPORTS."""
+    for node in trees["__init__.py"].body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "_EXPORTS"):
+            table = ast.literal_eval(node.value)
+            return {name for names in table.values() for name in names}
+    raise AssertionError("bentkit/__init__.py has no _EXPORTS table")
 
 
 def _shim_wrapped() -> set[str]:

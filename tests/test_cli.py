@@ -219,10 +219,11 @@ def test_negative_modulus_is_refused(capsys, tmp_path):
 
 
 def test_usage_error_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--family", "NoSuchFamily", "--m", "2",
-              "--trials", "1"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "sweep", "--family", "NoSuchFamily",
+                         "--m", "2", "--trials", "1")
+    assert code == 2 and out == ""
+    assert "BadSpec" in err and "NoSuchFamily" in err
+    assert all(name in err for name in cx.FAMILIES)
 
 
 @pytest.mark.parametrize("text, reason", [

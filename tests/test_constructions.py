@@ -620,3 +620,10 @@ def test_build_checks_the_size_rule_and_gold_k():
         cx.build(replace(gold, n=6, mod=0x43))
     with pytest.raises(BentkitError):
         cx.build(replace(gold, n=-4, mod=None))
+
+
+def test_build_refuses_an_unknown_family_listing_the_known_ones():
+    spec = cx.ConstructionSpec(family="Gold", n=8, u=(3,), F="X1")
+    with pytest.raises(BadSpec, match="unknown family 'Gold'; known: ") as exc:
+        cx.build(spec)
+    assert all(name in str(exc.value) for name in cx.FAMILIES)

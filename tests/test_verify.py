@@ -7,6 +7,7 @@ from bentkit import multipoly as mp
 from bentkit import verify as vf
 from bentkit.errors import (
     BadRange,
+    BadSpec,
     BentkitError,
     DimensionTooSmall,
     FieldMismatch,
@@ -182,6 +183,15 @@ def test_sweep_refuses_a_size_it_cannot_finish_before_checking_any(
     monkeypatch.setattr(vf, "check", unexpected)
     with pytest.raises(UnsupportedDegree, match="n <= 24, got n=26"):
         vf.sweep("QuadIdem", [11, 13], 1, 0)
+
+
+def test_sweep_refuses_an_unknown_family_before_drawing(monkeypatch):
+    def unexpected(family, m, rng):
+        raise AssertionError(f"drew {family} m={m}")
+    monkeypatch.setattr(vf, "_sample", unexpected)
+    with pytest.raises(BadSpec, match="unknown family 'Nope'") as exc:
+        vf.sweep("Nope", [3], 1, 0)
+    assert all(name in str(exc.value) for name in cx.FAMILIES)
 
 
 def test_sweep_gold_duals():
