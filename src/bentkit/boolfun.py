@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FieldMismatch, NotBent, OddDimension
 from .gf2n import (BivariateDomain, Field, coordinate_tables, make_field,
@@ -49,22 +49,18 @@ class DualityClass(enum.Enum):
     NEITHER = "Neither"
 
 
-@dataclass(frozen=True)
-class TruthTable:
-    domain: Domain
-    bits: int
+# domain: Domain; bits: int, bit i of which is f at index i
+TruthTable = namedtuple("TruthTable", "domain bits")
 
 
-@dataclass(frozen=True)
-class WalshSpectrum:
+class WalshSpectrum(namedtuple("WalshSpectrum", "domain planes")):
     """Exact spectrum as two's-complement bit planes in beta order.
 
     Bit beta of planes[k] is bit k of W(beta).  The last plane is the
     sign bit and has a negative weight: -2^k for k = len(planes) - 1.  The
-    n+2 planes of walsh() hold any value in [-2^n, 2^n].
+    n+2 planes of walsh() hold any value in [-2^n, 2^n].  There are no
+    __slots__, so the cached properties have an instance dict to fill.
     """
-    domain: Domain
-    planes: tuple[int, ...]
 
     @functools.cached_property
     def values(self) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ report is still printed), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -196,20 +197,22 @@ def _cmd_demo_mesnager(args) -> int:
     return 0 if bundle.ok else 1
 
 
-def _parse_range(text: str) -> list[int]:
-    out = []
+def _parse_range(text: str):
+    """The sizes in text, lazily: a range is never expanded into a list,
+    so sweep refuses an oversized one at its first size too large."""
+    chunks = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         try:
             if ".." in chunk:
                 lo, hi = chunk.split("..", 1)
-                out.extend(range(int(lo), int(hi) + 1))
+                chunks.append(range(int(lo), int(hi) + 1))
             else:
-                out.append(int(chunk))
+                chunks.append((int(chunk),))
         except ValueError:
             raise BadRange(f"bad size {chunk!r} in {text!r}; "
                            "use forms like 3, 2..4 or 2,3,5") from None
-    return out
+    return itertools.chain.from_iterable(chunks)
 
 
 def _cmd_sweep(args) -> int:

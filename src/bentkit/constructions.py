@@ -38,8 +38,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -79,14 +78,10 @@ from .gf2n import (
 )
 from .multipoly import ReducedPoly
 
-@dataclass(frozen=True)
-class ConstructedPair:
-    f: TruthTable
-    predicted_dual: TruthTable | None
-    notes: str
-    base: TruthTable
-    shifts: tuple[int, ...]
-    poly: ReducedPoly
+# f = base + poly(Tr(shifts[0] x), ...), its dual (None where the family
+# has no dual formula) and a one-line label
+ConstructedPair = namedtuple(
+    "ConstructedPair", "f predicted_dual notes base shifts poly")
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +330,8 @@ def quad_idempotent_family(field: Field, c, eps: int, u: int,
                            F: ReducedPoly) -> ConstructedPair:
     """Bent idempotent of prescribed degree from any quadratic base."""
     pair = quad_family(field, c, eps, _normal_orbit(field, u, F), F)
-    return replace(
-        pair, notes=f"QuadIdemFamily n={field.n} u={u:#x} d={F.degree()}")
+    return pair._replace(
+        notes=f"QuadIdemFamily n={field.n} u={u:#x} d={F.degree()}")
 
 
 # ---------------------------------------------------------------------------
@@ -631,20 +626,12 @@ def mm_monomial_pairs(K: Field, s: int, tau: int,
 # ConstructionSpec and its JSON codec (bit-exact round trip)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConstructionSpec:
-    family: str
-    n: int
-    mod: int | None = None
-    lam: int | None = None
-    c: tuple[int, ...] | None = None
-    eps: int | None = None
-    k: int | None = None
-    s: int | None = None
-    pi: tuple[int, ...] | None = None
-    b: int | None = None
-    u: tuple | None = None
-    F: str | None = None
+# family and n, then the parameters a family takes (None where it takes
+# none): ints, except c and pi (tuples of ints), u (a tuple of elements or
+# of (x, y) pairs) and F (the text of a polynomial)
+ConstructionSpec = namedtuple(
+    "ConstructionSpec", "family n mod lam c eps k s pi b u F",
+    defaults=(None,) * 10)
 
 
 def _want(v, kind):
@@ -858,18 +845,19 @@ def _idempotent_claims(spec: ConstructionSpec, built: ConstructedPair) -> dict:
             "degree": max(2, built.poly.degree())}
 
 
-@dataclass(frozen=True)
-class Family:
-    """One family.  build and sample call the constructors by their module
-    names at call time, so a tracer that rebinds them (perfbench/shim.py)
-    sees every instance."""
-    fields: tuple[str, ...]  # spec keys it needs besides family and n
-    build: Callable          # spec -> ConstructedPair, or TruthTable (QuadIdem)
-    sample: Callable         # (n, rng) -> a random valid ConstructionSpec
-    claims: Callable = lambda spec, built: {"bent": True}  # -> Expectation
-    scale: int = 2           # n = scale * size; the size is m, or k (n = 4k)
-    pairs: bool = False      # u holds [x, y] pairs on the GF(2^m)^2 grid
-    optional: tuple[str, ...] = ()  # spec keys it may take besides mod
+# One family.  build and sample call the constructors by their module
+# names at call time, so a tracer that rebinds them (perfbench/shim.py)
+# sees every instance.
+#   fields    spec keys it needs besides family and n
+#   build     spec -> ConstructedPair, or TruthTable (QuadIdem)
+#   sample    (n, rng) -> a random valid ConstructionSpec
+#   claims    (spec, built) -> the Expectation's keywords; default bent
+#   scale     n = scale * size; the size is m, or k (n = 4k); default 2
+#   pairs     u holds [x, y] pairs on the GF(2^m)^2 grid; default False
+#   optional  spec keys it may take besides mod; default none
+Family = namedtuple(
+    "Family", "fields build sample claims scale pairs optional",
+    defaults=(lambda spec, built: {"bent": True}, 2, False, ()))
 
 
 FAMILIES = {

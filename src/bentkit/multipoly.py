@@ -10,7 +10,7 @@ coefficients chat[w] = 2^tau * c_w are popcounts of packed tables.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     ArityMismatch,
@@ -52,15 +52,17 @@ def _rotate(mask: int, tau: int) -> int:
     return ((mask << 1) & ((1 << tau) - 1)) | (mask >> (tau - 1))
 
 
-@dataclass(frozen=True)
-class ReducedPoly:
-    tau: int
-    coeffs: int
+class ReducedPoly(namedtuple("ReducedPoly", "tau coeffs")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_arity(self.tau)
-        if self.coeffs < 0 or self.coeffs >> (1 << self.tau):
+    def __new__(cls, tau: int, coeffs: int):
+        _check_arity(tau)
+        if coeffs < 0 or coeffs >> (1 << tau):
             raise ArityMismatch("monomial mask exceeds the variable count")
+        return super().__new__(cls, tau, coeffs)
+
+    # _replace builds through _make: check its values as __new__ does
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def degree(self) -> int:
         classes = _weight_classes(self.tau)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field, fields, replace
+from collections import namedtuple
 
 from . import boolfun, multipoly
 from .boolfun import DualityClass, TruthTable
@@ -31,43 +31,33 @@ from .multipoly import ReducedPoly
 # only in the drivers that build.
 
 
-@dataclass
-class Expectation:
-    bent: bool | None = None
-    degree: int | None = None
-    idempotent: bool | None = None
-    duality: DualityClass | None = None
+class Expectation(namedtuple("Expectation", "bent degree idempotent duality",
+                             defaults=(None,) * 4)):
+    """The claims to check; a claim left None is not checked."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.bent is None and self.degree is None
-                and self.idempotent is None and self.duality is None):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self == (None,) * 4:
             raise EmptyExpectation("expectation is empty")
+        return self
+
+    # _replace builds through _make: check its values as __new__ does
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def _json_fields(report, skip: str) -> dict:
     """A report's fields in order but skip, a DualityClass by its value."""
-    doc = {}
-    for f in fields(report):
-        if f.name != skip:
-            v = getattr(report, f.name)
-            doc[f.name] = v.value if isinstance(v, DualityClass) else v
-    return doc
+    return {name: v.value if isinstance(v, DualityClass) else v
+            for name, v in zip(report._fields, report) if name != skip}
 
 
-@dataclass
-class VerificationReport:
-    is_bent: bool
-    walsh_min_abs: int
-    walsh_max_abs: int
-    degree: int
-    idempotent: bool
-    duality: DualityClass
-    dual_match: bool | None
-    elapsed: float
-    all_claims_met: bool
-    failures: list[str] = dc_field(default_factory=list)
-    # the dual computed from the spectrum, for callers; not serialized
-    computed_dual: TruthTable | None = None
+class VerificationReport(namedtuple("VerificationReport", (
+        "is_bent walsh_min_abs walsh_max_abs degree idempotent duality "
+        "dual_match elapsed all_claims_met failures computed_dual"))):
+    """failures is a list of messages.  computed_dual, the dual computed
+    from the spectrum, is for callers and is not serialized."""
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return _json_fields(self, "computed_dual")
@@ -130,12 +120,7 @@ def verify(f: TruthTable, exp: Expectation,
         computed_dual=computed_dual)
 
 
-@dataclass
-class Checked:
-    label: str
-    f: TruthTable
-    predicted_dual: TruthTable | None
-    report: VerificationReport
+Checked = namedtuple("Checked", "label f predicted_dual report")
 
 
 def check(spec: ConstructionSpec) -> Checked:
@@ -183,12 +168,9 @@ def master_identity_holds(pair: ConstructedPair) -> bool:
 # open-problem demonstrators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CarletEntry:
-    d: int
-    pair: ConstructedPair
-    report: VerificationReport
-    dual_idempotent: bool
+class CarletEntry(namedtuple("CarletEntry",
+                             "d pair report dual_idempotent")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -201,6 +183,7 @@ def demo_carlet(m: int, seed: int = 0) -> list[CarletEntry]:
     if m < 2:
         raise DimensionTooSmall(
             f"m >= 2 required for a degree-2 rung, got {m}")
+    require_table_degree(2 * m)
     field = make_field(2 * m)
     u = field.find_normal(seed)
     out = []
@@ -216,11 +199,10 @@ def demo_carlet(m: int, seed: int = 0) -> list[CarletEntry]:
     return out
 
 
-@dataclass
-class MesnagerBundle:
-    reports: list[VerificationReport]   # f1, f2, f3, f1+f2+f3
-    sum_table: TruthTable
-    sum_matches_direct: bool
+class MesnagerBundle(namedtuple("MesnagerBundle",
+                                "reports sum_table sum_matches_direct")):
+    """reports of f1, f2, f3 and f1+f2+f3."""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -238,6 +220,7 @@ def demo_mesnager(m: int, F1: ReducedPoly | str | None = None,
     from . import constructions
     if m < 3:
         raise NoSolution("m >= 3 required so degree >= 2 choices exist")
+    require_table_degree(2 * m)
     tau = m - 1
     F1, F2, F3 = (multipoly.poly(tau, mask) if F is None
                   else multipoly.parse_poly(F, tau) if isinstance(F, str)
@@ -259,22 +242,13 @@ def demo_mesnager(m: int, F1: ReducedPoly | str | None = None,
 # seeded sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SweepEntry:
-    notes: str
-    report: VerificationReport
+SweepEntry = namedtuple("SweepEntry", "notes report")
 
 
-@dataclass
-class SweepReport:
-    family: str
-    trials: int
-    claims_met: int
-    bent_count: int
-    dual_checked: int
-    dual_matched: int
-    elapsed: float
-    entries: list[SweepEntry]
+class SweepReport(namedtuple("SweepReport", (
+        "family trials claims_met bent_count dual_checked dual_matched "
+        "elapsed entries"))):
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
@@ -298,24 +272,27 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
     they are k (n = 4k).  Rejection sampling keeps every drawn parameter
     set inside the family preconditions.  A sweep that would check
     nothing (no sizes, or fewer than one trial) is BadRange, and a size
-    whose tables are too large is refused before any is drawn.  An
+    whose tables are too large is refused before any is drawn.  Sizes
+    are read one at a time up to the first bad one, so a lazy m_values,
+    such as an oversized range, is refused without being expanded.  An
     unknown family is BadSpec.
     """
     from . import constructions
     record = constructions.lookup_family(family)
-    m_values = list(m_values)
-    if not m_values:
-        raise BadRange(f"{family} needs at least one size")
     if trials < 1:
         raise BadRange(f"trials must be at least 1, got {trials}")
+    sizes = []
     for m in m_values:  # before anything is drawn
         if m < 1:
             raise BadRange(f"{family} sizes must be at least 1, got {m}")
         require_table_degree(record.scale * m)
+        sizes.append(m)
+    if not sizes:
+        raise BadRange(f"{family} needs at least one size")
     rng = random.Random(seed)
     start = time.perf_counter()
     entries = []
-    for m in m_values:
+    for m in sizes:
         for _ in range(trials):
             for _attempt in range(64):
                 try:
@@ -327,8 +304,8 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
                 raise NoSolution(
                     f"could not sample valid {family} parameters at m={m}")
             checked = check(spec)  # kept without its 2^n-bit dual table
-            entries.append(SweepEntry(checked.label, replace(
-                checked.report, computed_dual=None)))
+            entries.append(SweepEntry(checked.label, checked.report._replace(
+                computed_dual=None)))
     reports = [e.report for e in entries]
     return SweepReport(
         family=family, trials=len(reports),

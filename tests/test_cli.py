@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ from bentkit import constructions as cx
 from bentkit import multipoly as mp
 from bentkit import verify as vf
 from bentkit.cli import main
-from bentkit.errors import BadRange, NoSolution
+from bentkit.errors import BadRange, NoSolution, UnsupportedDegree
 from bentkit.gf2n import make_field, rank
 
 
@@ -474,6 +478,53 @@ def test_tables_above_n24_are_refused_up_front(capsys):
         assert "UnsupportedDegree" in err and "n=26" in err
     # fields still reach n = 28 for scalar arithmetic
     assert run(capsys, "field", "--n", "28")[0] == 0
+
+
+@pytest.mark.parametrize("demo", ["carlet", "mesnager"])
+@pytest.mark.parametrize("m", [13, 40])
+def test_demos_refuse_sizes_above_n24_with_the_table_message(capsys, demo, m):
+    want = f"error: UnsupportedDegree: tables need n <= 24, got n={2 * m}\n"
+    assert run(capsys, "demo", demo, "--m", str(m)) == (2, "", want)
+
+
+# runs bentkit.cli.main(argv) with its address space capped at 1 GiB, so a
+# size range that is expanded into a list ends in MemoryError instead of
+# taking the machine's memory
+CAPPED_CLI = """\
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from bentkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("family, sizes, n", [
+    ("QuadIdem", "3..3000000", 26),
+    ("QuadIdem", "3..10000000000", 26),
+    ("GoldLike", "2,20000000000..30000000000", 80000000000),
+])
+def test_sweep_refuses_an_oversized_range_without_expanding_it(family, sizes,
+                                                               n):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "sweep", "--family", family,
+         "--m", sizes, "--trials", "1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    want = f"error: UnsupportedDegree: tables need n <= 24, got n={n}\n"
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", want)
+
+
+def test_library_sweep_reads_sizes_only_up_to_the_first_bad_one():
+    def sizes():
+        yield from (3, 13)
+        raise AssertionError("read past the first size too large")
+    with pytest.raises(UnsupportedDegree, match="got n=26"):
+        vf.sweep("QuadIdem", sizes(), 1, 0)
 
 
 @pytest.mark.parametrize("family", sorted(cx.FAMILIES))

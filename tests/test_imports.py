@@ -1,8 +1,11 @@
 """The package loads only the layers a command runs.
 
 `import bentkit` is lazy, and the commands that build nothing (verify,
-walsh, anf, dual, field) never load bentkit.constructions.  Each import
-check runs in a fresh interpreter, since this one has loaded everything.
+walsh, anf, dual, field) never load bentkit.constructions.  No command
+loads dataclasses or the inspect it imports: the records are named
+tuples.  Each import check runs in a fresh interpreter without site
+(python -S), since this one has loaded everything and a site hook may
+load modules of its own.
 """
 
 import importlib
@@ -22,23 +25,35 @@ from bentkit import constructions as cx
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-# runs bentkit.cli.main(argv) and prints its exit code and the bentkit
-# modules it loaded
+# runs bentkit.cli.main(argv) and prints its exit code and the modules
+# loaded
 RUN_CLI = """\
 import contextlib, io, json, sys
 from bentkit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("bentkit"))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
+
+# each command, and whether it loads bentkit.constructions
+COMMANDS = [
+    (["verify", "f.tt"], False),
+    (["walsh", "f.tt"], False),
+    (["anf", "f.tt"], False),
+    (["dual", "f.tt", "-o", "dual.tt"], False),
+    (["field", "--n", "8"], False),
+    (["construct", "spec.json"], True),
+    (["sweep", "--family", "QuadIdem", "--m", "2", "--trials", "1"], True),
+    (["demo", "carlet", "--m", "2"], True),
+    (["demo", "mesnager", "--m", "3"], True),
+]
 
 
 def fresh_python(code, *argv, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                          cwd=cwd, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -53,21 +68,32 @@ def workdir(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("argv, loads_constructions", [
-    (["verify", "f.tt"], False),
-    (["walsh", "f.tt"], False),
-    (["anf", "f.tt"], False),
-    (["dual", "f.tt", "-o", "dual.tt"], False),
-    (["field", "--n", "8"], False),
-    (["construct", "spec.json"], True),
-    (["sweep", "--family", "QuadIdem", "--m", "2", "--trials", "1"], True),
-    (["demo", "carlet", "--m", "2"], True),
-])
+@pytest.fixture(scope="module")
+def loaded_by(workdir):
+    """argv -> the modules loaded once cli.main(argv) returned 0, each
+    command run once in a fresh interpreter."""
+    runs = {}
+
+    def loaded(argv):
+        if tuple(argv) not in runs:
+            code, modules = fresh_python(RUN_CLI, *argv, cwd=workdir)
+            assert code == 0
+            runs[tuple(argv)] = modules
+        return runs[tuple(argv)]
+    return loaded
+
+
+@pytest.mark.parametrize("argv, loads_constructions", COMMANDS)
 def test_only_the_commands_that_build_load_constructions(
-        workdir, argv, loads_constructions):
-    code, loaded = fresh_python(RUN_CLI, *argv, cwd=workdir)
-    assert code == 0
-    assert ("bentkit.constructions" in loaded) == loads_constructions
+        loaded_by, argv, loads_constructions):
+    assert ("bentkit.constructions" in loaded_by(argv)) == loads_constructions
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
+def test_no_command_loads_dataclasses_or_inspect(loaded_by, argv):
+    loaded = set(loaded_by(argv))
+    assert "bentkit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_import_bentkit_loads_no_submodule():

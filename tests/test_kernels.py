@@ -18,7 +18,6 @@ Last, fuzzed spec JSON must parse and round-trip, and fuzzed .tt text must
 parse, or be refused with a BentkitError.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -536,9 +535,8 @@ def test_packed_master_identity_matches_the_pointwise_oracle(sample, data,
     dom, F = pair.f.domain, pair.poly
     flip = rng.randrange(dom.size)
     tampered = [
-        dataclasses.replace(pair, f=bf.TruthTable(
-            dom, pair.f.bits ^ (1 << flip))),
-        dataclasses.replace(pair, poly=F + mp.poly(F.tau, 0)),
+        pair._replace(f=bf.TruthTable(dom, pair.f.bits ^ (1 << flip))),
+        pair._replace(poly=F + mp.poly(F.tau, 0)),
     ]
     real = mp.compose_traces(dom, F, pair.shifts)
     moves = [(i, v) for i in range(F.tau) for v in range(1, dom.size)]
@@ -546,7 +544,7 @@ def test_packed_master_identity_matches_the_pointwise_oracle(sample, data,
         shifts = list(pair.shifts)
         shifts[i] ^= v
         if shifts[i] and mp.compose_traces(dom, F, shifts) != real:
-            tampered.append(dataclasses.replace(pair, shifts=tuple(shifts)))
+            tampered.append(pair._replace(shifts=tuple(shifts)))
             break
     assert len(tampered) == 3 or pw.monomials(F) <= {0}
     assert vf.master_identity_holds(pair)
