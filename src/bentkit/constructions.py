@@ -23,14 +23,15 @@ Families on GF(2^(2m)) use univariate tables; the Maiorana-McFarland
 families live on the GF(2^m) x GF(2^m) grid (BivariateDomain), where the
 shift (u1, u2) is the index (u1 << m) | u2.
 
-No constructor loops over the 2^n indices.  Tables are built from
-bit-sliced field values (gf2n.linear_planes and Field.mul_planes): the
-coordinate tables are the identity x -> x, a field product is n^2 ANDs of
-planes, a trace form Tr(u x) is the XOR of the coordinate tables that
-walsh_index(u) selects, a translation x -> x + u is one masked delta-swap
-per set bit of u (gf2n.translate), and multipoly.compose turns argument
-tables into F(...).  tests/pointwise.py keeps the per-point formulas as
-the oracle.
+No constructor loops over the 2^n indices, nor over exponents: the Niho
+base's 2^(k-1) - 1 power terms fold into one product of k - 1 factors
+(_niho_sum).  Tables are built from bit-sliced field values
+(gf2n.linear_planes and Field.mul_planes): the coordinate tables are the
+identity x -> x, a field product is n^2 ANDs of planes, a trace form
+Tr(u x) is the XOR of the coordinate tables that walsh_index(u) selects,
+a translation x -> x + u is one masked delta-swap per set bit of u
+(gf2n.translate), and multipoly.compose turns argument tables into
+F(...).  tests/pointwise.py keeps the per-point formulas as the oracle.
 """
 
 from __future__ import annotations
@@ -365,24 +366,38 @@ def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
 # Niho-exponent family
 # ---------------------------------------------------------------------------
 
-def niho_exponents(m: int, k: int) -> list[int]:
-    """Exponents (2^m-1) * i/2^k + 1 with /2^k the inverse mod 2^(2m)-1."""
-    order = (1 << (2 * m)) - 1
-    inv2k = pow(2, -k, order)
-    return [(((1 << m) - 1) * i * inv2k + 1) % order
-            for i in range(1, 1 << (k - 1))]
+def _niho_sum(field: Field, k: int) -> int:
+    """sum_{i=1}^{N} Tr(x^(e_i)), sliced, where e_i = (2^m-1) i/2^k + 1
+    (/2^k is the inverse mod 2^n-1) and N = 2^(k-1) - 1.
+
+    With z = x^((2^m-1)/2^k), x^(e_i) = x z^i, and over F_2
+    1 + z + ... + z^N = (1 + z)(1 + z^2)...(1 + z^(2^(k-2))) =: P, so the
+    sum is Tr(x P) + Tr(x): one sliced power, whatever k is.  At k = 1 the
+    product is empty, P = 1 and the sum vanishes.
+    """
+    xs = coordinate_tables(field.n)
+    full = _full(field)
+    z = field.pow_planes(xs, ((1 << field.m) - 1)
+                         * pow(2, -k, field.size - 1))
+    xp = xs
+    for _ in range(k - 1):
+        xp = field.mul_planes(xp, add_const(z, 1, full))
+        z = linear_planes(z, field.squaring_map())
+    tmask = field.trace_mask(1)
+    return trace_planes(xp, tmask) ^ trace_planes(xs, tmask)
 
 
 @lru_cache(maxsize=None)
 def _niho_tables(field: Field, k: int) -> tuple[int, int]:
-    """Base bits and dual bits."""
+    """Base bits Tr_sub(x^(2^m+1)) + _niho_sum and dual bits.
+
+    _niho_sum is a function of its own so that its planes are freed
+    before the dual's are built, which keeps the peak at that of the dual.
+    """
     m = field.m
     xs = coordinate_tables(field.n)
     full = _full(field)
-    tmask = field.trace_mask(1)
-    g_bits = _kasami_bits(field, 1)
-    for e in niho_exponents(m, k):
-        g_bits ^= trace_planes(field.pow_planes(xs, e), tmask)
+    g_bits = _kasami_bits(field, 1) ^ _niho_sum(field, k)
     # dual: Tr_sub((alpha*A + x^(2^m) + alpha^(2^(n-k))) * A^(1/(2^k-1)))
     # with alpha + alpha^(2^m) = 1 and A = 1 + x + x^(2^m); the root index
     # 1/(2^k-1) is invertible mod 2^m-1 because gcd(k, m) = 1.

@@ -3,26 +3,29 @@
 Each family function evaluates a family's table, its base and its
 closed-form dual index by index with Field arithmetic, exactly as the
 formulas read, and returns the packed ints (f, base, dual); dual is None
-where the family has no closed form.  bentkit.constructions builds the
-same tables on bit-sliced planes, and tests/test_kernels.py compares the
-two bit for bit.  The trace masks here follow the definition of the
-trace, squaring with Field.mul, so they also serve as the oracle for
-Field.trace_mask.  The list helpers (to_bitlist, from_bits, fwht, mobius,
-walsh_naive, spectrum_from_values) and pullback_mask are the references
-for the packed transforms; monomials and evaluate, which read a
-ReducedPoly monomial by monomial, for the packed polynomial layer; and
-master_identity_holds, beta by beta, for the packed spectrum identity in
-bentkit.verify.  kasami_base and parseval_holds are the tests' own
-references for the Kasami base table and for Parseval's identity, which
-the library does not need.
+where the family has no closed form.  The Niho base sums one trace per
+exponent of niho_exponents, as the family is stated, reading each power
+from discrete-log tables.  bentkit.constructions builds the same tables
+on bit-sliced planes, and tests/test_kernels.py compares the two bit for
+bit.  The trace masks here follow the definition of the trace, squaring
+with Field.mul, so they also serve as the oracle for Field.trace_mask.
+The list helpers (to_bitlist, from_bits, fwht, mobius, walsh_naive,
+spectrum_from_values), pullback_mask and squaring_perm are the
+references for the packed transforms and index maps; monomials and
+evaluate, which read a ReducedPoly monomial by monomial, for the packed
+polynomial layer; and master_identity_holds, beta by beta, for the packed
+spectrum identity in bentkit.verify.  kasami_base and parseval_holds are
+the tests' own references for the Kasami base table and for Parseval's
+identity, which the library does not need.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from bentkit import boolfun as bf
 from bentkit import multipoly as mp
 from bentkit.boolfun import TruthTable, WalshSpectrum
-from bentkit.constructions import monomial_inverse_exponent, niho_exponents
+from bentkit.constructions import monomial_inverse_exponent
 from bentkit.gf2n import BivariateDomain, Field, invert
 
 
@@ -168,6 +171,18 @@ def pullback_mask(columns, mask: int) -> int:
     """Mask M with parity(L(x) & mask) = parity(x & M), L(e_j) = columns[j]."""
     return sum(((col & mask).bit_count() & 1) << j
                for j, col in enumerate(columns))
+
+
+@lru_cache(maxsize=None)
+def squaring_perm(domain) -> list[int]:
+    """Index permutation x -> x^2 of a Field, squaring with Field.mul; on
+    a BivariateDomain, (x, y) -> (x^2, y^2)."""
+    if isinstance(domain, BivariateDomain):
+        sq = squaring_perm(domain.base)
+        return [(sq[x] << domain.m) | sq[y]
+                for x in range(domain.base.size)
+                for y in range(domain.base.size)]
+    return [domain.mul(x, x) for x in range(domain.size)]
 
 
 def frob_sum(field: Field, v: int, count: int) -> int:
@@ -326,14 +341,47 @@ def gold_like(field: Field, lam: int, us, F):
     return f, base, packed(field.size, dual)
 
 
+def niho_exponents(m: int, k: int) -> list[int]:
+    """Exponents (2^m-1) * i/2^k + 1 with /2^k the inverse mod 2^(2m)-1."""
+    order = (1 << (2 * m)) - 1
+    inv2k = pow(2, -k, order)
+    return [(((1 << m) - 1) * i * inv2k + 1) % order
+            for i in range(1, 1 << (k - 1))]
+
+
+@lru_cache(maxsize=None)
+def discrete_logs(field: Field) -> tuple[dict[int, int], list[int]]:
+    """(log, exp) with exp[i] = g^i and log[g^i] = i, for the first
+    primitive element g, by repeated Field.mul."""
+    for g in range(1, field.size):
+        exp = [1]
+        x = g
+        while x != 1:
+            exp.append(x)
+            x = field.mul(x, g)
+        if len(exp) == field.size - 1:
+            return {v: i for i, v in enumerate(exp)}, exp
+    raise AssertionError(f"{field} has no primitive element")
+
+
+def niho_base(field: Field, k: int) -> int:
+    """Tr_sub(x^(2^m+1)) + Tr(x^e) summed over niho_exponents, point by
+    point, with x^e read from the discrete-log tables."""
+    log, exp = discrete_logs(field)
+    order = field.size - 1
+    tmask = trace_mask(field, 1)
+    exponents = niho_exponents(field.m, k)
+
+    def value(x):
+        return x and sum(parity(exp[log[x] * e % order] & tmask)
+                         for e in exponents) & 1
+    return kasami_bits(field, 1) ^ packed(field.size, value)
+
+
 def niho_tables(field: Field, k: int):
     """Base bits, dual bits and the per-point A^(1/(2^k-1)) list."""
     m = field.m
-    tmask = trace_mask(field, 1)
-    g_bits = kasami_bits(field, 1)
-    for e in niho_exponents(m, k):
-        g_bits ^= packed(field.size,
-                         lambda x: parity(field.pow(x, e) & tmask))
+    g_bits = niho_base(field, k)
     e_root = pow((1 << k) - 1, -1, (1 << m) - 1)
     alpha = field.solve_semilinear(m, 1)
     alpha_c = field.frob(alpha, (2 * m - k) % (2 * m))

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 
 import pytest
@@ -348,9 +350,35 @@ def test_shifts_outside_the_field_are_a_value_error(n, build):
 
 def test_niho_exponents_frozen_values():
     # single exponent (2^3-1) * inv(4) + 1 = 50 mod 63
-    assert cx.niho_exponents(3, 2) == [50]
-    assert cx.niho_exponents(3, 1) == []
-    assert len(cx.niho_exponents(4, 3)) == 3
+    assert pw.niho_exponents(3, 2) == [50]
+    assert pw.niho_exponents(3, 1) == []
+    assert len(pw.niho_exponents(4, 3)) == 3
+
+
+NIHO_SMALL = [(m, k) for m in range(2, 8) for k in range(1, m + 1)
+              if math.gcd(k, m) == 1]
+
+
+@pytest.mark.parametrize("m,k", NIHO_SMALL)
+def test_niho_base_matches_the_per_exponent_sum(m, k):
+    """The product form equals the sum of one trace per Niho exponent."""
+    field = make_field(2 * m)
+    assert cx.niho_g(field, k).bits == pw.niho_base(field, k)
+
+
+# sha256 prefixes of the m = 8 bases, from the per-exponent sum
+NIHO_M8 = {1: "b4812884fd6a511d", 3: "860652ec379df599",
+           5: "ba098157aea67442", 7: "90a57be830f9133d"}
+
+
+def test_niho_bases_at_m8_for_every_k():
+    field = make_field(16)
+    ks = [k for k in range(1, 9) if math.gcd(k, 8) == 1]
+    assert ks == sorted(NIHO_M8)
+    for k in ks:
+        bits = cx.niho_g(field, k).bits
+        digest = hashlib.sha256(bits.to_bytes(field.size // 8, "little"))
+        assert digest.hexdigest()[:16] == NIHO_M8[k], k
 
 
 def test_niho_k1_reduces_to_norm_base():
@@ -358,7 +386,8 @@ def test_niho_k1_reduces_to_norm_base():
     assert cx.niho_g(field, 1).bits == pw.kasami_base(field, 1).bits
 
 
-@pytest.mark.parametrize("m,k", [(3, 1), (3, 2), (4, 3)])
+@pytest.mark.parametrize("m,k", [(3, 1), (3, 2), (4, 3), (8, 1), (8, 3),
+                                 (8, 5), (8, 7), (10, 9)])
 def test_niho_base_and_cited_dual(m, k):
     field = make_field(2 * m)
     g = cx.niho_g(field, k)

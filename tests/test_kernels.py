@@ -3,9 +3,10 @@
 Random tables on fields with random irreducible moduli (n = 1..10, odd n
 included) and on bivariate grids.  The oracles are the list transforms
 (fwht, mobius and walsh_naive from tests/pointwise.py), re-indexed
-point by point through walsh_index and squaring_perm, and, for the
-bit-sliced constructors, the per-point constructions in
-tests/pointwise.py, whose trace masks follow the definition of the trace.
+point by point through walsh_index and pointwise.squaring_perm (x -> x^2
+with Field.mul), and, for the bit-sliced constructors, the per-point
+constructions in tests/pointwise.py, whose trace masks follow the
+definition of the trace.
 The translation behind D_u is checked against the per-index shift
 T[i ^ s], every pair family's dual against the theorem
 f~ = g~ + F(D_u1 g~, ...), with g~ and f~ read from spectra, and every
@@ -99,7 +100,7 @@ def inner_product_bent(n: int, a: int, c: int) -> int:
 
 def squaring_closure(domain, bits: int) -> int:
     """OR of a table over the squaring orbits: an idempotent table."""
-    perm = domain.squaring_perm()
+    perm = pw.squaring_perm(domain)
     for _ in range(domain.n):
         bits |= sum(((bits >> j) & 1) << i for i, j in enumerate(perm))
     return bits
@@ -246,7 +247,7 @@ def test_fourier_matches_the_list_transform(tau):
 
 @given(tables())
 def test_idempotence_matches_the_squaring_permutation(f):
-    perm = f.domain.squaring_perm()
+    perm = pw.squaring_perm(f.domain)
     assert bf.is_idempotent(f) == all(
         (f.bits >> i) & 1 == (f.bits >> j) & 1 for i, j in enumerate(perm))
 
@@ -254,7 +255,7 @@ def test_idempotence_matches_the_squaring_permutation(f):
 @given(domains(), st.data())
 def test_index_maps_match_squaring_perm_and_walsh_index(dom, data):
     bits = data.draw(st.integers(0, (1 << dom.size) - 1))
-    perm = dom.squaring_perm()
+    perm = pw.squaring_perm(dom)
     squared = pull_linear(bits, dom.squaring_map())
     assert squared == packed((bits >> perm[x]) & 1 for x in range(dom.size))
     assert [apply_columns(dom.squaring_map(), x)
