@@ -48,7 +48,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bentkit import boolfun, constructions, multipoly, verify  # noqa: E402
 from bentkit.constructions import ConstructedPair  # noqa: E402
-from bentkit.errors import NoSolution  # noqa: E402
 from bentkit.gf2n import make_field  # noqa: E402
 
 SAMPLES_PER_SIZE = 3
@@ -94,30 +93,21 @@ def carlet():
 
 @functools.cache
 def _sampled() -> list:
-    """(family, m, built) of each seeded sample; built is None if the
-    sampler found none in 64 attempts."""
+    """(family, m, built) of each seeded sample."""
     out = []
     for family, record in sorted(constructions.FAMILIES.items()):
         rng = random.Random(family)
         for m in _sizes(family, range(2, 7), range(1, 3)):
             for _ in range(SAMPLES_PER_SIZE):
-                built = None
-                for _attempt in range(64):
-                    try:
-                        built = constructions.build(
-                            record.sample(record.scale * m, rng))
-                        break
-                    except NoSolution:
-                        continue
+                built = constructions.build(
+                    record.sample(record.scale * m, rng))
                 out.append((family, m, built))
     return out
 
 
 def samples():
     for family, m, built in _sampled():
-        if built is None:
-            yield f"{family} m={m} no sample"
-        elif isinstance(built, ConstructedPair):
+        if isinstance(built, ConstructedPair):
             yield (f"{built.notes} {_table(built.f)} "
                    f"{_table(built.base)} "
                    f"{_table(built.predicted_dual)} "
@@ -191,7 +181,7 @@ def polynomials():
         if isinstance(built, ConstructedPair):
             yield (f"{family} m={m} {_anf(built.f)} {_anf(built.base)} "
                    f"{multipoly.fourier(built.poly)}")
-        elif built is not None:
+        else:
             yield f"{family} m={m} {_anf(built)}"
     for tau in range(1, 7):
         for d in range(1, tau + 1):

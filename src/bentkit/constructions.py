@@ -511,23 +511,21 @@ def monomial_inverse_exponent(m: int, s: int) -> int:
 
 
 def _mm_monomial_ok(K: Field):
-    """The MMMonomial pair condition on GF(2^s)^2 grid shifts u, v:
-    u1 v2 + v1 u2 = 0 and Tr(u1^2 v2 + u2 v1^2) = 0.  A closed form, as
-    g~ is cubic; stricter than D_u D_v g~ = 0, but golden records pin it."""
+    """D_u D_v g~ = 0 for GF(2^s)^2 grid shifts u, v, in closed form as g~
+    is cubic: Tr(u1^2 v2 + u2 v1^2) = 0, which is F_2-linear in v."""
     split = BivariateDomain(K).split
 
     def ok(u, v):
         (u1, u2), (v1, v2) = split(u), split(v)
-        return not (K.mul(u1, v2) ^ K.mul(v1, u2)) and not K.trace_abs(
-            K.mul(K.sqr(u1), v2) ^ K.mul(u2, K.sqr(v1)))
+        return not K.trace_abs(K.mul(K.sqr(u1), v2) ^ K.mul(u2, K.sqr(v1)))
     return ok
 
 
 def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
     """Tr(x y^d) + F of pair trace forms on K = GF(2^m), d inverting 2^s + 1.
 
-    Shift pairs come from GF(2^s) x GF(2^s) and must pairwise meet the
-    pair condition of _mm_monomial_ok.
+    Shift pairs come from GF(2^s) x GF(2^s) and must pairwise meet
+    D_u D_v g~ = 0, the trace test of _mm_monomial_ok.
     """
     m = K.n
     if s < 1 or m % s != 0 or (m // s) % 2 == 0:
@@ -571,29 +569,28 @@ def random_rotsym_poly(m: int, rng: random.Random) -> ReducedPoly:
 
 def _scan(cands, tau: int, rng: random.Random, ok,
           indep: bool = False) -> list:
-    """Pick tau distinct candidates, pairwise ok, by wrapped scans from
-    random start positions; independent over F_2 if indep.
+    """Pick tau distinct candidates, pairwise ok, in one greedy pass: each
+    slot takes the first fit in a wrapped scan from a random position;
+    independent over F_2 if indep.
 
-    Greedy choices can dead-end (an early pick may admit no partner), so
-    a failed pass restarts from fresh positions before giving up.
+    No pick dead-ends: given the chosen shifts, every family's ok leaves
+    a subspace of fits larger than the chosen set (or its span, if
+    indep), so the NoSolution below guards a broken ok only.
     """
     count = len(cands)
-    for _ in range(32):
-        chosen = []
-        for _slot in range(tau):
-            start = rng.randrange(count)
-            for off in range(count):
-                cand = cands[(start + off) % count]
-                if ((rank(chosen + [cand]) > len(chosen) if indep
-                     else cand not in chosen)
-                        and all(ok(cand, u) for u in chosen)):
-                    chosen.append(cand)
-                    break
-            else:
+    chosen = []
+    for _slot in range(tau):
+        start = rng.randrange(count)
+        for off in range(count):
+            cand = cands[(start + off) % count]
+            if ((rank(chosen + [cand]) > len(chosen) if indep
+                 else cand not in chosen)
+                    and all(ok(cand, u) for u in chosen)):
+                chosen.append(cand)
                 break
-        if len(chosen) == tau:
-            return chosen
-    raise NoSolution("no candidate satisfies the shift conditions")
+        else:
+            raise NoSolution("no candidate satisfies the shift conditions")
+    return chosen
 
 
 def kasami_valid_us(field: Field, lam: int, tau: int, rng: random.Random,

@@ -269,13 +269,13 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
     """Deterministic seeded sampling and verification across sizes.
 
     m_values are subfield degrees m (n = 2m), except for GoldLike where
-    they are k (n = 4k).  Rejection sampling keeps every drawn parameter
-    set inside the family preconditions.  A sweep that would check
-    nothing (no sizes, or fewer than one trial) is BadRange, and a size
-    whose tables are too large is refused before any is drawn.  Sizes
-    are read one at a time up to the first bad one, so a lazy m_values,
-    such as an oversized range, is refused without being expanded.  An
-    unknown family is BadSpec.
+    they are k (n = 4k).  Each trial is one draw of the family's sampler,
+    which keeps the parameters inside the family preconditions in a
+    single pass.  A sweep that would check nothing (no sizes, or fewer
+    than one trial) is BadRange, and a size whose tables are too large is
+    refused before any is drawn.  Sizes are read one at a time up to the
+    first bad one, so a lazy m_values, such as an oversized range, is
+    refused without being expanded.  An unknown family is BadSpec.
     """
     from . import constructions
     record = constructions.lookup_family(family)
@@ -294,16 +294,8 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
     entries = []
     for m in sizes:
         for _ in range(trials):
-            for _attempt in range(64):
-                try:
-                    spec = _sample(family, m, rng)
-                    break
-                except NoSolution:
-                    continue
-            else:
-                raise NoSolution(
-                    f"could not sample valid {family} parameters at m={m}")
-            checked = check(spec)  # kept without its 2^n-bit dual table
+            checked = check(_sample(family, m, rng))
+            # kept without its 2^n-bit dual table
             entries.append(SweepEntry(checked.label, checked.report._replace(
                 computed_dual=None)))
     reports = [e.report for e in entries]

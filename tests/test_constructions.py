@@ -531,7 +531,7 @@ def test_mm_monomial_rejections():
         # s does not divide m
         cx.mm_monomial(make_field(3), 2, [(1, 0)], mp.poly(1, 1))
     with pytest.raises(PreconditionViolated):
-        # (1, 0) and (0, 1) violate the cross-product condition
+        # (1, 0) and (0, 1) fail D_u D_v g~ = 0: Tr(1) = 1 at m = 3
         cx.mm_monomial(make_field(3), 3, [(1, 0), (0, 1)], mp.poly(2, 0b11))
     with pytest.raises(PreconditionViolated):
         # outside GF(2^s)
@@ -571,6 +571,24 @@ def test_master_identity_every_family():
     ]
     for pair in instances:
         assert master_identity_holds(pair), pair.notes
+
+
+# ---------------------------------------------------------------------------
+# seeded samplers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(cx.FAMILIES))
+def test_every_sampler_draws_a_buildable_spec_in_one_pass(name):
+    """No sampler gives up: each draw at every admissible size is a spec
+    its family builds.  The families on GF(2^(2m)) with a subfield
+    condition need m >= 2; GoldLike's size is k (n = 4k)."""
+    record = cx.FAMILIES[name]
+    least = 1 if record.pairs or name in ("QuadIdem", "QuadFamily",
+                                          "GoldLike") else 2
+    for size in range(least, (2 if name == "GoldLike" else 6) + 1):
+        for seed in range(40):
+            spec = record.sample(record.scale * size, random.Random(seed))
+            cx.build(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "fingerprint.py"
-DIGEST = "71b96423c4b8347658dce8790ea2bfd04c99a569b79f003285889ff33af8dd01"
+DIGEST = "ad30e27242cbf29139bcf3bd20c1a55099936702edc4f89c9492ed72ebeddb49"
 
 
 def test_seeded_outputs_match_the_fingerprint(capsys):
