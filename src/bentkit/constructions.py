@@ -4,16 +4,16 @@ Every family is a bent base g plus F(Tr(u_1 x), ..., Tr(u_tau x)), and one
 theorem covers them all: if D_ui D_uj g~ = 0 for all i < j, with
 D_u h(x) = h(x) + h(x + u), then f is bent with dual
 
-    f~ = g~ + F(D_u1 g~, ..., D_utau g~)     (_theorem_dual).
+    f~ = g~ + F(D_u1 g~, ..., D_utau g~).
 
 So each family states only three things: its base table g, its base dual
 g~ (None for QuadFamily and MMMonomial, whose duals verification computes
 from the spectrum), and one pair predicate ok(u, v) for D_u D_v g~ = 0:
 _polar_ok read off g~'s table where g~ is quadratic, a closed form for
-MMMonomial's cubic g~.  _shifted checks ok on every pair of shifts, builds
-f and attaches the predicted dual; the samplers _scan under the same ok.
-The returned pair also carries the base, the shifts u_i and F, so the
-spectrum identity
+MMMonomial's cubic g~.  _shifted checks ok on every pair of shifts and
+computes the D_ui g~, once; its pair(F, notes) builds f and the predicted
+dual for any F.  The samplers _scan under the same ok.  Each pair also
+carries the base, the shifts u_i and F, so the spectrum identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
 
@@ -124,22 +124,12 @@ def _full(dom) -> int:
     return (1 << dom.size) - 1
 
 
-def _theorem_dual(dom, gdual: int, shifts, F: ReducedPoly) -> TruthTable:
-    """The dual g~ + F(D_u1 g~, ..., D_utau g~) of g + F(Tr(u_1 x), ...).
-
-    gdual is the base's dual table g~; the pairwise conditions
-    D_ui D_uj g~ = 0 are the caller's to check.
-    """
-    args = [gdual ^ translate(gdual, dom.n, u) for u in shifts]  # D_u g~
-    return TruthTable(dom, gdual ^ multipoly.compose(F, args, _full(dom)))
-
-
-def _shifted(dom, base: int, gdual: int | None, shifts, F: ReducedPoly,
-             notes: str, ok=None) -> ConstructedPair:
-    """The pair f = g + F(Tr(u_1 x), ..., Tr(u_tau x)) of the base table g.
+def _shifted(dom, base: int, gdual: int | None, shifts, ok=None):
+    """pair(F, notes): the pair f = g + F(Tr(u_1 x), ..., Tr(u_tau x)).
 
     ok(u, v) is the family's test of D_u D_v g~ = 0 and must hold on
-    every pair of shifts.  The dual is predicted when g~ is known.
+    every pair of shifts; it is checked, and the D_ui g~ are computed,
+    once.  pair predicts the dual g~ + F(D_u1 g~, ...) when g~ is known.
     """
     shifts = tuple(shifts)
     if ok is not None:
@@ -147,12 +137,17 @@ def _shifted(dom, base: int, gdual: int | None, shifts, F: ReducedPoly,
             if not ok(u, v):
                 raise PreconditionViolated(
                     f"shift condition fails for pair ({i},{j})")
-    f = base ^ multipoly.compose_traces(dom, F, shifts)
-    return ConstructedPair(
-        f=TruthTable(dom, f),
-        predicted_dual=(None if gdual is None
-                        else _theorem_dual(dom, gdual, shifts, F)),
-        notes=notes, base=TruthTable(dom, base), shifts=shifts, poly=F)
+    diffs = (None if gdual is None  # D_u g~
+             else [gdual ^ translate(gdual, dom.n, u) for u in shifts])
+
+    def pair(F: ReducedPoly, notes: str) -> ConstructedPair:
+        f = base ^ multipoly.compose_traces(dom, F, shifts)
+        return ConstructedPair(
+            f=TruthTable(dom, f),
+            predicted_dual=(None if diffs is None else TruthTable(
+                dom, gdual ^ multipoly.compose(F, diffs, _full(dom)))),
+            notes=notes, base=TruthTable(dom, base), shifts=shifts, poly=F)
+    return pair
 
 
 def _polar_ok(n: int, gdual: int):
@@ -193,12 +188,11 @@ def _kasami_dual(field: Field, lam: int) -> int:
     return _kasami_bits(field, field.inv(lam)) ^ _full(field)
 
 
-def _kasami_pair(field: Field, lam: int, us, F: ReducedPoly,
-                 notes: str) -> ConstructedPair:
-    """Kasami base plus F of trace forms, its dual by the theorem;
+def _kasami_shifted(field: Field, lam: int, us):
+    """pair(F, notes) on the Kasami base, its dual by the theorem;
     subfield shifts meet the pair condition trivially."""
     gdual = _kasami_dual(field, lam)
-    return _shifted(field, _kasami_bits(field, lam), gdual, us, F, notes,
+    return _shifted(field, _kasami_bits(field, lam), gdual, us,
                     _polar_ok(field.n, gdual))
 
 
@@ -210,8 +204,8 @@ def kasami_general(field: Field, lam: int, us,
     _check_lambda(field, lam)
     us = list(us)
     _check_tau(F, len(us), m)
-    return _kasami_pair(field, lam, us, F,
-                        f"KasamiGeneral n={field.n} lam={lam:#x} tau={F.tau}")
+    return _kasami_shifted(field, lam, us)(
+        F, f"KasamiGeneral n={field.n} lam={lam:#x} tau={F.tau}")
 
 
 def kasami_subfield(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
@@ -223,18 +217,15 @@ def kasami_subfield(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPa
     if rank(us) != len(us):
         raise NotIndependent("shift elements are dependent over F_2")
     _check_tau(F, len(us), m)
-    return _kasami_pair(field, lam, us, F,
-                        f"KasamiSubfield n={field.n} lam={lam:#x} tau={F.tau}")
+    return _kasami_shifted(field, lam, us)(
+        F, f"KasamiSubfield n={field.n} lam={lam:#x} tau={F.tau}")
 
 
-def _normal_orbit(field: Field, u: int, F: ReducedPoly) -> list[int]:
-    """Shifts u, u^2, ... of a normal subfield u, for rotation-symmetric F."""
-    m = _require_half(field)
+def _normal_orbit(field: Field, u: int) -> list[int]:
+    """Shifts u, u^2, ..., u^(2^(m-1)) of a normal subfield element u."""
+    _require_half(field)
     if not field.is_normal(u):
         raise NotNormal(f"{u:#x} is not a normal element of the subfield")
-    if not multipoly.is_rotation_symmetric(F):
-        raise NotRotationSymmetric("F must be invariant under cyclic shift")
-    _check_tau(F, m, m)
     orbit = []
     t = u
     for _ in range(field.m):
@@ -243,18 +234,35 @@ def _normal_orbit(field: Field, u: int, F: ReducedPoly) -> list[int]:
     return orbit
 
 
+def _check_rotsym(F: ReducedPoly, m: int) -> None:
+    if not multipoly.is_rotation_symmetric(F):
+        raise NotRotationSymmetric("F must be invariant under cyclic shift")
+    _check_tau(F, m, m)
+
+
 def kasami_idempotent(field: Field, u: int, F: ReducedPoly) -> ConstructedPair:
     """Bent idempotent from a normal subfield orbit and rotation-symmetric F."""
-    notes = f"KasamiIdempotent n={field.n} u={u:#x} d={F.degree()}"
-    return _kasami_pair(field, 1, _normal_orbit(field, u, F), F, notes)
+    us = _normal_orbit(field, u)
+    _check_rotsym(F, field.m)
+    return _kasami_shifted(field, 1, us)(
+        F, f"KasamiIdempotent n={field.n} u={u:#x} d={F.degree()}")
+
+
+def kasami_ladder(field: Field, u: int):
+    """(d, kasami_idempotent(field, u, e_d)) for d = 2..m from one checked
+    base; each e_d is rotation symmetric in m variables."""
+    pair = _kasami_shifted(field, 1, _normal_orbit(field, u))
+    for d in range(2, field.m + 1):
+        yield d, pair(multipoly.elementary_symmetric(field.m, d),
+                      f"KasamiIdempotent n={field.n} u={u:#x} d={d}")
 
 
 def kasami_antiselfdual(field: Field, F: ReducedPoly) -> ConstructedPair:
     """Anti-self-dual family over the trace-zero hyperplane basis."""
     m = _require_half(field)
     _check_tau(F, m - 1, m)
-    return _kasami_pair(field, 1, field.trace_zero_basis(), F,
-                        f"KasamiAntiSelfDual n={field.n} d={F.degree()}")
+    return _kasami_shifted(field, 1, field.trace_zero_basis())(
+        F, f"KasamiAntiSelfDual n={field.n} d={F.degree()}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +330,16 @@ def quad_family(field: Field, c, eps: int, us, F: ReducedPoly) -> ConstructedPai
     us = list(us)
     _check_subfield_units(field, us)
     _check_tau(F, len(us), m)
-    return _shifted(
-        field, quad_idempotent_g(field, c, eps).bits, None, us, F,
-        f"QuadFamily n={field.n} c={''.join(map(str, c))} tau={F.tau}")
+    return _shifted(field, quad_idempotent_g(field, c, eps).bits, None, us)(
+        F, f"QuadFamily n={field.n} c={''.join(map(str, c))} tau={F.tau}")
 
 
 def quad_idempotent_family(field: Field, c, eps: int, u: int,
                            F: ReducedPoly) -> ConstructedPair:
     """Bent idempotent of prescribed degree from any quadratic base."""
-    pair = quad_family(field, c, eps, _normal_orbit(field, u, F), F)
+    us = _normal_orbit(field, u)
+    _check_rotsym(F, field.m)
+    pair = quad_family(field, c, eps, us, F)
     return pair._replace(
         notes=f"QuadIdemFamily n={field.n} u={u:#x} d={F.degree()}")
 
@@ -357,9 +366,9 @@ def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
     us = list(us)
     _check_tau(F, len(us), field.n // 2)
     base = _gold_bits(field, lam)
-    return _shifted(field, base, base, us, F,  # self-dual
-                    f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}",
-                    _polar_ok(field.n, base))
+    return _shifted(field, base, base, us,  # self-dual
+                    _polar_ok(field.n, base))(
+        F, f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +449,8 @@ def niho_family(field: Field, k: int, us, F: ReducedPoly) -> ConstructedPair:
     us = list(us)
     _check_subfield_units(field, us)
     _check_tau(F, len(us), m)
-    return _shifted(field, *_niho_tables(field, k), us, F,
-                    f"Niho n={field.n} k={k} tau={F.tau}")
+    return _shifted(field, *_niho_tables(field, k), us)(
+        F, f"Niho n={field.n} k={k} tau={F.tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +504,9 @@ def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
                          K.trace_mask(1))
             ^ trace_planes(ys, K.trace_mask(b)))
     gdual = _mm_linear_dual(K, inv, b)
-    return _shifted(BivariateDomain(K), base, gdual, shifts, F,
-                    f"MMLinear m={m} b={b:#x} tau={F.tau}",
-                    _polar_ok(2 * m, gdual))
+    return _shifted(BivariateDomain(K), base, gdual, shifts,
+                    _polar_ok(2 * m, gdual))(
+        F, f"MMLinear m={m} b={b:#x} tau={F.tau}")
 
 
 def monomial_inverse_exponent(m: int, s: int) -> int:
@@ -541,9 +550,8 @@ def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
     xs, ys = _grid_planes(K)
     base = trace_planes(K.mul_planes(xs, K.pow_planes(ys, d)),
                         K.trace_mask(1))
-    return _shifted(dom, base, None, shifts, F,
-                    f"MMMonomial m={m} s={s} d={d} tau={F.tau}",
-                    _mm_monomial_ok(K))
+    return _shifted(dom, base, None, shifts, _mm_monomial_ok(K))(
+        F, f"MMMonomial m={m} s={s} d={d} tau={F.tau}")
 
 
 # ---------------------------------------------------------------------------

@@ -185,11 +185,8 @@ def demo_carlet(m: int, seed: int = 0) -> list[CarletEntry]:
             f"m >= 2 required for a degree-2 rung, got {m}")
     require_table_degree(2 * m)
     field = make_field(2 * m)
-    u = field.find_normal(seed)
     out = []
-    for d in range(2, m + 1):
-        pair = constructions.kasami_idempotent(
-            field, u, multipoly.elementary_symmetric(m, d))
+    for d, pair in constructions.kasami_ladder(field, field.find_normal(seed)):
         rep = verify(pair.f,
                      Expectation(bent=True, degree=d, idempotent=True),
                      predicted_dual=pair.predicted_dual)

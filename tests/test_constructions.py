@@ -27,7 +27,9 @@ from bentkit.errors import (
 from bentkit.gf2n import (
     BivariateDomain,
     apply_linear,
+    default_modulus,
     invert,
+    is_irreducible,
     make_field,
     rank,
     transpose,
@@ -177,6 +179,29 @@ def test_kasami_idempotent_rejections():
     u = field.find_normal(0)
     with pytest.raises(NotRotationSymmetric):
         cx.kasami_idempotent(field, u, mp.poly(3, 0b011))
+    with pytest.raises(NotNormal):
+        next(cx.kasami_ladder(field, 1))
+
+
+def next_modulus(n):
+    """The least irreducible degree-n modulus above the default one."""
+    return next(p for p in range(default_modulus(n) + 2, 1 << (n + 1), 2)
+                if is_irreducible(p))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_kasami_ladder_rungs_equal_kasami_idempotent(m):
+    """Each rung of the ladder, built from one checked base, is the pair
+    that kasami_idempotent builds alone, field by field."""
+    n = 2 * m
+    for field in (make_field(n), make_field(n, next_modulus(n))):
+        for u in sorted({field.find_normal(seed) for seed in (0, 1, 7)}):
+            rungs = list(cx.kasami_ladder(field, u))
+            assert [d for d, _ in rungs] == list(range(2, m + 1))
+            for d, pair in rungs:
+                alone = cx.kasami_idempotent(field, u,
+                                             mp.elementary_symmetric(m, d))
+                assert pair._asdict() == alone._asdict()
 
 
 def test_kasami_antiselfdual():

@@ -508,7 +508,10 @@ def test_the_dual_theorem_holds_on_every_pair_family(sample, data, seed):
         d = gdual ^ translate(gdual, dom.n, ui)  # D_ui g~
         assert d == translate(d, dom.n, uj)      # D_uj D_ui g~ = 0
     fdual = bf.dual(bf.walsh(pair.f)).bits
-    assert cx._theorem_dual(dom, gdual, pair.shifts, pair.poly).bits == fdual
+    rebuilt = cx._shifted(dom, pair.base.bits, gdual, pair.shifts)(
+        pair.poly, pair.notes)
+    assert rebuilt.f == pair.f
+    assert rebuilt.predicted_dual.bits == fdual
     if pair.predicted_dual is not None:
         assert pair.predicted_dual.bits == fdual
 

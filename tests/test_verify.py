@@ -135,6 +135,32 @@ def test_demo_carlet_seed_changes_normal_element():
     a = vf.demo_carlet(3, seed=0)
     b = vf.demo_carlet(3, seed=5)
     assert all(e.ok for e in a + b)
+    field = make_field(6)
+    orbits = []
+    for seed, entries in ((0, a), (5, b)):
+        u = field.find_normal(seed)
+        orbit = (u, field.sqr(u), field.sqr(field.sqr(u)))
+        assert all(e.pair.shifts == orbit for e in entries)
+        orbits.append(orbit)
+    assert orbits[0][0] == 0xf and orbits[1][0] == 0x18
+    assert orbits[0] != orbits[1]
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_demo_carlet_translates_each_shift_once(m, monkeypatch):
+    """The ladder shares one base: m translations of g~ in all, one per
+    orbit shift, not m at each of the m - 1 rungs."""
+    shifts = []
+    translate = cx.translate
+
+    def counted(bits, n, s):
+        shifts.append(s)
+        return translate(bits, n, s)
+    monkeypatch.setattr(cx, "translate", counted)
+    entries = vf.demo_carlet(m)
+    assert len(entries) == m - 1
+    assert len(shifts) == m
+    assert tuple(shifts) == entries[0].pair.shifts
 
 
 def test_demo_mesnager_defaults():
