@@ -12,8 +12,9 @@ from the spectrum), and one pair predicate ok(u, v) for D_u D_v g~ = 0:
 _polar_ok read off g~'s table where g~ is quadratic, a closed form for
 MMMonomial's cubic g~.  _shifted checks ok on every pair of shifts and
 computes the D_ui g~, once; its pair(F, notes) builds f and the predicted
-dual for any F.  The samplers _scan under the same ok.  Each pair also
-carries the base, the shifts u_i and F, so the spectrum identity
+dual for any F.  The samplers _scan the subfield or an index range under
+the same ok (MMMonomial reads index j as a GF(2^s)^2 pair).  Each pair
+also carries the base, the shifts u_i and F, so the spectrum identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
 
@@ -226,12 +227,7 @@ def _normal_orbit(field: Field, u: int) -> list[int]:
     _require_half(field)
     if not field.is_normal(u):
         raise NotNormal(f"{u:#x} is not a normal element of the subfield")
-    orbit = []
-    t = u
-    for _ in range(field.m):
-        orbit.append(t)
-        t = field.sqr(t)
-    return orbit
+    return field.orbit(u)
 
 
 def _check_rotsym(F: ReducedPoly, m: int) -> None:
@@ -637,9 +633,15 @@ def mm_monomial_pairs(K: Field, s: int, tau: int,
                       rng: random.Random) -> list[tuple[int, int]]:
     """Random shift pairs in GF(2^s)^2 meeting the monomial-family conditions."""
     sub = [y for y in range(K.size) if K.frob(y, s) == y]
-    cands = [(a << K.n) | b for a in sub for b in sub if a or b]
-    shifts = _scan(cands, tau, rng, _mm_monomial_ok(K), indep=True)
-    return [BivariateDomain(K).split(u) for u in shifts]
+    ok = _mm_monomial_ok(K)
+
+    def pair(j):
+        """Shift index of (sub[j >> s], sub[j mod 2^s]): F_2-linear and
+        injective in j as sub increases, so independence reads the same."""
+        return (sub[j >> s] << K.n) | sub[j & ((1 << s) - 1)]
+    shifts = _scan(range(1, 1 << 2 * s), tau, rng,
+                   lambda i, j: ok(pair(i), pair(j)), indep=True)
+    return [BivariateDomain(K).split(pair(j)) for j in shifts]
 
 
 # ---------------------------------------------------------------------------

@@ -119,34 +119,13 @@ def default_modulus(n: int) -> int:
 # F_2-linear algebra on int coordinate vectors
 # ---------------------------------------------------------------------------
 
-def _echelonize(vectors):
-    """Echelon basis keyed by leading bit; zero vectors are dropped."""
-    basis = {}
-    for v in vectors:
-        while v:
-            lead = v.bit_length() - 1
-            if lead in basis:
-                v ^= basis[lead]
-            else:
-                basis[lead] = v
-                break
-    return basis
-
-
-def rank(vectors) -> int:
-    """Rank over F_2 of a list of int coordinate vectors."""
-    return len(_echelonize(vectors))
-
-
-def solve_f2(images: list[int], target: int):
-    """Solve sum_j x_j * images[j] = target over F_2.
-
-    Returns (solution_mask, kernel_basis); solution_mask is None when the
-    target is outside the span.  kernel_basis spans {x : L(x) = 0}.
-    """
+def _pivots(vectors):
+    """Leading-bit elimination: pivots maps a leading bit to (v, c), a sum v
+    of inputs and the mask c of the inputs it sums; kernel holds c for each
+    input that reduced to 0, a basis of {x : sum_j x_j vectors[j] = 0}."""
     pivots = {}
     kernel = []
-    for j, v in enumerate(images):
+    for j, v in enumerate(vectors):
         c = 1 << j
         while v:
             lead = v.bit_length() - 1
@@ -159,15 +138,35 @@ def solve_f2(images: list[int], target: int):
                 break
         if v == 0:
             kernel.append(c)
-    t, combo = target, 0
+    return pivots, kernel
+
+
+def _combination(pivots, t: int):
+    """Mask of the inputs summing to t, or None if t is outside their span."""
+    combo = 0
     while t:
         lead = t.bit_length() - 1
         if lead not in pivots:
-            return None, kernel
+            return None
         pv, pc = pivots[lead]
         t ^= pv
         combo ^= pc
-    return combo, kernel
+    return combo
+
+
+def rank(vectors) -> int:
+    """Rank over F_2 of a list of int coordinate vectors."""
+    return len(_pivots(vectors)[0])
+
+
+def solve_f2(images: list[int], target: int):
+    """Solve sum_j x_j * images[j] = target over F_2.
+
+    Returns (solution_mask, kernel_basis); solution_mask is None when the
+    target is outside the span.  kernel_basis spans {x : L(x) = 0}.
+    """
+    pivots, kernel = _pivots(images)
+    return _combination(pivots, target), kernel
 
 
 def apply_linear(columns, x: int) -> int:
@@ -198,21 +197,19 @@ def invert(columns) -> list[int]:
 
     As (M^-1)^T = (M^T)^-1, the same call maps rows to the inverse's rows.
     """
-    inverse = []
-    for i in range(len(columns)):
-        sol, kernel = solve_f2(columns, 1 << i)
-        if kernel:
-            raise SingularPermutation("matrix is not invertible over F_2")
-        inverse.append(sol)  # x with M x = e_i
-    return inverse
+    pivots, kernel = _pivots(columns)
+    if kernel:
+        raise SingularPermutation("matrix is not invertible over F_2")
+    # column i is the x with M x = e_i
+    return [_combination(pivots, 1 << i) for i in range(len(columns))]
 
 
 def coset_min(x: int, kernel) -> int:
     """Smallest integer in the coset x + span(kernel)."""
-    basis = _echelonize(kernel)
-    for lead in sorted(basis, reverse=True):
+    pivots = _pivots(kernel)[0]
+    for lead in sorted(pivots, reverse=True):
         if (x >> lead) & 1:
-            x ^= basis[lead]
+            x ^= pivots[lead][0]
     return x
 
 
@@ -554,12 +551,12 @@ class Field:
         m = self._require_m()
         if self.frob(u, m) != u:
             return False
-        orbit = []
-        t = u
-        for _ in range(m):
-            orbit.append(t)
-            t = self.sqr(t)
-        return rank(orbit) == m
+        return rank(self.orbit(u)) == m
+
+    def orbit(self, u: int) -> list[int]:
+        """u, u^2, ..., u^(2^(m-1)): the orbit of a subfield element under
+        squaring."""
+        return [self.frob(u, i) for i in range(self._require_m())]
 
     def find_normal(self, seed: int = 0) -> int:
         """First normal element of GF(2^m) met by a wrapped scan of its

@@ -13,10 +13,12 @@ The list helpers (to_bitlist, from_bits, fwht, mobius, walsh_naive,
 spectrum_from_values), pullback_mask and squaring_perm are the
 references for the packed transforms and index maps; monomials and
 evaluate, which read a ReducedPoly monomial by monomial, for the packed
-polynomial layer; and master_identity_holds, beta by beta, for the packed
-spectrum identity in bentkit.verify.  kasami_base and parseval_holds are
-the tests' own references for the Kasami base table and for Parseval's
-identity, which the library does not need.
+polynomial layer; master_identity_holds, beta by beta, for the packed
+spectrum identity in bentkit.verify; and mm_monomial_pairs, which lists
+every candidate pair, for the index map of the MMMonomial sampler.
+kasami_base and parseval_holds are the tests' own references for the
+Kasami base table and for Parseval's identity, which the library does not
+need.
 """
 
 from functools import lru_cache
@@ -25,7 +27,11 @@ from itertools import combinations
 from bentkit import boolfun as bf
 from bentkit import multipoly as mp
 from bentkit.boolfun import TruthTable, WalshSpectrum
-from bentkit.constructions import monomial_inverse_exponent
+from bentkit.constructions import (
+    _mm_monomial_ok,
+    _scan,
+    monomial_inverse_exponent,
+)
 from bentkit.gf2n import BivariateDomain, Field, invert
 
 
@@ -459,3 +465,12 @@ def mm_monomial(m: int, s: int, pairs, F, modulus=None):
     f, base = _grid_forms(K, pairs, F, dom, lambda x, y: parity(
         K.mul(x, ypow[y]) & tmask))
     return f, base, None
+
+
+def mm_monomial_pairs(K: Field, s: int, tau: int, rng):
+    """The MMMonomial shift draw over the list of all 4^s - 1 nonzero pairs
+    of GF(2^s)^2, in the order of the sampler's index j."""
+    sub = [y for y in range(K.size) if K.frob(y, s) == y]
+    cands = [(a << K.n) | b for a in sub for b in sub if a or b]
+    shifts = _scan(cands, tau, rng, _mm_monomial_ok(K), indep=True)
+    return [BivariateDomain(K).split(u) for u in shifts]

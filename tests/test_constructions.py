@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,6 +19,7 @@ from bentkit.errors import (
     BentkitError,
     GcdViolated,
     LambdaConstraintViolated,
+    NoSolution,
     NotIndependent,
     NotInSubfield,
     NotNormal,
@@ -547,6 +550,54 @@ def test_mm_monomial_searched_pairs():
         pairs = cx.mm_monomial_pairs(make_field(m), s, 2, rng)
         pair = cx.mm_monomial(make_field(m), s, pairs, cx.random_poly(2, rng))
         assert bf.is_bent(bf.walsh(pair.f))
+
+
+def _mm_monomial_draw(sampler, K, s, tau, seed):
+    """A draw's pairs (or NoSolution) and the next value of its rng."""
+    rng = random.Random(seed)
+    try:
+        pairs = sampler(K, s, tau, rng)
+    except NoSolution:
+        pairs = NoSolution
+    return pairs, rng.random()
+
+
+def test_mm_monomial_pairs_equal_the_listed_draw():
+    """Reading index j as (sub[j >> s], sub[j mod 2^s]) draws what the list
+    of all 4^s - 1 candidate pairs drew, for every admissible (m, s) with
+    m <= 6.  At s = 1 no two pairs fit, and both raise NoSolution."""
+    for m in range(1, 7):
+        K = make_field(m)
+        for s in (s for s in range(1, m + 1) if m % s == 0 and (m // s) % 2):
+            for tau, seed in itertools.product((1, 2), range(5)):
+                drawn = _mm_monomial_draw(cx.mm_monomial_pairs, K, s, tau,
+                                          seed)
+                assert drawn == _mm_monomial_draw(pw.mm_monomial_pairs, K,
+                                                  s, tau, seed)
+                assert (drawn[0] is NoSolution) == (tau > 1 and s == 1)
+
+
+# At n = 20 no sampler may hold more than this many 2^n-bit tables' worth
+# of memory.  The Kasami and GoldLike samplers peak at about 107, most of
+# them the n coordinate tables, the n planes of L(x) and the 2n - 1 planes
+# of their product in the quadratic base dual; a list of MMMonomial's
+# 4^10 - 1 candidate pairs at s = 10 would come to about 320.
+SAMPLER_TABLES_N20 = 128
+
+
+@pytest.mark.parametrize("name", [*cx.FAMILIES, "MMMonomial s=10"])
+def test_samplers_at_n20_hold_a_bounded_number_of_tables(name):
+    rng = random.Random(0)
+    tracemalloc.start()
+    try:
+        if name == "MMMonomial s=10":
+            cx.mm_monomial_pairs(make_field(10), 10, 2, rng)
+        else:
+            cx.FAMILIES[name].sample(20, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SAMPLER_TABLES_N20 << (20 - 3), f"{name}: {peak} bytes"
 
 
 def test_mm_monomial_rejections():

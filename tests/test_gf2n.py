@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from bentkit.errors import (
     NoSolution,
     NotInSubfield,
     ReducibleModulus,
+    SingularPermutation,
     UnsupportedDegree,
     ZeroElement,
 )
@@ -15,9 +17,12 @@ from bentkit.gf2n import (
     MAX_TABLE_DEGREE,
     Field,
     coordinate_tables,
+    coset_min,
+    invert,
     is_irreducible,
     make_field,
     rank,
+    solve_f2,
 )
 
 
@@ -254,3 +259,87 @@ def test_solve_semilinear_no_solution():
                if all(z ^ field.frob(z, 2) != t for z in range(field.size)))
     with pytest.raises(NoSolution):
         field.solve_semilinear(2, bad)
+
+
+# ---------------------------------------------------------------------------
+# The pivot table behind rank, solve_f2, coset_min and invert, against
+# brute force over every combination of the inputs
+# ---------------------------------------------------------------------------
+
+def combine(vectors, x: int) -> int:
+    """sum_j x_j vectors[j], input by input."""
+    acc = 0
+    for j, v in enumerate(vectors):
+        if (x >> j) & 1:
+            acc ^= v
+    return acc
+
+
+def systems():
+    """(width, vectors): every list of up to 4 vectors of width up to 3,
+    then 300 random lists of up to 6 vectors of width up to 6."""
+    for w in range(1, 4):
+        for k in range(5):
+            for vs in itertools.product(range(1 << w), repeat=k):
+                yield w, list(vs)
+    rng = random.Random(20)
+    for _ in range(300):
+        w = rng.randint(1, 6)
+        yield w, [rng.getrandbits(w) for _ in range(rng.randint(0, 6))]
+
+
+def test_solve_f2_against_brute_force():
+    for w, vs in systems():
+        k = len(vs)
+        sums = {combine(vs, x) for x in range(1 << k)}
+        for t in range(1 << w):
+            sol, kernel = solve_f2(vs, t)
+            if t in sums:
+                assert sol is not None and sol >> k == 0
+                assert combine(vs, sol) == t
+            else:
+                assert sol is None
+        # the kernel list is a basis of the null space
+        nulls = sum(combine(vs, x) == 0 for x in range(1 << k))
+        assert all(c >> k == 0 and combine(vs, c) == 0 for c in kernel)
+        spanned = {combine(kernel, y) for y in range(1 << len(kernel))}
+        assert len(spanned) == 1 << len(kernel) == nulls
+
+
+def test_rank_is_the_log2_of_the_span():
+    for _w, vs in systems():
+        span = {combine(vs, x) for x in range(1 << len(vs))}
+        assert 1 << rank(vs) == len(span)
+
+
+def test_coset_min_against_brute_force():
+    for w, vs in systems():
+        for x in range(1 << w):
+            assert coset_min(x, vs) == min(
+                x ^ combine(vs, y) for y in range(1 << len(vs)))
+
+
+def square_matrices():
+    """Every square matrix of size up to 3, then 200 random ones up to 6."""
+    for n in range(1, 4):
+        for cols in itertools.product(range(1 << n), repeat=n):
+            yield n, list(cols)
+    rng = random.Random(21)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        yield n, [rng.getrandbits(n) for _ in range(n)]
+
+
+def test_invert_round_trips_and_refuses_a_singular_matrix():
+    singular = 0
+    for n, cols in square_matrices():
+        if len({combine(cols, x) for x in range(1 << n)}) < 1 << n:
+            singular += 1
+            with pytest.raises(SingularPermutation):
+                invert(cols)
+            continue
+        inv = invert(cols)
+        for x in range(1 << n):
+            assert combine(cols, combine(inv, x)) == x
+            assert combine(inv, combine(cols, x)) == x
+    assert singular  # both branches ran
