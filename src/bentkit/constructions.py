@@ -8,13 +8,14 @@ D_u h(x) = h(x) + h(x + u), then f is bent with dual
 
 So each family states only three things: its base table g, its base dual
 g~ (None for QuadFamily and MMMonomial, whose duals verification computes
-from the spectrum), and one pair predicate ok(u, v) for D_u D_v g~ = 0:
-_polar_ok read off g~'s table where g~ is quadratic, a closed form for
-MMMonomial's cubic g~.  _shifted checks ok on every pair of shifts and
-computes the D_ui g~, once; its pair(F, notes) builds f and the predicted
-dual for any F.  The samplers _scan the subfield or an index range under
-the same ok (MMMonomial reads index j as a GF(2^s)^2 pair).  Each pair
-also carries the base, the shifts u_i and F, so the spectrum identity
+from the spectrum), and a closed-form n-bit mask row(u): D_u D_v g~ = 0
+is F_2-linear in v here, so it reads parity(row(u) & v) = 0, no table.
+_shifted checks that on every pair of shifts and computes the D_ui g~,
+once; its pair(F, notes) builds f and the predicted dual for any F.  The
+samplers _scan the subfield or an index range under the chosen shifts'
+rows (MMMonomial reads index j as a GF(2^s)^2 pair, its row pulled back).
+Each pair also carries the base, the shifts u_i and F, so the spectrum
+identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
 
@@ -69,6 +70,7 @@ from .gf2n import (
     BivariateDomain,
     Field,
     add_const,
+    apply_linear,
     coordinate_tables,
     invert,
     linear_planes,
@@ -125,19 +127,23 @@ def _full(dom) -> int:
     return (1 << dom.size) - 1
 
 
-def _shifted(dom, base: int, gdual: int | None, shifts, ok=None):
+def _shifted(dom, base: int, gdual: int | None, shifts, row=None):
     """pair(F, notes): the pair f = g + F(Tr(u_1 x), ..., Tr(u_tau x)).
 
-    ok(u, v) is the family's test of D_u D_v g~ = 0 and must hold on
-    every pair of shifts; it is checked, and the D_ui g~ are computed,
-    once.  pair predicts the dual g~ + F(D_u1 g~, ...) when g~ is known.
+    D_u D_v g~ = 0 is parity(row(u) & v) = 0 and must hold on every pair
+    of shifts; it is checked, and the D_ui g~ are computed, once.  A shift
+    beyond the n index bits is a ValueError before any pair is judged.
+    pair predicts the dual g~ + F(D_u1 g~, ...) when g~ is known.
     """
     shifts = tuple(shifts)
-    if ok is not None:
-        for (i, u), (j, v) in combinations(enumerate(shifts, 1), 2):
-            if not ok(u, v):
-                raise PreconditionViolated(
-                    f"shift condition fails for pair ({i},{j})")
+    for u in shifts:
+        if u >> dom.n:  # also every u < 0
+            raise ValueError(f"shift {u:#x} leaves {dom.n} index bits")
+    rows = [row(u) for u in shifts[:-1]] if row else []  # no pair reads u_tau
+    for i, j in combinations(range(len(rows) + 1), 2):
+        if (rows[i] & shifts[j]).bit_count() & 1:
+            raise PreconditionViolated(
+                f"shift condition fails for pair ({i + 1},{j + 1})")
     diffs = (None if gdual is None  # D_u g~
              else [gdual ^ translate(gdual, dom.n, u) for u in shifts])
 
@@ -149,22 +155,6 @@ def _shifted(dom, base: int, gdual: int | None, shifts, ok=None):
                 dom, gdual ^ multipoly.compose(F, diffs, _full(dom)))),
             notes=notes, base=TruthTable(dom, base), shifts=shifts, poly=F)
     return pair
-
-
-def _polar_ok(n: int, gdual: int):
-    """ok(u, v): D_u D_v g~ = 0 for a table g~ of degree at most 2, where it
-    is the constant g~(0) + g~(u) + g~(v) + g~(u + v).  A shift beyond the
-    n index bits is a ValueError before any bit is read."""
-    table = gdual.to_bytes(((1 << n) + 7) >> 3, "little")
-
-    def bit(i):
-        return table[i >> 3] >> (i & 7) & 1
-
-    def ok(u, v):
-        if (u | v) >> n:
-            raise ValueError(f"shifts {u:#x}, {v:#x} leave {n} index bits")
-        return not bit(0) ^ bit(u) ^ bit(v) ^ bit(u ^ v)
-    return ok
 
 
 def _quadratic(field: Field, lin, mask: int) -> int:
@@ -183,18 +173,21 @@ def _kasami_bits(field: Field, lam: int) -> int:
     return _quadratic(field, field.frob_map(field.m), field.subtrace_mask(lam))
 
 
-def _kasami_dual(field: Field, lam: int) -> int:
-    """The base's dual Tr_sub(lambda^-1 * x^(2^m+1)) + 1: the inverted
-    lambda, which the un-inverted statement form matches only at 1."""
-    return _kasami_bits(field, field.inv(lam)) ^ _full(field)
+def _kasami_row(field: Field, mu: int):
+    """row(u) of g~ = Tr_sub(mu x^(2^m+1)) + 1: its polar form is
+    Tr(mu u v^(2^m)) = Tr((mu u)^(2^m) v), as theta + theta^(2^m) = 1."""
+    return lambda u: field.trace_mask(field.frob(field.mul(mu, u), field.m))
 
 
 def _kasami_shifted(field: Field, lam: int, us):
     """pair(F, notes) on the Kasami base, its dual by the theorem;
-    subfield shifts meet the pair condition trivially."""
-    gdual = _kasami_dual(field, lam)
-    return _shifted(field, _kasami_bits(field, lam), gdual, us,
-                    _polar_ok(field.n, gdual))
+    subfield shifts meet the pair condition trivially.  The base's dual is
+    Tr_sub(mu x^(2^m+1)) + 1 with mu = lambda^-1, which the un-inverted
+    statement form matches only at 1."""
+    mu = field.inv(lam)
+    return _shifted(field, _kasami_bits(field, lam),
+                    _kasami_bits(field, mu) ^ _full(field), us,
+                    _kasami_row(field, mu))
 
 
 def kasami_general(field: Field, lam: int, us,
@@ -257,8 +250,14 @@ def kasami_antiselfdual(field: Field, F: ReducedPoly) -> ConstructedPair:
     """Anti-self-dual family over the trace-zero hyperplane basis."""
     m = _require_half(field)
     _check_tau(F, m - 1, m)
-    return _kasami_shifted(field, 1, field.trace_zero_basis())(
-        F, f"KasamiAntiSelfDual n={field.n} d={F.degree()}")
+    return kasami_antiselfdual_pairs(field)(F)
+
+
+def kasami_antiselfdual_pairs(field: Field):
+    """F -> the anti-self-dual pair of F in m - 1 variables, from one
+    checked base; an F of another arity is ArityMismatch."""
+    pair = _kasami_shifted(field, 1, field.trace_zero_basis())
+    return lambda F: pair(F, f"KasamiAntiSelfDual n={field.n} d={F.degree()}")
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +361,15 @@ def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
     us = list(us)
     _check_tau(F, len(us), field.n // 2)
     base = _gold_bits(field, lam)
-    return _shifted(field, base, base, us,  # self-dual
-                    _polar_ok(field.n, base))(
+    return _shifted(field, base, base, us, _gold_row(field, lam))(  # self-dual
         F, f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}")
+
+
+def _gold_row(field: Field, lam: int):
+    """row(u): the polar form Tr(lam (u v^(2^k) + u^(2^k) v)), k = n/4."""
+    k = field.n // 4
+    return lambda u: field.trace_mask(
+        field.frob(field.mul(lam, u), -k) ^ field.mul(lam, field.frob(u, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +488,14 @@ def _mm_linear_dual(K: Field, inv, b: int) -> int:
             ^ trace_planes(pix, K.trace_mask(b)))
 
 
+def _mm_linear_row(K: Field, inv):
+    """row(x1, y1): the dual's polar form Tr(y1 pi^-1(x2) + y2 pi^-1(x1)),
+    the first term through the transpose of pi^-1; b drops out."""
+    inv_t = transpose(inv)
+    return lambda u: ((apply_linear(inv_t, K.trace_mask(u % K.size))
+                       << K.n) | K.trace_mask(apply_linear(inv, u >> K.n)))
+
+
 def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
     """Tr(x pi(y)) + Tr(b y) + F of pair trace forms on K = GF(2^m).
 
@@ -499,9 +512,8 @@ def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
     base = (trace_planes(K.mul_planes(xs, linear_planes(ys, cols)),
                          K.trace_mask(1))
             ^ trace_planes(ys, K.trace_mask(b)))
-    gdual = _mm_linear_dual(K, inv, b)
-    return _shifted(BivariateDomain(K), base, gdual, shifts,
-                    _polar_ok(2 * m, gdual))(
+    return _shifted(BivariateDomain(K), base, _mm_linear_dual(K, inv, b),
+                    shifts, _mm_linear_row(K, inv))(
         F, f"MMLinear m={m} b={b:#x} tau={F.tau}")
 
 
@@ -515,22 +527,18 @@ def monomial_inverse_exponent(m: int, s: int) -> int:
             f"2^{s}+1 is not invertible mod 2^{m}-1") from None
 
 
-def _mm_monomial_ok(K: Field):
-    """D_u D_v g~ = 0 for GF(2^s)^2 grid shifts u, v, in closed form as g~
-    is cubic: Tr(u1^2 v2 + u2 v1^2) = 0, which is F_2-linear in v."""
-    split = BivariateDomain(K).split
-
-    def ok(u, v):
-        (u1, u2), (v1, v2) = split(u), split(v)
-        return not K.trace_abs(K.mul(K.sqr(u1), v2) ^ K.mul(u2, K.sqr(v1)))
-    return ok
+def _mm_monomial_row(K: Field):
+    """row(u1, u2): D_u D_v g~ = 0 for GF(2^s)^2 grid shifts u, v is
+    Tr(u1^2 v2 + u2 v1^2) = Tr(u1^2 v2) + Tr(u2^(2^(m-1)) v1) = 0."""
+    return lambda u: ((K.trace_mask(K.frob(u % K.size, K.n - 1)) << K.n)
+                      | K.trace_mask(K.sqr(u >> K.n)))
 
 
 def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
     """Tr(x y^d) + F of pair trace forms on K = GF(2^m), d inverting 2^s + 1.
 
     Shift pairs come from GF(2^s) x GF(2^s) and must pairwise meet
-    D_u D_v g~ = 0, the trace test of _mm_monomial_ok.
+    D_u D_v g~ = 0, the trace test of _mm_monomial_row.
     """
     m = K.n
     if s < 1 or m % s != 0 or (m // s) % 2 == 0:
@@ -546,7 +554,7 @@ def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
     xs, ys = _grid_planes(K)
     base = trace_planes(K.mul_planes(xs, K.pow_planes(ys, d)),
                         K.trace_mask(1))
-    return _shifted(dom, base, None, shifts, _mm_monomial_ok(K))(
+    return _shifted(dom, base, None, shifts, _mm_monomial_row(K))(
         F, f"MMMonomial m={m} s={s} d={d} tau={F.tau}")
 
 
@@ -571,26 +579,29 @@ def random_rotsym_poly(m: int, rng: random.Random) -> ReducedPoly:
             return F
 
 
-def _scan(cands, tau: int, rng: random.Random, ok,
+def _scan(cands, tau: int, rng: random.Random, row,
           indep: bool = False) -> list:
-    """Pick tau distinct candidates, pairwise ok, in one greedy pass: each
-    slot takes the first fit in a wrapped scan from a random position;
-    independent over F_2 if indep.
+    """Pick tau distinct candidates v, each with parity(row(u) & v) = 0
+    for every u picked before, in one greedy pass: each slot takes the
+    first fit in a wrapped scan from a random position; independent over
+    F_2 if indep.  row(u) is computed once, when u is picked.
 
-    No pick dead-ends: given the chosen shifts, every family's ok leaves
-    a subspace of fits larger than the chosen set (or its span, if
-    indep), so the NoSolution below guards a broken ok only.
+    No pick dead-ends: the fits are the kernel of the chosen rows, a
+    subspace larger than the chosen set (or its span, if indep), so the
+    NoSolution below guards a broken row only.
     """
     count = len(cands)
-    chosen = []
+    chosen, rows = [], []
     for _slot in range(tau):
         start = rng.randrange(count)
         for off in range(count):
             cand = cands[(start + off) % count]
-            if ((rank(chosen + [cand]) > len(chosen) if indep
-                 else cand not in chosen)
-                    and all(ok(cand, u) for u in chosen)):
+            if (not any((r & cand).bit_count() & 1 for r in rows)
+                    and (rank(chosen + [cand]) > len(chosen) if indep
+                         else cand not in chosen)):
                 chosen.append(cand)
+                if len(chosen) < tau:  # the last pick's row is never read
+                    rows.append(row(cand))
                 break
         else:
             raise NoSolution("no candidate satisfies the shift conditions")
@@ -601,15 +612,14 @@ def kasami_valid_us(field: Field, lam: int, tau: int, rng: random.Random,
                     subfield_only: bool = False) -> list[int]:
     """Shift list whose pairs meet the Kasami pair condition."""
     cands = field.subfield()[1:] if subfield_only else range(1, field.size)
-    ok = _polar_ok(field.n, _kasami_dual(field, lam))
-    return _scan(cands, tau, rng, ok, subfield_only)
+    return _scan(cands, tau, rng, _kasami_row(field, field.inv(lam)),
+                 subfield_only)
 
 
 def gold_valid_us(field: Field, lam: int, tau: int,
                   rng: random.Random) -> list[int]:
     """Shift list whose pairs meet the Gold-like pair condition."""
-    return _scan(range(1, field.size), tau, rng,
-                 _polar_ok(field.n, _gold_bits(field, lam)))
+    return _scan(range(1, field.size), tau, rng, _gold_row(field, lam))
 
 
 def random_invertible(m: int, rng: random.Random) -> tuple[int, ...]:
@@ -625,7 +635,7 @@ def mm_linear_params(K: Field, tau: int, rng: random.Random):
     inv = invert(transpose(rows))  # the columns of pi^-1
     b = rng.randrange(K.size)
     shifts = _scan(range(1, K.size * K.size), tau, rng,
-                   _polar_ok(2 * K.n, _mm_linear_dual(K, inv, b)), indep=True)
+                   _mm_linear_row(K, inv), indep=True)
     return rows, b, [BivariateDomain(K).split(u) for u in shifts]
 
 
@@ -633,14 +643,18 @@ def mm_monomial_pairs(K: Field, s: int, tau: int,
                       rng: random.Random) -> list[tuple[int, int]]:
     """Random shift pairs in GF(2^s)^2 meeting the monomial-family conditions."""
     sub = [y for y in range(K.size) if K.frob(y, s) == y]
-    ok = _mm_monomial_ok(K)
+    row = _mm_monomial_row(K)
 
     def pair(j):
         """Shift index of (sub[j >> s], sub[j mod 2^s]): F_2-linear and
         injective in j as sub increases, so independence reads the same."""
         return (sub[j >> s] << K.n) | sub[j & ((1 << s) - 1)]
-    shifts = _scan(range(1, 1 << 2 * s), tau, rng,
-                   lambda i, j: ok(pair(i), pair(j)), indep=True)
+    # bit t of index i's row is parity(row(pair(i)) & pair(2^t)), so its
+    # parity with j is that of row(pair(i)) & pair(j)
+    basis = [pair(1 << t) for t in range(2 * s)]
+    shifts = _scan(range(1, 1 << 2 * s), tau, rng, lambda i: sum(
+        ((row(pair(i)) & v).bit_count() & 1) << t
+        for t, v in enumerate(basis)), indep=True)
     return [BivariateDomain(K).split(pair(j)) for j in shifts]
 
 

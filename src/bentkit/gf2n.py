@@ -414,13 +414,12 @@ class Field:
         return r
 
     def frob_map(self, k: int) -> list[int]:
-        """Column images of the F_2-linear map x -> x^(2^k)."""
+        """Column images of x -> x^(2^k), squared from the map for k - 1."""
         k %= self.n
         basis = self._frob_basis.get(k)
         if basis is None:
-            basis = [1 << j for j in range(self.n)]
-            for _ in range(k):
-                basis = [self.sqr(v) for v in basis]
+            basis = ([self.sqr(v) for v in self.frob_map(k - 1)] if k
+                     else [1 << j for j in range(self.n)])
             self._frob_basis[k] = basis
         return basis
 
@@ -502,10 +501,6 @@ class Field:
     def trace_mask(self, u: int = 1) -> int:
         """Mask M with Tr(u*x) = parity(x & M) for the absolute trace."""
         return apply_linear(self.trace_form(), u)
-
-    def trace_abs(self, x: int) -> int:
-        """Absolute trace sum_i x^(2^i), always 0 or 1."""
-        return (x & self.trace_mask()).bit_count() & 1
 
     def trace_sub(self, y: int) -> int:
         """Absolute trace of a subfield element, viewed inside GF(2^m)."""

@@ -225,13 +225,13 @@ def demo_mesnager(m: int, F1: ReducedPoly | str | None = None,
                   for F, mask in ((F1, 0b11), (F2, 0b10), (F3, 0b01)))
     field = make_field(2 * m)
     want = Expectation(bent=True, duality=DualityClass.ANTI_SELF_DUAL)
-    pairs = [constructions.kasami_antiselfdual(field, F)
-             for F in (F1, F2, F3)]
+    pair = constructions.kasami_antiselfdual_pairs(field)
+    pairs = [pair(F) for F in (F1, F2, F3)]
     reports = [verify(p.f, want, predicted_dual=p.predicted_dual)
                for p in pairs]
     total = boolfun.add(boolfun.add(pairs[0].f, pairs[1].f), pairs[2].f)
     reports.append(verify(total, want))
-    direct = constructions.kasami_antiselfdual(field, F1 + F2 + F3)
+    direct = pair(F1 + F2 + F3)
     return MesnagerBundle(reports, total, total.bits == direct.f.bits)
 
 

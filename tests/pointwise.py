@@ -14,8 +14,10 @@ spectrum_from_values), pullback_mask and squaring_perm are the
 references for the packed transforms and index maps; monomials and
 evaluate, which read a ReducedPoly monomial by monomial, for the packed
 polynomial layer; master_identity_holds, beta by beta, for the packed
-spectrum identity in bentkit.verify; and mm_monomial_pairs, which lists
-every candidate pair, for the index map of the MMMonomial sampler.
+spectrum identity in bentkit.verify; table_condition, D_u D_v g~ = 0 read
+on the table, for each family's closed-form row(u); and mm_monomial_pairs,
+which lists every candidate pair, for the index map of the MMMonomial
+sampler.  trace_abs reads the absolute trace at one point.
 kasami_base and parseval_holds are the tests' own references for the
 Kasami base table and for Parseval's identity, which the library does not
 need.
@@ -28,11 +30,11 @@ from bentkit import boolfun as bf
 from bentkit import multipoly as mp
 from bentkit.boolfun import TruthTable, WalshSpectrum
 from bentkit.constructions import (
-    _mm_monomial_ok,
+    _mm_monomial_row,
     _scan,
     monomial_inverse_exponent,
 )
-from bentkit.gf2n import BivariateDomain, Field, invert
+from bentkit.gf2n import BivariateDomain, Field, invert, translate
 
 
 def parity(x: int) -> int:
@@ -204,6 +206,11 @@ def trace_mask(field: Field, u: int) -> int:
     """Mask M with Tr(u x) = parity(x & M), one trace per basis element."""
     return sum((frob_sum(field, field.mul(u, 1 << j), field.n) & 1) << j
                for j in range(field.n))
+
+
+def trace_abs(field: Field, x: int) -> int:
+    """Absolute trace Tr(x) = parity(x & Field.trace_mask()), 0 or 1."""
+    return parity(x & field.trace_mask())
 
 
 def trace_sub(field: Field, y: int) -> int:
@@ -472,5 +479,11 @@ def mm_monomial_pairs(K: Field, s: int, tau: int, rng):
     of GF(2^s)^2, in the order of the sampler's index j."""
     sub = [y for y in range(K.size) if K.frob(y, s) == y]
     cands = [(a << K.n) | b for a in sub for b in sub if a or b]
-    shifts = _scan(cands, tau, rng, _mm_monomial_ok(K), indep=True)
+    shifts = _scan(cands, tau, rng, _mm_monomial_row(K), indep=True)
     return [BivariateDomain(K).split(u) for u in shifts]
+
+
+def table_condition(gdual: int, n: int, u: int, v: int) -> bool:
+    """D_u D_v g~ = 0, read on the packed table g~."""
+    d = gdual ^ translate(gdual, n, u)
+    return d == translate(d, n, v)

@@ -494,7 +494,7 @@ def test_mm_linear_classic_base_dual():
     b = 0x2
     pair = cx.mm_linear(base, (1, 2), b, [(1, 0)], mp.poly(1))
     expected = pw.from_bits(dom, [
-        base.trace_abs(base.mul(y, x) ^ base.mul(b, x))
+        pw.trace_abs(base, base.mul(y, x) ^ base.mul(b, x))
         for i in range(dom.size)
         for x, y in [dom.split(i)]])
     assert pair.predicted_dual.bits == expected.bits
@@ -577,27 +577,30 @@ def test_mm_monomial_pairs_equal_the_listed_draw():
                 assert (drawn[0] is NoSolution) == (tau > 1 and s == 1)
 
 
-# At n = 20 no sampler may hold more than this many 2^n-bit tables' worth
-# of memory.  The Kasami and GoldLike samplers peak at about 107, most of
-# them the n coordinate tables, the n planes of L(x) and the 2n - 1 planes
-# of their product in the quadratic base dual; a list of MMMonomial's
-# 4^10 - 1 candidate pairs at s = 10 would come to about 320.
-SAMPLER_TABLES_N20 = 128
+# At n = 20 no sampler may hold a 2^n-bit table's worth of memory (at
+# n = 24, a 2^24-bit one): each pair test reads a closed-form row(u), so
+# a sampler that builds its base or its dual fails.  A list of
+# MMMonomial's 4^10 - 1 candidate pairs at s = 10 would come to about 320.
+SAMPLER_TABLES_N20 = 1
 
 
-@pytest.mark.parametrize("name", [*cx.FAMILIES, "MMMonomial s=10"])
+@pytest.mark.parametrize("name", [
+    *cx.FAMILIES, "MMMonomial s=10",
+    "KasamiGeneral n=24", "GoldLike n=24", "MMLinear n=24"])
 def test_samplers_at_n20_hold_a_bounded_number_of_tables(name):
     rng = random.Random(0)
+    family, _, size = name.partition(" n=")
+    n = int(size or 20)
     tracemalloc.start()
     try:
         if name == "MMMonomial s=10":
             cx.mm_monomial_pairs(make_field(10), 10, 2, rng)
         else:
-            cx.FAMILIES[name].sample(20, rng)
+            cx.FAMILIES[family].sample(n, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < SAMPLER_TABLES_N20 << (20 - 3), f"{name}: {peak} bytes"
+    assert peak < SAMPLER_TABLES_N20 << (n - 3), f"{name}: {peak} bytes"
 
 
 def test_mm_monomial_rejections():

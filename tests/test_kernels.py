@@ -10,8 +10,8 @@ definition of the trace.
 The translation behind D_u is checked against the per-index shift
 T[i ^ s], every pair family's dual against the theorem
 f~ = g~ + F(D_u1 g~, ...), with g~ and f~ read from spectra, and every
-family's pair predicate ok(u, v) (the polar-form read of _polar_ok on each
-quadratic g~) against D_u D_v g~ = 0 on the table.
+family's pair test parity(row(u) & v) = 0, with row(u) in closed form,
+against D_u D_v g~ = 0 on the table (pointwise.table_condition).
 The plane adder is checked against integer addition, and the packed
 spectrum identity against its beta-by-beta oracle, on real and tampered
 pairs.
@@ -548,20 +548,13 @@ def test_packed_master_identity_matches_the_pointwise_oracle(sample, data,
         assert not pw.master_identity_holds(bad)
 
 
-def table_condition(gdual: int, n: int, u: int, v: int) -> bool:
-    """D_u D_v g~ = 0, read on the packed table g~."""
-    d = gdual ^ translate(gdual, n, u)
-    return d == translate(d, n, v)
-
-
 def spectrum_dual(base) -> int:
     return bf.dual(bf.walsh(base)).bits
 
 
-def polar_ok(dom, gdual: int):
-    """cx._polar_ok on a family's own g~, after its precondition deg g~ <= 2."""
-    assert bf.degree(bf.TruthTable(dom, gdual)) <= 2
-    return cx._polar_ok(dom.n, gdual)
+def row_holds(row, u: int, v: int) -> bool:
+    """The samplers' and _shifted's pair test on the family's row."""
+    return not pw.parity(row(u) & v)
 
 
 @settings(max_examples=20)
@@ -570,10 +563,11 @@ def test_kasami_pair_predicate_is_the_table_condition(field, seed):
     rng = random.Random(seed)
     for lam in field.subfield()[1:]:
         gdual = spectrum_dual(pw.kasami_base(field, lam))
-        ok = polar_ok(field, cx._kasami_dual(field, lam))
+        row = cx._kasami_row(field, field.inv(lam))  # mu = lambda^-1
         for _ in range(4):
             u, v = rng.randrange(field.size), rng.randrange(field.size)
-            assert ok(u, v) == table_condition(gdual, field.n, u, v)
+            assert (row_holds(row, u, v)
+                    == pw.table_condition(gdual, field.n, u, v))
 
 
 @settings(max_examples=20)
@@ -584,10 +578,10 @@ def test_gold_pair_predicate_is_the_table_condition(field, seed):
     lam = rng.choice([z for z in range(field.size)
                       if z ^ field.frob(z, 3 * k) == 1])
     gdual = spectrum_dual(cx.gold_like(field, lam, [1], mp.poly(1, 1)).base)
-    ok = polar_ok(field, cx._gold_bits(field, lam))
+    row = cx._gold_row(field, lam)
     for _ in range(40):
         u, v = rng.randrange(field.size), rng.randrange(field.size)
-        assert ok(u, v) == table_condition(gdual, field.n, u, v)
+        assert row_holds(row, u, v) == pw.table_condition(gdual, field.n, u, v)
 
 
 @settings(max_examples=20)
@@ -599,11 +593,10 @@ def test_mm_linear_pair_predicate_is_the_table_condition(K, seed):
     b = rng.randrange(K.size)
     base = cx.mm_linear(K, rows, b, [(1, 0)], mp.poly(1, 1)).base
     gdual = spectrum_dual(base)
-    inv = invert(transpose(rows))
-    ok = polar_ok(base.domain, cx._mm_linear_dual(K, inv, b))
+    row = cx._mm_linear_row(K, invert(transpose(rows)))
     for _ in range(40):
         u, v = rng.randrange(base.domain.size), rng.randrange(base.domain.size)
-        assert ok(u, v) == table_condition(gdual, 2 * m, u, v)
+        assert row_holds(row, u, v) == pw.table_condition(gdual, 2 * m, u, v)
 
 
 @settings(max_examples=20)
@@ -615,12 +608,12 @@ def test_mm_monomial_pair_predicate_is_the_table_condition(K, seed):
                     if m % s == 0 and (m // s) % 2 == 1])
     base = cx.mm_monomial(K, s, [(1, 0)], mp.poly(1, 1)).base
     gdual = spectrum_dual(base)
-    ok = cx._mm_monomial_ok(K)
+    row = cx._mm_monomial_row(K)
     sub = [y for y in range(K.size) if K.frob(y, s) == y]
     for _ in range(40):
         u1, u2, v1, v2 = (rng.choice(sub) for _ in range(4))
         u, v = (u1 << m) | u2, (v1 << m) | v2
-        assert ok(u, v) == table_condition(gdual, 2 * m, u, v)
+        assert row_holds(row, u, v) == pw.table_condition(gdual, 2 * m, u, v)
 
 
 # Spec keys with values of their own shape; near misses of that shape

@@ -6,6 +6,7 @@ from bentkit import constructions as cx
 from bentkit import multipoly as mp
 from bentkit import verify as vf
 from bentkit.errors import (
+    ArityMismatch,
     BadRange,
     BadSpec,
     BentkitError,
@@ -161,6 +162,24 @@ def test_demo_carlet_translates_each_shift_once(m, monkeypatch):
     assert len(entries) == m - 1
     assert len(shifts) == m
     assert tuple(shifts) == entries[0].pair.shifts
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_demo_mesnager_translates_each_shift_once(m, monkeypatch):
+    """The four pairs share one anti-self-dual base: m - 1 translations of
+    g~ in all, one per trace-zero shift, not m - 1 for each pair; an F of
+    another arity is still ArityMismatch."""
+    shifts = []
+    translate = cx.translate
+
+    def counted(bits, n, s):
+        shifts.append(s)
+        return translate(bits, n, s)
+    monkeypatch.setattr(cx, "translate", counted)
+    assert vf.demo_mesnager(m).ok
+    assert shifts == make_field(2 * m).trace_zero_basis()
+    with pytest.raises(ArityMismatch):
+        vf.demo_mesnager(m, mp.poly(m, 0b11))
 
 
 def test_demo_mesnager_defaults():
