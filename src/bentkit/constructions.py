@@ -8,14 +8,13 @@ D_u h(x) = h(x) + h(x + u), then f is bent with dual
 
 So each family states only three things: its base table g, its base dual
 g~ (None for QuadFamily and MMMonomial, whose duals verification computes
-from the spectrum), and a closed-form n-bit mask row(u): D_u D_v g~ = 0
-is F_2-linear in v here, so it reads parity(row(u) & v) = 0, no table.
-_shifted checks that on every pair of shifts and computes the D_ui g~,
-once; its pair(F, notes) builds f and the predicted dual for any F.  The
-samplers _scan the subfield or an index range under the chosen shifts'
-rows (MMMonomial reads index j as a GF(2^s)^2 pair, its row pulled back).
-Each pair also carries the base, the shifts u_i and F, so the spectrum
-identity
+from the spectrum), and a closed-form n-bit mask row(u) with D_u D_v g~ = 0
+iff parity(row(u) & v) = 0, as that condition is F_2-linear in v.  _shifted
+checks it on every pair of shifts and computes the D_ui g~, once; its
+pair(F, notes) builds f and the predicted dual for any F.  The samplers
+_scan the subfield or an index range under the picked shifts' rows
+(MMMonomial reads index j as a GF(2^s)^2 pair, its row pulled back).
+Each pair also carries the base, the shifts u_i and F, so the identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
 
@@ -248,16 +247,18 @@ def kasami_ladder(field: Field, u: int):
 
 def kasami_antiselfdual(field: Field, F: ReducedPoly) -> ConstructedPair:
     """Anti-self-dual family over the trace-zero hyperplane basis."""
-    m = _require_half(field)
-    _check_tau(F, m - 1, m)
     return kasami_antiselfdual_pairs(field)(F)
 
 
 def kasami_antiselfdual_pairs(field: Field):
-    """F -> the anti-self-dual pair of F in m - 1 variables, from one
-    checked base; an F of another arity is ArityMismatch."""
+    """F -> its anti-self-dual pair, all from one checked base."""
+    m = _require_half(field)
     pair = _kasami_shifted(field, 1, field.trace_zero_basis())
-    return lambda F: pair(F, f"KasamiAntiSelfDual n={field.n} d={F.degree()}")
+
+    def antiselfdual(F: ReducedPoly) -> ConstructedPair:
+        _check_tau(F, m - 1, m)
+        return pair(F, f"KasamiAntiSelfDual n={field.n} d={F.degree()}")
+    return antiselfdual
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +601,7 @@ def _scan(cands, tau: int, rng: random.Random, row,
                     and (rank(chosen + [cand]) > len(chosen) if indep
                          else cand not in chosen)):
                 chosen.append(cand)
-                if len(chosen) < tau:  # the last pick's row is never read
-                    rows.append(row(cand))
+                rows.append(row(cand))
                 break
         else:
             raise NoSolution("no candidate satisfies the shift conditions")
@@ -649,12 +649,13 @@ def mm_monomial_pairs(K: Field, s: int, tau: int,
         """Shift index of (sub[j >> s], sub[j mod 2^s]): F_2-linear and
         injective in j as sub increases, so independence reads the same."""
         return (sub[j >> s] << K.n) | sub[j & ((1 << s) - 1)]
-    # bit t of index i's row is parity(row(pair(i)) & pair(2^t)), so its
-    # parity with j is that of row(pair(i)) & pair(j)
     basis = [pair(1 << t) for t in range(2 * s)]
-    shifts = _scan(range(1, 1 << 2 * s), tau, rng, lambda i: sum(
-        ((row(pair(i)) & v).bit_count() & 1) << t
-        for t, v in enumerate(basis)), indep=True)
+
+    def index_row(i):
+        """Bit t is parity(row(pair(i)) & pair(2^t)); pair is F_2-linear."""
+        r = row(pair(i))
+        return sum((r & v).bit_count() % 2 << t for t, v in enumerate(basis))
+    shifts = _scan(range(1, 1 << 2 * s), tau, rng, index_row, indep=True)
     return [BivariateDomain(K).split(pair(j)) for j in shifts]
 
 

@@ -178,7 +178,8 @@ def test_demo_mesnager_translates_each_shift_once(m, monkeypatch):
     monkeypatch.setattr(cx, "translate", counted)
     assert vf.demo_mesnager(m).ok
     assert shifts == make_field(2 * m).trace_zero_basis()
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ArityMismatch,
+                       match=f"F has {m} variables but {m - 1} shifts"):
         vf.demo_mesnager(m, mp.poly(m, 0b11))
 
 
