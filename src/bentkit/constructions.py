@@ -12,9 +12,8 @@ from the spectrum), and a closed-form n-bit mask row(u) with D_u D_v g~ = 0
 iff parity(row(u) & v) = 0, as that condition is F_2-linear in v.  _shifted
 checks it on every pair of shifts and computes the D_ui g~, once; its
 pair(F, notes) builds f and the predicted dual for any F.  The samplers
-_scan the subfield or an index range under the picked shifts' rows
-(MMMonomial reads index j as a GF(2^s)^2 pair, its row pulled back).
-Each pair also carries the base, the shifts u_i and F, so the identity
+_draw shifts uniformly from the kernel of the picked shifts' rows.  Each
+pair also carries the base, the shifts u_i and F, so the identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
 
@@ -580,46 +579,45 @@ def random_rotsym_poly(m: int, rng: random.Random) -> ReducedPoly:
             return F
 
 
-def _scan(cands, tau: int, rng: random.Random, row,
+def _draw(basis, tau: int, rng: random.Random, row,
           indep: bool = False) -> list:
-    """Pick tau distinct candidates v, each with parity(row(u) & v) = 0
-    for every u picked before, in one greedy pass: each slot takes the
-    first fit in a wrapped scan from a random position; independent over
-    F_2 if indep.  row(u) is computed once, when u is picked.
-
-    No pick dead-ends: the fits are the kernel of the chosen rows, a
-    subspace larger than the chosen set (or its span, if indep), so the
-    NoSolution below guards a broken row only.
+    """Pick tau distinct nonzero v in the span of basis with
+    parity(row(u) & v) = 0 for each earlier pick u, independent if indep.
+    basis stays a basis of these fits, the kernel of the picked rows: a pick
+    is uniform on its span, redrawn while 0, picked or (indep) spanned by
+    the picks, then cuts basis by its row in one elimination step.  A pick
+    is in its own kernel, so only a space with no fit left dead-ends.
     """
-    count = len(cands)
-    chosen, rows = [], []
-    for _slot in range(tau):
-        start = rng.randrange(count)
-        for off in range(count):
-            cand = cands[(start + off) % count]
-            if (not any((r & cand).bit_count() & 1 for r in rows)
-                    and (rank(chosen + [cand]) > len(chosen) if indep
-                         else cand not in chosen)):
-                chosen.append(cand)
-                rows.append(row(cand))
-                break
-        else:
-            raise NoSolution("no candidate satisfies the shift conditions")
+    chosen = []
+    while len(chosen) < tau:
+        taken = 1 << len(chosen) if indep else len(chosen) + 1
+        if 1 << len(basis) <= taken:
+            raise NoSolution("no shift satisfies the shift conditions")
+        cand = apply_linear(basis, rng.getrandbits(len(basis)))
+        if cand and (rank(chosen + [cand]) > len(chosen) if indep
+                     else cand not in chosen):
+            chosen.append(cand)
+            r = row(cand)
+            odd = [v for v in basis if (r & v).bit_count() & 1]
+            basis = ([v for v in basis if v not in odd]
+                     + [v ^ odd[0] for v in odd[1:]])
     return chosen
 
 
 def kasami_valid_us(field: Field, lam: int, tau: int, rng: random.Random,
                     subfield_only: bool = False) -> list[int]:
     """Shift list whose pairs meet the Kasami pair condition."""
-    cands = field.subfield()[1:] if subfield_only else range(1, field.size)
-    return _scan(cands, tau, rng, _kasami_row(field, field.inv(lam)),
+    basis = (field.subfield_basis(_require_half(field, 1)) if subfield_only
+             else [1 << j for j in range(field.n)])
+    return _draw(basis, tau, rng, _kasami_row(field, field.inv(lam)),
                  subfield_only)
 
 
 def gold_valid_us(field: Field, lam: int, tau: int,
                   rng: random.Random) -> list[int]:
     """Shift list whose pairs meet the Gold-like pair condition."""
-    return _scan(range(1, field.size), tau, rng, _gold_row(field, lam))
+    return _draw([1 << j for j in range(field.n)], tau, rng,
+                 _gold_row(field, lam))
 
 
 def random_invertible(m: int, rng: random.Random) -> tuple[int, ...]:
@@ -634,7 +632,7 @@ def mm_linear_params(K: Field, tau: int, rng: random.Random):
     rows = random_invertible(K.n, rng)
     inv = invert(transpose(rows))  # the columns of pi^-1
     b = rng.randrange(K.size)
-    shifts = _scan(range(1, K.size * K.size), tau, rng,
+    shifts = _draw([1 << j for j in range(2 * K.n)], tau, rng,
                    _mm_linear_row(K, inv), indep=True)
     return rows, b, [BivariateDomain(K).split(u) for u in shifts]
 
@@ -642,21 +640,10 @@ def mm_linear_params(K: Field, tau: int, rng: random.Random):
 def mm_monomial_pairs(K: Field, s: int, tau: int,
                       rng: random.Random) -> list[tuple[int, int]]:
     """Random shift pairs in GF(2^s)^2 meeting the monomial-family conditions."""
-    sub = [y for y in range(K.size) if K.frob(y, s) == y]
-    row = _mm_monomial_row(K)
-
-    def pair(j):
-        """Shift index of (sub[j >> s], sub[j mod 2^s]): F_2-linear and
-        injective in j as sub increases, so independence reads the same."""
-        return (sub[j >> s] << K.n) | sub[j & ((1 << s) - 1)]
-    basis = [pair(1 << t) for t in range(2 * s)]
-
-    def index_row(i):
-        """Bit t is parity(row(pair(i)) & pair(2^t)); pair is F_2-linear."""
-        r = row(pair(i))
-        return sum((r & v).bit_count() % 2 << t for t, v in enumerate(basis))
-    shifts = _scan(range(1, 1 << 2 * s), tau, rng, index_row, indep=True)
-    return [BivariateDomain(K).split(pair(j)) for j in shifts]
+    sub = K.subfield_basis(s)
+    shifts = _draw([y << K.n for y in sub] + sub, tau, rng,
+                   _mm_monomial_row(K), indep=True)
+    return [BivariateDomain(K).split(u) for u in shifts]
 
 
 # ---------------------------------------------------------------------------

@@ -471,9 +471,20 @@ class Field:
             a = linear_planes(a, self._sqr_basis)
 
     def inv(self, a: int) -> int:
+        """a^-1 by extended Euclid over F_2[X]: each row (r, g) keeps
+        r = g a mod the modulus while r's degree drops to r = 1."""
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        return self.pow(a, -1)
+        if a >> self.n:  # also every a < 0; a multiple of the modulus loops
+            raise ValueError(f"{a:#x} is not an element of GF(2^{self.n})")
+        r, g, r2, g2 = a, 1, self.modulus, 0
+        while r != 1:
+            j = r.bit_length() - r2.bit_length()
+            if j < 0:
+                r, g, r2, g2, j = r2, g2, r, g, -j
+            r ^= r2 << j
+            g ^= g2 << j
+        return g
 
     # -- traces ----------------------------------------------------------------
 
@@ -527,14 +538,16 @@ class Field:
 
     # -- subfield and bases ------------------------------------------------------
 
+    def subfield_basis(self, s: int) -> list[int]:
+        """Basis of {x : x^(2^s) = x}, the kernel of x -> x + x^(2^s)."""
+        return solve_f2([(1 << j) ^ v
+                         for j, v in enumerate(self.frob_map(s))], 0)[1]
+
     def subfield(self) -> tuple[int, ...]:
         """The 2^m elements of GF(2^m) inside GF(2^(2m)), in index order."""
         if self._subfield is None:
-            # the kernel of x -> x + x^(2^m), spanned from a basis
-            m = self._require_m()
-            images = [(1 << j) ^ v for j, v in enumerate(self.frob_map(m))]
             members = [0]
-            for b in solve_f2(images, 0)[1]:
+            for b in self.subfield_basis(self._require_m()):
                 members += [y ^ b for y in members]
             self._subfield = tuple(sorted(members))
         return self._subfield

@@ -15,9 +15,9 @@ references for the packed transforms and index maps; monomials and
 evaluate, which read a ReducedPoly monomial by monomial, for the packed
 polynomial layer; master_identity_holds, beta by beta, for the packed
 spectrum identity in bentkit.verify; table_condition, D_u D_v g~ = 0 read
-on the table, for each family's closed-form row(u); and mm_monomial_pairs,
-which lists every candidate pair, for the index map of the MMMonomial
-sampler.  trace_abs reads the absolute trace at one point.
+on the table, for each family's closed-form row(u) and for the shifts the
+samplers draw from the kernel of those rows.  trace_abs reads the absolute
+trace at one point.
 kasami_base and parseval_holds are the tests' own references for the
 Kasami base table and for Parseval's identity, which the library does not
 need.
@@ -29,11 +29,7 @@ from itertools import combinations
 from bentkit import boolfun as bf
 from bentkit import multipoly as mp
 from bentkit.boolfun import TruthTable, WalshSpectrum
-from bentkit.constructions import (
-    _mm_monomial_row,
-    _scan,
-    monomial_inverse_exponent,
-)
+from bentkit.constructions import monomial_inverse_exponent
 from bentkit.gf2n import BivariateDomain, Field, invert, translate
 
 
@@ -472,15 +468,6 @@ def mm_monomial(m: int, s: int, pairs, F, modulus=None):
     f, base = _grid_forms(K, pairs, F, dom, lambda x, y: parity(
         K.mul(x, ypow[y]) & tmask))
     return f, base, None
-
-
-def mm_monomial_pairs(K: Field, s: int, tau: int, rng):
-    """The MMMonomial shift draw over the list of all 4^s - 1 nonzero pairs
-    of GF(2^s)^2, in the order of the sampler's index j."""
-    sub = [y for y in range(K.size) if K.frob(y, s) == y]
-    cands = [(a << K.n) | b for a in sub for b in sub if a or b]
-    shifts = _scan(cands, tau, rng, _mm_monomial_row(K), indep=True)
-    return [BivariateDomain(K).split(u) for u in shifts]
 
 
 def table_condition(gdual: int, n: int, u: int, v: int) -> bool:

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 
@@ -552,29 +553,179 @@ def test_mm_monomial_searched_pairs():
         assert bf.is_bent(bf.walsh(pair.f))
 
 
-def _mm_monomial_draw(sampler, K, s, tau, seed):
-    """A draw's pairs (or NoSolution) and the next value of its rng."""
-    rng = random.Random(seed)
-    try:
-        pairs = sampler(K, s, tau, rng)
-    except NoSolution:
-        pairs = NoSolution
-    return pairs, rng.random()
+# ---------------------------------------------------------------------------
+# shift draws: uniform on the kernel of the picked rows
+# ---------------------------------------------------------------------------
+
+def _sizes(family: str, top: int):
+    """(m, s) of every admissible size m <= top of a family's shift
+    sampler, s the MMMonomial subfield degree (else None).  s or m shifts
+    is the most the samplers ask for, and where the shifts must be
+    independent, the most that fit: they lie in GF(2^m), or span an
+    isotropic space of the nondegenerate pair form on 2m dimensions (2s
+    for MMMonomial)."""
+    if family == "MMMonomial":
+        return [(m, s) for m in range(1, top + 1) for s in range(1, m + 1)
+                if m % s == 0 and (m // s) % 2]
+    if family == "GoldLike":
+        return [(m, None) for m in range(2, top + 1, 2)]
+    return [(m, None) for m in range(1 if family == "MMLinear" else 2,
+                                     top + 1)]
 
 
-def test_mm_monomial_pairs_equal_the_listed_draw():
-    """Reading index j as (sub[j >> s], sub[j mod 2^s]) draws what the list
-    of all 4^s - 1 candidate pairs drew, for every admissible (m, s) with
-    m <= 6.  At s = 1 no two pairs fit, and both raise NoSolution."""
-    for m in range(1, 7):
-        K = make_field(m)
-        for s in (s for s in range(1, m + 1) if m % s == 0 and (m // s) % 2):
-            for tau, seed in itertools.product((1, 2), range(5)):
-                drawn = _mm_monomial_draw(cx.mm_monomial_pairs, K, s, tau,
-                                          seed)
-                assert drawn == _mm_monomial_draw(pw.mm_monomial_pairs, K,
-                                                  s, tau, seed)
-                assert (drawn[0] is NoSolution) == (tau > 1 and s == 1)
+@lru_cache(maxsize=None)
+def _base_dual(family: str, K, param) -> int:
+    """The base dual g~ of one family instance, read from its spectrum."""
+    F = mp.poly(1, 1)
+    if family == "MMLinear":
+        base = cx.mm_linear(K, *param, [(1, 0)], F).base
+    elif family == "MMMonomial":
+        base = cx.mm_monomial(K, param, [(1, 0)], F).base
+    elif family == "GoldLike":
+        base = cx.gold_like(K, param, [1], F).base
+    else:
+        base = pw.kasami_base(K, param)
+    return bf.dual(bf.walsh(base)).bits
+
+
+def _draw_shifts(family: str, K, param, tau: int, rng):
+    """(shift indices, g~) of one call of the family's shift sampler: param
+    is lambda, or s for MMMonomial; MMLinear draws its own (pi, b)."""
+    if family.startswith("Kasami"):
+        us = cx.kasami_valid_us(K, param, tau, rng,
+                                subfield_only=family == "KasamiSubfield")
+        return us, _base_dual("Kasami", K, param)
+    if family == "GoldLike":
+        return cx.gold_valid_us(K, param, tau, rng), _base_dual(family, K,
+                                                                 param)
+    if family == "MMLinear":
+        rows, b, pairs = cx.mm_linear_params(K, tau, rng)
+        param = (rows, b)
+    else:
+        pairs = cx.mm_monomial_pairs(K, param, tau, rng)
+    return ([(x << K.n) | y for x, y in pairs],
+            _base_dual(family, K, param))
+
+
+def _shift_domain(family: str, K, param):
+    """The indices a shift may take, and whether picks must be independent."""
+    if family in ("KasamiGeneral", "GoldLike"):
+        return range(1, K.size), False
+    if family == "KasamiSubfield":
+        return K.subfield()[1:], True
+    if family == "MMLinear":
+        return range(1, K.size * K.size), True
+    sub = [y for y in range(K.size) if K.frob(y, param) == y]
+    return [(x << K.n) | y for x in sub for y in sub if x or y], True
+
+
+def _fits(family: str, K, param, gdual: int, picked, v: int) -> bool:
+    """v may follow the picks: in the domain, new (independent if the
+    family needs it) and D_u D_v g~ = 0 on the table for each pick u."""
+    domain, indep = _shift_domain(family, K, param)
+    n = K.n * (2 if family.startswith("MM") else 1)
+    return (v in domain
+            and (rank(picked + [v]) > len(picked) if indep
+                 else v not in picked)
+            and all(pw.table_condition(gdual, n, u, v) for u in picked))
+
+
+def _param(family: str, K, rng, s):
+    """A random lambda for the Kasami and Gold-like samplers, else s."""
+    if family.startswith("Kasami"):
+        return rng.choice(subfield_units(K))
+    if family == "GoldLike":
+        return rng.choice([z for z in range(K.size)
+                           if z ^ K.frob(z, 3 * K.n // 4) == 1])
+    return s
+
+
+SHIFT_SAMPLERS = ("KasamiGeneral", "KasamiSubfield", "GoldLike", "MMLinear",
+                  "MMMonomial")
+
+
+def _field_of(family: str, m: int):
+    return make_field(m if family.startswith("MM") else 2 * m)
+
+
+@pytest.mark.parametrize("family", SHIFT_SAMPLERS)
+def test_every_shift_sampler_passes_the_table_oracle(family):
+    """At every admissible m <= 6 each pick fits the picks before it on
+    the base dual's table.  An independent draw of one shift more than
+    fit raises NoSolution: at s = 1 no two pairs of GF(2)^2 fit."""
+    for m, s in _sizes(family, 6):
+        K = _field_of(family, m)
+        most = s or m
+        for seed in range(3):
+            rng = random.Random(f"{family} {m} {seed}")
+            param = _param(family, K, rng, s)
+            for tau in range(1, most + 1):
+                us, gdual = _draw_shifts(family, K, param, tau, rng)
+                assert len(us) == tau
+                for i, v in enumerate(us):
+                    assert _fits(family, K, param, gdual, us[:i], v), (
+                        family, m, s, us)
+            if _shift_domain(family, K, param)[1]:
+                with pytest.raises(NoSolution):
+                    _draw_shifts(family, K, param, most + 1, rng)
+
+
+class _Redraw(Exception):
+    """The scripted rng has run out: the sampler asked for a redraw."""
+
+
+class _Scripted(random.Random):
+    """getrandbits gives the scripted values in turn and then raises
+    _Redraw; with no script it draws from the seed and records its
+    values.  random.Random routes randrange through getrandbits too."""
+
+    def __init__(self, seed=0, script=None):
+        super().__init__(seed)
+        self.script, self.values, self.widths = script, [], []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        if self.script is None:
+            value = super().getrandbits(k)
+        elif len(self.values) < len(self.script):
+            value = self.script[len(self.values)]
+        else:
+            raise _Redraw
+        self.values.append(value)
+        return value
+
+
+@pytest.mark.parametrize("family", SHIFT_SAMPLERS)
+def test_each_pick_is_uniform_on_the_admissible_shifts(family):
+    """Every first draw value of the last pick, in turn, is accepted or
+    redrawn; the accepted picks are the admissible shifts, read by
+    brute force on the table, each exactly once.  So each admissible
+    shift is equally likely, at every n <= 8."""
+    for m, s in _sizes(family, 4):
+        K = _field_of(family, m)
+        for tau, seed in itertools.product(
+                range(1, (s or m) + 1), range(2)):
+            rng = random.Random(f"{family} {m} {tau} {seed}")
+            param = _param(family, K, rng, s)
+            before = _Scripted(seed)
+            picked, gdual = _draw_shifts(family, K, param, tau - 1, before)
+            probe = _Scripted(script=before.values)
+            with pytest.raises(_Redraw):
+                _draw_shifts(family, K, param, tau, probe)
+            accepted = []
+            for value in range(1 << probe.widths[-1]):
+                try:
+                    us, _ = _draw_shifts(family, K, param, tau, _Scripted(
+                        script=before.values + [value]))
+                except _Redraw:
+                    continue
+                assert us[:-1] == picked
+                accepted.append(us[-1])
+            domain = _shift_domain(family, K, param)[0]
+            assert sorted(accepted) == [
+                v for v in domain
+                if _fits(family, K, param, gdual, picked, v)], (
+                family, m, s, picked)
 
 
 # At n = 20 no sampler may hold a 2^n-bit table's worth of memory (at

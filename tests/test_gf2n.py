@@ -113,6 +113,7 @@ def test_fermat_and_sqrt_exhaustive(n):
     field = make_field(n)
     for a in range(1, field.size):
         assert field.pow(a, field.size - 1) == 1
+        assert field.inv(a) == field.pow(a, -1)
 
 
 def test_pow_conventions():
@@ -127,6 +128,10 @@ def test_pow_conventions():
 def test_inv_of_zero():
     with pytest.raises(DivisionByZero):
         make_field(4).inv(0)
+    # a non-element, the modulus itself included, is refused, not looped on
+    for a in (-1, 16, make_field(4).modulus):
+        with pytest.raises(ValueError):
+            make_field(4).inv(a)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 12])
@@ -182,6 +187,22 @@ def test_subfield_membership_and_closure(n):
         for b in sub:
             assert (a ^ b) in members
             assert field.mul(a, b) in members
+
+
+def test_subfield_basis_spans_the_fixed_field():
+    """The span of subfield_basis(s) is {x : x^(2^s) = x} for every s at
+    n <= 12, and subfield() lists GF(2^m) in index order up to n = 16."""
+    for n in range(1, 17):
+        field = make_field(n)
+        for s in range(1, n + 1) if n <= 12 else ():
+            span = [0]
+            for b in field.subfield_basis(s):
+                span += [y ^ b for y in span]
+            assert sorted(span) == [x for x in range(field.size)
+                                    if field.frob(x, s) == x], (n, s)
+        if n % 2 == 0:
+            assert field.subfield() == tuple(
+                y for y in range(field.size) if field.frob(y, n // 2) == y)
 
 
 def test_is_normal_examples():
