@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import boolfun, multipoly
 from .boolfun import DualityClass
-from .errors import BadRange, BentkitError
+from .errors import BadRange, BentkitError, NotBent, OddDimension
 from .gf2n import make_field
 from .verify import (
     Expectation,
@@ -119,7 +119,9 @@ def _cmd_verify(args) -> int:
     else:
         print(_report_line(args.ttfile, rep))
     if args.emit_tt and not rep.is_bent:  # refused as `dual` refuses it
-        boolfun.dual(boolfun.walsh(table))
+        n = table.domain.n
+        raise (OddDimension(f"bentness is undefined for odd n={n}") if n % 2
+               else NotBent("spectrum is not flat; no dual exists"))
     return 0 if rep.all_claims_met else 1
 
 

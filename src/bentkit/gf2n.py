@@ -400,19 +400,6 @@ class Field:
             return a
         return apply_linear(self.frob_map(k), a)
 
-    def pow(self, a: int, e: int) -> int:
-        """a^e; exponents act modulo 2^n - 1 on nonzero bases, 0^0 = 1."""
-        if a == 0:
-            return 1 if e == 0 else 0
-        e %= self.size - 1
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.sqr(a)
-            e >>= 1
-        return r
-
     def frob_map(self, k: int) -> list[int]:
         """Column images of x -> x^(2^k), squared from the map for k - 1."""
         k %= self.n
@@ -452,9 +439,8 @@ class Field:
     def pow_planes(self, a, e: int) -> tuple[int, ...]:
         """Planes of a^e pointwise for e != 0, by square-and-multiply.
 
-        Follows pow: e acts modulo 2^n - 1 and 0^e = 0.  A multiple of
-        2^n - 1 is taken as 2^n - 1 itself, which gives 1 on nonzero
-        values and 0 on 0, as pow does.
+        e acts modulo 2^n - 1 and 0^e = 0.  A multiple of 2^n - 1 is
+        taken as 2^n - 1 itself, which gives 1 on nonzero values and 0 on 0.
         """
         if e == 0:
             raise ValueError("the sliced power needs a nonzero exponent")

@@ -22,6 +22,7 @@ from .errors import (
     EmptyExpectation,
     FieldMismatch,
     NoSolution,
+    PreconditionViolated,
 )
 from .gf2n import make_field, require_table_degree, translate
 from .multipoly import ReducedPoly
@@ -269,10 +270,11 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
     they are k (n = 4k).  Each trial is one draw of the family's sampler,
     which keeps the parameters inside the family preconditions in a
     single pass.  A sweep that would check nothing (no sizes, or fewer
-    than one trial) is BadRange, and a size whose tables are too large is
-    refused before any is drawn.  Sizes are read one at a time up to the
-    first bad one, so a lazy m_values, such as an oversized range, is
-    refused without being expanded.  An unknown family is BadSpec.
+    than one trial) is BadRange, and a size below the family's least, or
+    one whose tables are too large, is refused before any is drawn.  Sizes
+    are read one at a time up to the first bad one, so a lazy m_values,
+    such as an oversized range, is refused without being expanded.  An
+    unknown family is BadSpec.
     """
     from . import constructions
     record = constructions.lookup_family(family)
@@ -282,6 +284,9 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
     for m in m_values:  # before anything is drawn
         if m < 1:
             raise BadRange(f"{family} sizes must be at least 1, got {m}")
+        if m < record.least:  # as the family's constructors refuse it
+            raise PreconditionViolated(f"need n = 2m with m >= {record.least}"
+                                       f", got n={record.scale * m}")
         require_table_degree(record.scale * m)
         sizes.append(m)
     if not sizes:

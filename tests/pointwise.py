@@ -17,7 +17,8 @@ polynomial layer; master_identity_holds, beta by beta, for the packed
 spectrum identity in bentkit.verify; table_condition, D_u D_v g~ = 0 read
 on the table, for each family's closed-form row(u) and for the shifts the
 samplers draw from the kernel of those rows.  trace_abs reads the absolute
-trace at one point.
+trace at one point, and power is the per-point a^e that Field.pow_planes
+slices.
 kasami_base and parseval_holds are the tests' own references for the
 Kasami base table and for Parseval's identity, which the library does not
 need.
@@ -195,6 +196,21 @@ def frob_sum(field: Field, v: int, count: int) -> int:
     for _ in range(count):
         r ^= v
         v = field.mul(v, v)
+    return r
+
+
+def power(field: Field, a: int, e: int) -> int:
+    """a^e by square-and-multiply with Field.mul; exponents act modulo
+    2^n - 1 on nonzero bases, and 0^0 = 1."""
+    if a == 0:
+        return 1 if e == 0 else 0
+    e %= field.size - 1
+    r = 1
+    while e:
+        if e & 1:
+            r = field.mul(r, a)
+        a = field.mul(a, a)
+        e >>= 1
     return r
 
 
@@ -400,7 +416,7 @@ def niho_tables(field: Field, k: int):
     for x in range(field.size):
         xm = field.frob(x, m)
         A = 1 ^ x ^ xm
-        Ap = field.pow(A, e_root) if A else 0
+        Ap = power(field, A, e_root) if A else 0
         apow.append(Ap)
         arg = field.mul(field.mul(alpha, A) ^ xm ^ alpha_c, Ap)
         if parity(arg & smask):
@@ -464,7 +480,7 @@ def mm_monomial(m: int, s: int, pairs, F, modulus=None):
     K = Field(m, modulus)
     dom = BivariateDomain(K)
     tmask = trace_mask(K, 1)
-    ypow = [K.pow(y, d) for y in range(K.size)]
+    ypow = [power(K, y, d) for y in range(K.size)]
     f, base = _grid_forms(K, pairs, F, dom, lambda x, y: parity(
         K.mul(x, ypow[y]) & tmask))
     return f, base, None

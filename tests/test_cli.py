@@ -450,18 +450,22 @@ def test_construct_refuses_keys_the_family_does_not_take(capsys, tmp_path,
     assert not list(tmp_path.glob("*.tt"))
 
 
-def test_verify_emit_tt_refuses_a_table_without_a_dual(capsys, tmp_path):
+def test_verify_emit_tt_refuses_a_table_without_a_dual(capsys, tmp_path,
+                                                      monkeypatch):
     """A spectrum that is not flat, and an odd n: each refused as `dual`
-    refuses it."""
+    refuses it, with the one transform the report took."""
     quad = bf.format_tt(cx.quad_idempotent_g(make_field(6), [1, 0, 0, 0]))
+    walsh, calls = bf.walsh, []
+    monkeypatch.setattr(bf, "walsh", lambda f: calls.append(f) or walsh(f))
     for text, error in ((quad, "NotBent"),
                         ("BF n=3 mod=0xb\nff\n", "OddDimension")):
         table = tmp_path / "q.tt"
         table.write_text(text)
         out_path = tmp_path / "out.tt"
+        calls.clear()
         code, out, err = run(capsys, "verify", str(table), "--expect",
                              "nonbent", "--emit-tt", str(out_path))
-        assert code == 2 and out.startswith("PASS")
+        assert code == 2 and out.startswith("PASS") and len(calls) == 1
         assert err == run(capsys, "dual", str(table))[2]
         assert err.startswith(f"error: {error}: ")
         assert not out_path.exists()

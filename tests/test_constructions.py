@@ -810,12 +810,14 @@ def test_master_identity_every_family():
 @pytest.mark.parametrize("name", sorted(cx.FAMILIES))
 def test_every_sampler_draws_a_buildable_spec_in_one_pass(name):
     """No sampler gives up: each draw at every admissible size is a spec
-    its family builds.  The families on GF(2^(2m)) with a subfield
-    condition need m >= 2; GoldLike's size is k (n = 4k)."""
+    its family builds, and one size below the family's least is refused.
+    GoldLike's size is k (n = 4k)."""
     record = cx.FAMILIES[name]
-    least = 1 if record.pairs or name in ("QuadIdem", "QuadFamily",
-                                          "GoldLike") else 2
-    for size in range(least, (2 if name == "GoldLike" else 6) + 1):
+    if record.least > 1:
+        with pytest.raises(PreconditionViolated):
+            cx.build(record.sample(record.scale * (record.least - 1),
+                                   random.Random(0)))
+    for size in range(record.least, (2 if name == "GoldLike" else 6) + 1):
         for seed in range(40):
             spec = record.sample(record.scale * size, random.Random(seed))
             cx.build(spec)

@@ -112,17 +112,17 @@ def test_frobenius_is_multiplicative():
 def test_fermat_and_sqrt_exhaustive(n):
     field = make_field(n)
     for a in range(1, field.size):
-        assert field.pow(a, field.size - 1) == 1
-        assert field.inv(a) == field.pow(a, -1)
+        assert pw.power(field, a, field.size - 1) == 1
+        assert field.inv(a) == pw.power(field, a, -1)
 
 
 def test_pow_conventions():
     field = make_field(4)
-    assert field.pow(0, 0) == 1
-    assert field.pow(0, 7) == 0
+    assert pw.power(field, 0, 0) == 1
+    assert pw.power(field, 0, 7) == 0
     a = 9
-    assert field.pow(a, field.size - 1 + 3) == field.pow(a, 3)
-    assert field.mul(field.pow(a, -1), a) == 1
+    assert pw.power(field, a, field.size - 1 + 3) == pw.power(field, a, 3)
+    assert field.mul(pw.power(field, a, -1), a) == 1
 
 
 def test_inv_of_zero():

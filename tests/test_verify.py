@@ -12,6 +12,7 @@ from bentkit.errors import (
     BentkitError,
     DimensionTooSmall,
     FieldMismatch,
+    PreconditionViolated,
     UnsupportedDegree,
 )
 from bentkit.gf2n import BivariateDomain, Field, make_field
@@ -229,6 +230,23 @@ def test_sweep_refuses_a_size_it_cannot_finish_before_checking_any(
     monkeypatch.setattr(vf, "check", unexpected)
     with pytest.raises(UnsupportedDegree, match="n <= 24, got n=26"):
         vf.sweep("QuadIdem", [11, 13], 1, 0)
+
+
+def test_sweep_refuses_a_size_below_the_familys_least_before_checking_any(
+        monkeypatch):
+    """As the constructors refuse it, but before the m = 3 instance."""
+    def unexpected(spec):
+        raise AssertionError(f"checked {spec.family} n={spec.n}")
+    monkeypatch.setattr(vf, "check", unexpected)
+    with pytest.raises(PreconditionViolated) as exc:
+        vf.sweep("KasamiGeneral", [3, 1], 1, 0)
+    assert str(exc.value) == "need n = 2m with m >= 2, got n=2"
+
+
+def test_a_sweep_keeps_at_most_16_base_tables():
+    cx._quad_bits.cache_clear()
+    vf.sweep("QuadIdem", [3], 40, 0)
+    assert cx._quad_bits.cache_info().currsize <= 16
 
 
 def test_sweep_refuses_an_unknown_family_before_drawing(monkeypatch):
