@@ -46,7 +46,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bentkit import boolfun, constructions, multipoly, verify  # noqa: E402
+from bentkit import boolfun, constructions, multipoly  # noqa: E402
+from bentkit import specs, verify  # noqa: E402
 from bentkit.constructions import ConstructedPair  # noqa: E402
 from bentkit.gf2n import make_field  # noqa: E402
 
@@ -71,7 +72,7 @@ def _report(rep) -> str:
 
 def sweeps():
     for seed in (0, 1):
-        for family in sorted(constructions.FAMILIES):
+        for family in sorted(specs.FAMILIES):
             sizes = _sizes(family, range(3, 6), range(2, 3))
             rep = verify.sweep(family, sizes, 20, seed)
             yield _report(rep)
@@ -95,11 +96,11 @@ def carlet():
 def _sampled() -> list:
     """(family, m, built) of each seeded sample."""
     out = []
-    for family, record in sorted(constructions.FAMILIES.items()):
+    for family, record in sorted(specs.FAMILIES.items()):
         rng = random.Random(family)
         for m in _sizes(family, range(2, 7), range(1, 3)):
             for _ in range(SAMPLES_PER_SIZE):
-                built = constructions.build(
+                built = specs.build(
                     record.sample(record.scale * m, rng))
                 out.append((family, m, built))
     return out
@@ -158,7 +159,7 @@ def pair_decisions():
         rng = random.Random(f"MMLinear m={m}")
         grid = _grid(m)
         for _ in range(2):
-            pi = constructions.random_invertible(m, rng)
+            pi = specs.random_invertible(m, rng)
             b = rng.randrange(1 << m)
             yield from _decisions(
                 f"MMLinear m={m} pi={pi} b={b:#x}",

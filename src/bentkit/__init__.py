@@ -13,16 +13,16 @@ _EXPORTS = {
                 "add_const", "anf", "degree", "dual", "duality_class",
                 "is_bent", "is_idempotent", "load_tt", "parse_tt", "save_tt",
                 "walsh"),
-    "constructions": ("ConstructedPair", "ConstructionSpec", "build",
-                      "gold_like", "is_quad_bent_gcd", "kasami_antiselfdual",
-                      "kasami_general", "kasami_idempotent",
-                      "kasami_subfield", "mm_linear", "mm_monomial",
-                      "niho_dual_g", "niho_family", "niho_g", "quad_family",
-                      "quad_idempotent_family", "quad_idempotent_g",
-                      "spec_from_json", "spec_to_json"),
+    "constructions": ("ConstructedPair", "gold_like", "is_quad_bent_gcd",
+                      "kasami_antiselfdual", "kasami_general",
+                      "kasami_idempotent", "kasami_subfield", "mm_linear",
+                      "mm_monomial", "niho_dual_g", "niho_family", "niho_g",
+                      "quad_family", "quad_idempotent_family",
+                      "quad_idempotent_g"),
     "gf2n": ("BivariateDomain", "Field", "make_field"),
     "multipoly": ("ReducedPoly", "compose_traces", "elementary_symmetric",
                   "fourier", "is_rotation_symmetric", "rotation_closure"),
+    "specs": ("ConstructionSpec", "build", "spec_from_json", "spec_to_json"),
     "verify": ("Expectation", "VerificationReport", "demo_carlet",
                "demo_mesnager", "master_identity_holds", "sweep"),
 }

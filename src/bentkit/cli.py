@@ -53,9 +53,9 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    from . import constructions
+    from . import specs
     spec_path = Path(args.specfile)
-    checked = check(constructions.spec_from_json(spec_path.read_text()))
+    checked = check(specs.spec_from_json(spec_path.read_text()))
     stem = spec_path.parent / spec_path.stem
     written = [f"{stem}.tt"]
     boolfun.save_tt(checked.f, written[0])

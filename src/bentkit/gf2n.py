@@ -302,18 +302,16 @@ def translate(bits: int, n: int, s: int) -> int:
     return bits
 
 
-def pull_linear(bits: int, columns: list[int]) -> int:
-    """The packed table y -> T(M y) of a packed table T.
-
-    M is an invertible F_2-linear map on n-bit indices, given by its
-    column images M e_j = columns[j].  Gauss-Jordan row reduction writes M
-    as a product of coordinate swaps and transvections y_r += y_c; each
-    pulls the table through one masked delta-swap, so the whole map costs
-    O(n^2) big-int operations instead of a loop over the 2^n indices.
-    """
+# A plan is at most a few hundred small ints, so 16 of them, the bound of
+# the base tables in constructions, cost nothing.  The masks are rebuilt
+# per call: caching them would hold about 100 2^n-bit tables per map.
+@functools.lru_cache(maxsize=16)
+def _pull_plan(columns: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The delta-swaps (c, r, delta) of X_c & ~X_r that pull a table
+    through M, in order; a singular M raises on every call."""
     n = len(columns)
-    xs = coordinate_tables(n)
     rows = transpose(columns)
+    plan = []
     # I = E_k...E_1 M, so T(My) = T(E_1...E_k y): pull E_1 first
     for c in range(n):
         p = next((r for r in range(c, n) if (rows[r] >> c) & 1), None)
@@ -321,11 +319,27 @@ def pull_linear(bits: int, columns: list[int]) -> int:
             raise ValueError("index map is not invertible")
         if p != c:
             rows[p], rows[c] = rows[c], rows[p]
-            bits = _delta_swap(bits, xs[c] & ~xs[p], (1 << p) - (1 << c))
+            plan.append((c, p, (1 << p) - (1 << c)))
         for r in range(n):
             if r != c and (rows[r] >> c) & 1:
                 rows[r] ^= rows[c]
-                bits = _delta_swap(bits, xs[c] & ~xs[r], 1 << r)
+                plan.append((c, r, 1 << r))
+    return tuple(plan)
+
+
+def pull_linear(bits: int, columns: list[int]) -> int:
+    """The packed table y -> T(M y) of a packed table T.
+
+    M is an invertible F_2-linear map on n-bit indices, given by its
+    column images M e_j = columns[j].  Gauss-Jordan row reduction, done
+    once per map (_pull_plan), writes M as a product of coordinate swaps
+    and transvections y_r += y_c; each pulls the table through one masked
+    delta-swap, so the whole map costs O(n^2) big-int operations instead
+    of a loop over the 2^n indices.
+    """
+    xs = coordinate_tables(len(columns))
+    for c, r, delta in _pull_plan(tuple(columns)):
+        bits = _delta_swap(bits, xs[c] & ~xs[r], delta)
     return bits
 
 

@@ -27,9 +27,10 @@ from .errors import (
 from .gf2n import make_field, require_table_degree, translate
 from .multipoly import ReducedPoly
 
-# ConstructedPair and ConstructionSpec (bentkit.constructions) appear only
-# in postponed annotations, which are never evaluated: constructions loads
-# only in the drivers that build.
+# ConstructedPair (bentkit.constructions) and ConstructionSpec
+# (bentkit.specs) appear only in postponed annotations, which are never
+# evaluated: the demos load constructions, and only check, _sample and
+# sweep load specs.
 
 
 class Expectation(namedtuple("Expectation", "bent degree idempotent duality",
@@ -127,9 +128,9 @@ Checked = namedtuple("Checked", "label f predicted_dual report")
 def check(spec: ConstructionSpec) -> Checked:
     """Build a spec and verify its family's claims, and f against the
     predicted dual where the family has one."""
-    from . import constructions
-    built = constructions.build(spec)
-    exp = Expectation(**constructions.FAMILIES[spec.family].claims(spec, built))
+    from . import constructions, specs
+    built = specs.build(spec)
+    exp = Expectation(**specs.FAMILIES[spec.family].claims(spec, built))
     if isinstance(built, constructions.ConstructedPair):
         label, f, dual = built.notes, built.f, built.predicted_dual
     else:  # QuadIdem: the bare base, with no dual attached
@@ -258,8 +259,8 @@ class SweepReport(namedtuple("SweepReport", (
 
 def _sample(family: str, m: int, rng: random.Random) -> ConstructionSpec:
     """One random valid spec of size m."""
-    from . import constructions
-    record = constructions.FAMILIES[family]
+    from . import specs
+    record = specs.FAMILIES[family]
     return record.sample(record.scale * m, rng)
 
 
@@ -276,8 +277,8 @@ def sweep(family: str, m_values, trials: int, seed: int) -> SweepReport:
     such as an oversized range, is refused without being expanded.  An
     unknown family is BadSpec.
     """
-    from . import constructions
-    record = constructions.lookup_family(family)
+    from . import specs
+    record = specs.lookup_family(family)
     if trials < 1:
         raise BadRange(f"trials must be at least 1, got {trials}")
     sizes = []

@@ -13,6 +13,7 @@ import pointwise as pw
 from bentkit import boolfun as bf
 from bentkit import constructions as cx
 from bentkit import multipoly as mp
+from bentkit import specs as sp
 from bentkit import verify as vf
 from bentkit.gf2n import make_field
 
@@ -48,7 +49,7 @@ def test_criterion_01_transform_correctness():
     u12 = field12.find_normal(0)
     gold12 = make_field(12)
     field6 = make_field(6)
-    basis6 = cx.kasami_valid_us(field6, 1, 3, rng, subfield_only=True)
+    basis6 = sp.kasami_valid_us(field6, 1, 3, rng, subfield_only=True)
     instances = [
         cx.kasami_subfield(field6, 1, basis6, mp.poly(3, 0b111)).f,
         cx.kasami_idempotent(field12, u12, mp.elementary_symmetric(6, 3)).f,
@@ -87,13 +88,13 @@ def kasami_pool():
         for trial in range(25):
             lam = rng.choice(units)
             tau = rng.randint(1, m)
-            F = cx.random_poly(tau, rng)
+            F = sp.random_poly(tau, rng)
             if trial % 2 == 0:
-                us = cx.kasami_valid_us(field, lam, tau, rng,
+                us = sp.kasami_valid_us(field, lam, tau, rng,
                                         subfield_only=True)
                 subfield.append((m, F, cx.kasami_subfield(field, lam, us, F)))
             else:
-                us = cx.kasami_valid_us(field, lam, tau, rng)
+                us = sp.kasami_valid_us(field, lam, tau, rng)
                 general.append((m, F, cx.kasami_general(field, lam, us, F)))
     return general, subfield, time.perf_counter() - start
 
@@ -160,9 +161,9 @@ def test_criterion_05_mesnager_triples():
     ok = True
     for m in (3, 4, 5):
         for _ in range(10):
-            F1 = cx.random_poly(m - 1, rng)
-            F2 = cx.random_poly(m - 1, rng)
-            F3 = cx.random_poly(m - 1, rng)
+            F1 = sp.random_poly(m - 1, rng)
+            F2 = sp.random_poly(m - 1, rng)
+            F3 = sp.random_poly(m - 1, rng)
             bundle = vf.demo_mesnager(m, F1, F2, F3)
             if not bundle.ok:
                 ok = False
@@ -214,8 +215,8 @@ def test_criterion_07_gold_like():
             ok = False  # base must be self-dual
         for _ in range(10):
             tau = rng.randint(1, min(2 * k, 4))
-            us = cx.gold_valid_us(field, lam, tau, rng)
-            pair = cx.gold_like(field, lam, us, cx.random_poly(tau, rng))
+            us = sp.gold_valid_us(field, lam, tau, rng)
+            pair = cx.gold_like(field, lam, us, sp.random_poly(tau, rng))
             if not _spectrum_dual_matches(pair):
                 ok = False
     _announce(7, ok,
@@ -242,13 +243,13 @@ def test_criterion_08_niho():
         for _ in range(10):
             tau = rng.randint(1, m)
             us = rng.sample(units, tau)
-            pair = cx.niho_family(field, k, us, cx.random_poly(tau, rng))
+            pair = cx.niho_family(field, k, us, sp.random_poly(tau, rng))
             if not _spectrum_dual_matches(pair):
                 ok = False
         u = field.find_normal(rng.randrange(len(units)))
         orbit = [field.frob(u, i) for i in range(m)]
         idem = cx.niho_family(field, k, orbit,
-                              cx.random_rotsym_poly(m, rng))
+                              sp.random_rotsym_poly(m, rng))
         if not (_spectrum_dual_matches(idem) and bf.is_idempotent(idem.f)):
             ok = False
     _announce(8, ok,
@@ -268,8 +269,8 @@ def test_criterion_09_maiorana_mcfarland():
         K = make_field(m)
         for _ in range(15):
             tau = rng.randint(1, 2)
-            rows, b, pairs = cx.mm_linear_params(K, tau, rng)
-            pair = cx.mm_linear(K, rows, b, pairs, cx.random_poly(tau, rng))
+            rows, b, pairs = sp.mm_linear_params(K, tau, rng)
+            pair = cx.mm_linear(K, rows, b, pairs, sp.random_poly(tau, rng))
             if not _spectrum_dual_matches(pair):
                 ok = False
         divisors = [s for s in range(1, m + 1)
@@ -277,8 +278,8 @@ def test_criterion_09_maiorana_mcfarland():
         for _ in range(15):
             s = rng.choice(divisors)
             tau = 1 if s == 1 else rng.randint(1, 2)
-            pairs = cx.mm_monomial_pairs(K, s, tau, rng)
-            pair = cx.mm_monomial(K, s, pairs, cx.random_poly(tau, rng))
+            pairs = sp.mm_monomial_pairs(K, s, tau, rng)
+            pair = cx.mm_monomial(K, s, pairs, sp.random_poly(tau, rng))
             if not bf.is_bent(bf.walsh(pair.f)):
                 ok = False
             d = cx.monomial_inverse_exponent(m, s)
@@ -297,15 +298,15 @@ def test_criterion_10_master_identity():
     rng = random.Random(10)
     field6 = make_field(6)
     units6 = [y for y in field6.subfield() if y]
-    basis6 = cx.kasami_valid_us(field6, 1, 3, rng, subfield_only=True)
+    basis6 = sp.kasami_valid_us(field6, 1, 3, rng, subfield_only=True)
     u6 = field6.find_normal(0)
     gold8 = make_field(8)
     lam8 = gold8.solve_semilinear(6, 1)
     K4 = make_field(4)
     instances = [
         cx.kasami_general(field6, units6[4],
-                          cx.kasami_valid_us(field6, units6[4], 2, rng),
-                          cx.random_poly(2, rng)),
+                          sp.kasami_valid_us(field6, units6[4], 2, rng),
+                          sp.random_poly(2, rng)),
         cx.kasami_subfield(field6, units6[2], basis6[:2], mp.poly(2, 0b11)),
         cx.kasami_idempotent(field6, u6, mp.elementary_symmetric(3, 3)),
         cx.kasami_antiselfdual(field6, mp.poly(2, 0b11, 0b01)),
@@ -313,11 +314,11 @@ def test_criterion_10_master_identity():
                        mp.poly(2, 0b11)),
         cx.quad_idempotent_family(field6, [1, 1, 1, 1], 1, u6,
                                   mp.rotation_closure(0b011, 3)),
-        cx.gold_like(gold8, lam8, cx.gold_valid_us(gold8, lam8, 3, rng),
-                     cx.random_poly(3, rng)),
+        cx.gold_like(gold8, lam8, sp.gold_valid_us(gold8, lam8, 3, rng),
+                     sp.random_poly(3, rng)),
         cx.niho_family(field6, 2, basis6[:2], mp.poly(2, 0b11, 0)),
-        cx.mm_linear(K4, *cx.mm_linear_params(K4, 2, rng), mp.poly(2, 0b11)),
-        cx.mm_monomial(K4, 4, cx.mm_monomial_pairs(K4, 4, 2, rng),
+        cx.mm_linear(K4, *sp.mm_linear_params(K4, 2, rng), mp.poly(2, 0b11)),
+        cx.mm_monomial(K4, 4, sp.mm_monomial_pairs(K4, 4, 2, rng),
                        mp.poly(2, 0b11)),
     ]
     ok = all(vf.master_identity_holds(pair) for pair in instances)

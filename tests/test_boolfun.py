@@ -1,13 +1,14 @@
 import random
+import tracemalloc
 from functools import partial
 
 import pytest
 
 import pointwise as pw
 from bentkit import boolfun as bf
-from bentkit import constructions as cx
+from bentkit import specs as sp
 from bentkit.errors import FieldMismatch, NotBent, OddDimension
-from bentkit.gf2n import BivariateDomain, make_field
+from bentkit.gf2n import BivariateDomain, coordinate_tables, make_field
 
 
 def tt_from_fn(domain, fn):
@@ -63,6 +64,24 @@ def test_walsh_matches_naive_at_ten_variables():
     rng = random.Random(99)
     f = bf.TruthTable(field, rng.getrandbits(field.size))
     assert bf.walsh(f).values == pw.walsh_naive(f).values
+
+
+def test_walsh_holds_no_table_once_it_returns():
+    """pull_linear keeps each map's plan, small ints only, and rebuilds its
+    masks per call: after one walsh at n = 20, or two, the process holds
+    less than one 2^20-bit table more than before."""
+    field = make_field(20)
+    f = bf.TruthTable(field, random.Random(20).getrandbits(field.size))
+    coordinate_tables(20)  # kept for the process, whatever pull_linear keeps
+    tracemalloc.start()
+    try:
+        held = []
+        for _ in range(2):
+            bf.walsh(f)
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert max(held) < field.size // 8, held
 
 
 def test_fwht_twice_scales_by_size():
@@ -214,7 +233,7 @@ def _field_of(f):
     '[0, 1, 0], [0, 0, 1]], "u": [["0x1", "0x0"]], "F": "X1"}',
 ], ids=["field", "grid"])
 def test_tables_and_specs_share_one_field(tmp_path, doc):
-    built = cx.build(cx.spec_from_json(doc))
+    built = sp.build(sp.spec_from_json(doc))
     f = getattr(built, "f", built)  # QuadIdem builds a bare table
     bf.save_tt(f, tmp_path / "f.tt")
     loaded = bf.load_tt(tmp_path / "f.tt")

@@ -11,6 +11,7 @@ import pointwise as pw
 from bentkit import boolfun as bf
 from bentkit import constructions as cx
 from bentkit import multipoly as mp
+from bentkit import specs as sp
 from bentkit import verify as vf
 from bentkit.cli import main
 from bentkit.errors import BadRange, UnsupportedDegree
@@ -36,10 +37,10 @@ def subfield_basis(field, count):
 def write_spec(tmp_path, name="inst.json"):
     field = make_field(6)
     us = subfield_basis(field, 3)
-    spec = cx.ConstructionSpec(family="KasamiSubfield", n=6, mod=0x43,
+    spec = sp.ConstructionSpec(family="KasamiSubfield", n=6, mod=0x43,
                                lam=1, u=tuple(us), F="X1*X2*X3")
     path = tmp_path / name
-    path.write_text(cx.spec_to_json(spec))
+    path.write_text(sp.spec_to_json(spec))
     return path
 
 
@@ -63,28 +64,28 @@ def test_construct_writes_tables_and_report(capsys, tmp_path):
 
 
 def test_construct_rejects_dependent_shifts(capsys, tmp_path):
-    spec = cx.ConstructionSpec(family="KasamiSubfield", n=6, mod=0x43,
+    spec = sp.ConstructionSpec(family="KasamiSubfield", n=6, mod=0x43,
                                lam=1, u=(1, 1), F="X1*X2")
     path = tmp_path / "dep.json"
-    path.write_text(cx.spec_to_json(spec))
+    path.write_text(sp.spec_to_json(spec))
     code, _, err = run(capsys, "construct", str(path))
     assert code == 2 and "NotIndependent" in err
 
 
 def test_construct_rejects_bad_niho_k(capsys, tmp_path):
-    spec = cx.ConstructionSpec(family="Niho", n=8, mod=0x11b, k=2,
+    spec = sp.ConstructionSpec(family="Niho", n=8, mod=0x11b, k=2,
                                u=(1,), F="X1")
     path = tmp_path / "gcd.json"
-    path.write_text(cx.spec_to_json(spec))
+    path.write_text(sp.spec_to_json(spec))
     code, _, err = run(capsys, "construct", str(path))
     assert code == 2 and "GcdViolated" in err
 
 
 def test_construct_refuses_niho_k_above_m(capsys, tmp_path):
     # k = 9 > m = 4 costs 2^8 sliced powers; k = 31 would run for days
-    spec = cx.ConstructionSpec(family="Niho", n=8, k=9, u=(1,), F="X1")
+    spec = sp.ConstructionSpec(family="Niho", n=8, k=9, u=(1,), F="X1")
     path = tmp_path / "big_k.json"
-    path.write_text(cx.spec_to_json(spec))
+    path.write_text(sp.spec_to_json(spec))
     code, out, err = run(capsys, "construct", str(path))
     assert code == 2 and out == "" and "1 <= k <= m = 4" in err
     assert not (tmp_path / "big_k.tt").exists()
@@ -227,7 +228,7 @@ def test_usage_error_exits_two(capsys):
                          "--m", "2", "--trials", "1")
     assert code == 2 and out == ""
     assert "BadSpec" in err and "NoSuchFamily" in err
-    assert all(name in err for name in cx.FAMILIES)
+    assert all(name in err for name in sp.FAMILIES)
 
 
 @pytest.mark.parametrize("text, reason", [
@@ -531,7 +532,7 @@ def test_library_sweep_reads_sizes_only_up_to_the_first_bad_one():
         vf.sweep("QuadIdem", sizes(), 1, 0)
 
 
-@pytest.mark.parametrize("family", sorted(cx.FAMILIES))
+@pytest.mark.parametrize("family", sorted(sp.FAMILIES))
 def test_construct_and_sweep_report_what_check_reports(capsys, tmp_path,
                                                        family):
     m, seed = (1 if family == "GoldLike" else 3), 5
@@ -539,7 +540,7 @@ def test_construct_and_sweep_report_what_check_reports(capsys, tmp_path,
     checked = vf.check(spec)
     want = checked.report.to_dict() | {"elapsed": 0}
     path = tmp_path / "inst.json"
-    path.write_text(cx.spec_to_json(spec))
+    path.write_text(sp.spec_to_json(spec))
     code, out, _ = run(capsys, "construct", str(path), "--json")
     doc = json.loads(out)
     files = doc.pop("files")

@@ -11,6 +11,7 @@ import pointwise as pw
 from bentkit import boolfun as bf
 from bentkit import constructions as cx
 from bentkit import multipoly as mp
+from bentkit import specs as sp
 from bentkit.errors import (
     BadDimension,
     BadDivisor,
@@ -100,9 +101,9 @@ def test_kasami_general_random_lambdas_dual_matches():
         for _ in range(3):
             lam = rng.choice(subfield_units(field))
             tau = rng.randint(1, field.m)
-            us = cx.kasami_valid_us(field, lam, tau, rng)
+            us = sp.kasami_valid_us(field, lam, tau, rng)
             pair = cx.kasami_general(field, lam, us,
-                                     cx.random_poly(tau, rng))
+                                     sp.random_poly(tau, rng))
             assert_bent_with_dual(pair)
 
 
@@ -224,7 +225,7 @@ def test_kasami_antiselfdual_triple_sum_closure():
     rng = random.Random(31)
     field = make_field(8)
     m = 4
-    Fs = [cx.random_poly(m - 1, rng) for _ in range(3)]
+    Fs = [sp.random_poly(m - 1, rng) for _ in range(3)]
     pairs = [cx.kasami_antiselfdual(field, F) for F in Fs]
     total = bf.add(bf.add(pairs[0].f, pairs[1].f), pairs[2].f)
     direct = cx.kasami_antiselfdual(field, Fs[0] + Fs[1] + Fs[2])
@@ -337,7 +338,7 @@ def test_gold_like_pair_search_at_k2():
     rng = random.Random(60)
     field = make_field(8)
     lam = field.solve_semilinear(6, 1)
-    us = cx.gold_valid_us(field, lam, 2, rng)
+    us = sp.gold_valid_us(field, lam, 2, rng)
     pair = cx.gold_like(field, lam, us, mp.poly(2, 0b11, 0b01))
     assert_bent_with_dual(pair)
 
@@ -471,7 +472,7 @@ def test_bivariate_index_roundtrip():
 def test_mat_invert_roundtrip():
     rng = random.Random(70)
     for m in (2, 3, 5):
-        rows = cx.random_invertible(m, rng)
+        rows = sp.random_invertible(m, rng)
         inv = invert(rows)
         for y in range(1 << m):
             assert pw.pullback_mask(inv, pw.pullback_mask(rows, y)) == y
@@ -507,9 +508,9 @@ def test_mm_linear_random_parameters():
     for m in (2, 3):
         for _ in range(3):
             tau = rng.randint(1, 2)
-            rows, b, pairs = cx.mm_linear_params(make_field(m), tau, rng)
+            rows, b, pairs = sp.mm_linear_params(make_field(m), tau, rng)
             pair = cx.mm_linear(make_field(m), rows, b, pairs,
-                                cx.random_poly(tau, rng))
+                                sp.random_poly(tau, rng))
             assert_bent_with_dual(pair)
 
 
@@ -548,8 +549,8 @@ def test_mm_monomial_single_pair():
 def test_mm_monomial_searched_pairs():
     rng = random.Random(90)
     for (m, s) in [(2, 2), (3, 3)]:
-        pairs = cx.mm_monomial_pairs(make_field(m), s, 2, rng)
-        pair = cx.mm_monomial(make_field(m), s, pairs, cx.random_poly(2, rng))
+        pairs = sp.mm_monomial_pairs(make_field(m), s, 2, rng)
+        pair = cx.mm_monomial(make_field(m), s, pairs, sp.random_poly(2, rng))
         assert bf.is_bent(bf.walsh(pair.f))
 
 
@@ -592,17 +593,17 @@ def _draw_shifts(family: str, K, param, tau: int, rng):
     """(shift indices, g~) of one call of the family's shift sampler: param
     is lambda, or s for MMMonomial; MMLinear draws its own (pi, b)."""
     if family.startswith("Kasami"):
-        us = cx.kasami_valid_us(K, param, tau, rng,
+        us = sp.kasami_valid_us(K, param, tau, rng,
                                 subfield_only=family == "KasamiSubfield")
         return us, _base_dual("Kasami", K, param)
     if family == "GoldLike":
-        return cx.gold_valid_us(K, param, tau, rng), _base_dual(family, K,
+        return sp.gold_valid_us(K, param, tau, rng), _base_dual(family, K,
                                                                  param)
     if family == "MMLinear":
-        rows, b, pairs = cx.mm_linear_params(K, tau, rng)
+        rows, b, pairs = sp.mm_linear_params(K, tau, rng)
         param = (rows, b)
     else:
-        pairs = cx.mm_monomial_pairs(K, param, tau, rng)
+        pairs = sp.mm_monomial_pairs(K, param, tau, rng)
     return ([(x << K.n) | y for x, y in pairs],
             _base_dual(family, K, param))
 
@@ -736,7 +737,7 @@ SAMPLER_TABLES_N20 = 1
 
 
 @pytest.mark.parametrize("name", [
-    *cx.FAMILIES, "MMMonomial s=10",
+    *sp.FAMILIES, "MMMonomial s=10",
     "KasamiGeneral n=24", "GoldLike n=24", "MMLinear n=24"])
 def test_samplers_at_n20_hold_a_bounded_number_of_tables(name):
     rng = random.Random(0)
@@ -745,9 +746,9 @@ def test_samplers_at_n20_hold_a_bounded_number_of_tables(name):
     tracemalloc.start()
     try:
         if name == "MMMonomial s=10":
-            cx.mm_monomial_pairs(make_field(10), 10, 2, rng)
+            sp.mm_monomial_pairs(make_field(10), 10, 2, rng)
         else:
-            cx.FAMILIES[family].sample(n, rng)
+            sp.FAMILIES[family].sample(n, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -781,7 +782,7 @@ def test_master_identity_every_family():
     gold_lam = gold_field.solve_semilinear(6, 1)
     instances = [
         cx.kasami_general(field6, subfield_units(field6)[2],
-                          cx.kasami_valid_us(
+                          sp.kasami_valid_us(
                               field6, subfield_units(field6)[2], 2, rng),
                           mp.poly(2, 0b11)),
         cx.kasami_subfield(field6, 1, us6, mp.poly(2, 0b11, 0b01)),
@@ -791,11 +792,11 @@ def test_master_identity_every_family():
         cx.quad_idempotent_family(field6, [0, 1, 1, 1], 0, u_norm,
                                   mp.rotation_closure(0b011, 3)),
         cx.gold_like(gold_field, gold_lam,
-                     cx.gold_valid_us(gold_field, gold_lam, 2, rng),
+                     sp.gold_valid_us(gold_field, gold_lam, 2, rng),
                      mp.poly(2, 0b11)),
         cx.niho_family(field6, 2, us6, mp.poly(2, 0b11)),
         cx.mm_linear(make_field(3),
-                     *cx.mm_linear_params(make_field(3), 2, rng),
+                     *sp.mm_linear_params(make_field(3), 2, rng),
                      mp.poly(2, 0b11)),
         cx.mm_monomial(make_field(3), 1, [(1, 1)], mp.poly(1, 0b1)),
     ]
@@ -807,20 +808,20 @@ def test_master_identity_every_family():
 # seeded samplers
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", sorted(cx.FAMILIES))
+@pytest.mark.parametrize("name", sorted(sp.FAMILIES))
 def test_every_sampler_draws_a_buildable_spec_in_one_pass(name):
     """No sampler gives up: each draw at every admissible size is a spec
     its family builds, and one size below the family's least is refused.
     GoldLike's size is k (n = 4k)."""
-    record = cx.FAMILIES[name]
+    record = sp.FAMILIES[name]
     if record.least > 1:
         with pytest.raises(PreconditionViolated):
-            cx.build(record.sample(record.scale * (record.least - 1),
+            sp.build(record.sample(record.scale * (record.least - 1),
                                    random.Random(0)))
     for size in range(record.least, (2 if name == "GoldLike" else 6) + 1):
         for seed in range(40):
             spec = record.sample(record.scale * size, random.Random(seed))
-            cx.build(spec)
+            sp.build(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -829,35 +830,35 @@ def test_every_sampler_draws_a_buildable_spec_in_one_pass(name):
 
 def test_spec_roundtrip_every_shape():
     specs = [
-        cx.ConstructionSpec(family="KasamiGeneral", n=6, mod=0x43, lam=0x7,
+        sp.ConstructionSpec(family="KasamiGeneral", n=6, mod=0x43, lam=0x7,
                             u=(1, 9), F="X1*X2"),
-        cx.ConstructionSpec(family="KasamiAntiSelfDual", n=6, mod=0x43,
+        sp.ConstructionSpec(family="KasamiAntiSelfDual", n=6, mod=0x43,
                             F="X1*X2"),
-        cx.ConstructionSpec(family="QuadIdem", n=8, mod=0x11b,
+        sp.ConstructionSpec(family="QuadIdem", n=8, mod=0x11b,
                             c=(0, 1, 0, 0, 1), eps=1),
-        cx.ConstructionSpec(family="GoldLike", n=8, mod=0x11b, k=2,
+        sp.ConstructionSpec(family="GoldLike", n=8, mod=0x11b, k=2,
                             u=(3,), F="X1"),
-        cx.ConstructionSpec(family="Niho", n=10, mod=0x409, k=3,
+        sp.ConstructionSpec(family="Niho", n=10, mod=0x409, k=3,
                             u=(5, 6), F="X1+X2"),
-        cx.ConstructionSpec(family="MMLinear", n=6, mod=0xb,
+        sp.ConstructionSpec(family="MMLinear", n=6, mod=0xb,
                             pi=(1, 2, 4), b=0x5, u=((1, 0), (0, 1)),
                             F="X1*X2"),
-        cx.ConstructionSpec(family="MMMonomial", n=6, mod=0xb, s=1,
+        sp.ConstructionSpec(family="MMMonomial", n=6, mod=0xb, s=1,
                             u=((1, 1),), F="X1"),
     ]
     # every family, as its registry sampler draws it
     rng = random.Random(5)
     sampled = [record.sample(record.scale * size, rng)
-               for record in cx.FAMILIES.values() for size in (2, 3)]
-    assert {spec.family for spec in sampled} == set(cx.FAMILIES)
+               for record in sp.FAMILIES.values() for size in (2, 3)]
+    assert {spec.family for spec in sampled} == set(sp.FAMILIES)
     for spec in specs + sampled:
-        text = cx.spec_to_json(spec)
-        again = cx.spec_from_json(text)
+        text = sp.spec_to_json(spec)
+        again = sp.spec_from_json(text)
         assert again == spec
-        assert cx.spec_to_json(again) == text
+        assert sp.spec_to_json(again) == text
     for spec in sampled:
-        built = cx.build(spec)
-        again = cx.build(cx.spec_from_json(cx.spec_to_json(spec)))
+        built = sp.build(spec)
+        again = sp.build(sp.spec_from_json(sp.spec_to_json(spec)))
         if isinstance(built, cx.ConstructedPair):  # QuadIdem gives a table
             built, again = [(p.f, p.base, p.predicted_dual, p.notes)
                             for p in (built, again)]
@@ -867,41 +868,41 @@ def test_spec_roundtrip_every_shape():
 def test_build_dispatches_and_validates():
     field = make_field(6)
     us = subfield_basis(field, 2)
-    spec = cx.ConstructionSpec(family="KasamiSubfield", n=6, mod=0x43,
+    spec = sp.ConstructionSpec(family="KasamiSubfield", n=6, mod=0x43,
                                lam=1, u=tuple(us), F="X1*X2")
-    pair = cx.build(spec)
+    pair = sp.build(spec)
     assert_bent_with_dual(pair)
 
-    table = cx.build(cx.ConstructionSpec(family="QuadIdem", n=6, mod=0x43,
+    table = sp.build(sp.ConstructionSpec(family="QuadIdem", n=6, mod=0x43,
                                          c=(0, 0, 0, 1), eps=0))
     assert table.bits == pw.kasami_base(field, 1).bits
 
     u_norm = field.find_normal(0)
-    idem = cx.build(cx.ConstructionSpec(
+    idem = sp.build(sp.ConstructionSpec(
         family="QuadFamily", n=6, mod=0x43, c=(0, 0, 0, 1), eps=0,
         u=(u_norm,), F="X1*X2+X2*X3+X1*X3"))
     assert bf.is_idempotent(idem.f)
 
-    bad = cx.ConstructionSpec(family="Niho", n=8, mod=0x11b, k=2,
+    bad = sp.ConstructionSpec(family="Niho", n=8, mod=0x11b, k=2,
                               u=(1,), F="X1")
     with pytest.raises(GcdViolated):
-        cx.build(bad)
+        sp.build(bad)
 
 
 def test_build_checks_the_size_rule_and_gold_k():
-    gold = cx.ConstructionSpec(family="GoldLike", n=8, mod=0x11b, u=(3,),
+    gold = sp.ConstructionSpec(family="GoldLike", n=8, mod=0x11b, u=(3,),
                                F="X1")
-    assert cx.build(gold).f == cx.build(gold._replace(k=2)).f
+    assert sp.build(gold).f == sp.build(gold._replace(k=2)).f
     with pytest.raises(BadSpec, match="GoldLike needs k = n/4 = 2"):
-        cx.build(gold._replace(k=7))
+        sp.build(gold._replace(k=7))
     with pytest.raises(BadSpec, match="GoldLike needs n divisible by 4"):
-        cx.build(gold._replace(n=6, mod=0x43))
+        sp.build(gold._replace(n=6, mod=0x43))
     with pytest.raises(BentkitError):
-        cx.build(gold._replace(n=-4, mod=None))
+        sp.build(gold._replace(n=-4, mod=None))
 
 
 def test_build_refuses_an_unknown_family_listing_the_known_ones():
-    spec = cx.ConstructionSpec(family="Gold", n=8, u=(3,), F="X1")
+    spec = sp.ConstructionSpec(family="Gold", n=8, u=(3,), F="X1")
     with pytest.raises(BadSpec, match="unknown family 'Gold'; known: ") as exc:
-        cx.build(spec)
-    assert all(name in str(exc.value) for name in cx.FAMILIES)
+        sp.build(spec)
+    assert all(name in str(exc.value) for name in sp.FAMILIES)

@@ -1,7 +1,9 @@
 """The package loads only the layers a command runs.
 
 `import bentkit` is lazy, and the commands that build nothing (verify,
-walsh, anf, dual, field) never load bentkit.constructions.  No command
+walsh, anf, dual, field) never load bentkit.constructions.  Only the
+commands that read or draw a spec (construct and sweep) load bentkit.specs,
+so the demos compile the constructors and no spec layer.  No command
 loads dataclasses or the inspect it imports: the records are named
 tuples.  Each import check runs in a fresh interpreter without site
 (python -S), since this one has loaded everything and a site hook may
@@ -21,18 +23,20 @@ import pytest
 
 import bentkit
 from bentkit import boolfun as bf
-from bentkit import constructions as cx
+from bentkit import specs as sp
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-# runs bentkit.cli.main(argv) and prints its exit code and the modules
-# loaded
+# runs bentkit.cli.main(argv) and prints its exit code, the modules
+# loaded and those of them that define FAMILIES or spec_from_json
 RUN_CLI = """\
 import contextlib, io, json, sys
 from bentkit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(sys.modules)]))
+spec_layer = [name for name, module in sys.modules.items()
+              if {"FAMILIES", "spec_from_json"} & set(vars(module))]
+print(json.dumps([code, sorted(sys.modules), sorted(spec_layer)]))
 """
 
 # each command, and whether it loads bentkit.constructions
@@ -62,31 +66,50 @@ def fresh_python(code, *argv, cwd=None):
 def workdir(tmp_path_factory):
     """A directory with a bent table f.tt and the spec.json it came from."""
     path = tmp_path_factory.mktemp("imports")
-    spec = cx.FAMILIES["KasamiIdempotent"].sample(6, random.Random(0))
-    (path / "spec.json").write_text(cx.spec_to_json(spec))
-    bf.save_tt(cx.build(spec).f, path / "f.tt")
+    spec = sp.FAMILIES["KasamiIdempotent"].sample(6, random.Random(0))
+    (path / "spec.json").write_text(sp.spec_to_json(spec))
+    bf.save_tt(sp.build(spec).f, path / "f.tt")
     return path
 
 
 @pytest.fixture(scope="module")
-def loaded_by(workdir):
-    """argv -> the modules loaded once cli.main(argv) returned 0, each
-    command run once in a fresh interpreter."""
+def run(workdir):
+    """argv -> (the modules loaded once cli.main(argv) returned 0, those
+    of them that define FAMILIES or spec_from_json), each command run once
+    in a fresh interpreter."""
     runs = {}
 
-    def loaded(argv):
+    def ran(argv):
         if tuple(argv) not in runs:
-            code, modules = fresh_python(RUN_CLI, *argv, cwd=workdir)
+            code, *loaded = fresh_python(RUN_CLI, *argv, cwd=workdir)
             assert code == 0
-            runs[tuple(argv)] = modules
+            runs[tuple(argv)] = loaded
         return runs[tuple(argv)]
-    return loaded
+    return ran
+
+
+@pytest.fixture(scope="module")
+def loaded_by(run):
+    """argv -> the modules loaded once cli.main(argv) returned 0."""
+    return lambda argv: run(argv)[0]
 
 
 @pytest.mark.parametrize("argv, loads_constructions", COMMANDS)
 def test_only_the_commands_that_build_load_constructions(
         loaded_by, argv, loads_constructions):
     assert ("bentkit.constructions" in loaded_by(argv)) == loads_constructions
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
+def test_only_construct_and_sweep_load_specs(loaded_by, argv):
+    assert ("bentkit.specs" in loaded_by(argv)) == (
+        argv[0] in ("construct", "sweep"))
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS
+                                  if argv[0] == "demo"])
+def test_the_demos_compile_no_spec_layer(run, argv):
+    assert run(argv)[1] == []
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])

@@ -12,8 +12,8 @@ import pytest
 
 import pointwise as pw
 from bentkit import boolfun as bf
-from bentkit import constructions as cx
 from bentkit import multipoly as mp
+from bentkit import specs as sp
 from bentkit import verify as vf
 from bentkit.errors import ArityMismatch, EmptyExpectation, UnsupportedDegree
 from bentkit.gf2n import make_field
@@ -24,11 +24,11 @@ def records():
     """One instance of each record that was a frozen dataclass."""
     field = make_field(4)
     table = pw.kasami_base(field, 1)
-    spec = cx.FAMILIES["KasamiIdempotent"].sample(6, random.Random(0))
+    spec = sp.FAMILIES["KasamiIdempotent"].sample(6, random.Random(0))
     return {"TruthTable": table, "WalshSpectrum": bf.walsh(table),
             "ReducedPoly": mp.poly(2, 0b11),
-            "ConstructedPair": cx.build(spec),
-            "Family": cx.FAMILIES["GoldLike"]}
+            "ConstructedPair": sp.build(spec),
+            "Family": sp.FAMILIES["GoldLike"]}
 
 
 @pytest.mark.parametrize("tau", [25, 40])

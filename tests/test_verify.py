@@ -4,6 +4,7 @@ import pointwise as pw
 from bentkit import boolfun as bf
 from bentkit import constructions as cx
 from bentkit import multipoly as mp
+from bentkit import specs as sp
 from bentkit import verify as vf
 from bentkit.errors import (
     ArityMismatch,
@@ -255,7 +256,7 @@ def test_sweep_refuses_an_unknown_family_before_drawing(monkeypatch):
     monkeypatch.setattr(vf, "_sample", unexpected)
     with pytest.raises(BadSpec, match="unknown family 'Nope'") as exc:
         vf.sweep("Nope", [3], 1, 0)
-    assert all(name in str(exc.value) for name in cx.FAMILIES)
+    assert all(name in str(exc.value) for name in sp.FAMILIES)
 
 
 def test_sweep_gold_duals():
@@ -282,27 +283,27 @@ QUAD_IDEM_FAMILY = ('{"family": "QuadFamily", "n": 8, "c": [1, 0, 0, 0, 1],'
 
 
 def test_quad_idempotent_family_claims_idempotence_and_degree():
-    spec = cx.spec_from_json(QUAD_IDEM_FAMILY)
-    built = cx.build(spec)
+    spec = sp.spec_from_json(QUAD_IDEM_FAMILY)
+    built = sp.build(spec)
     assert built.notes.startswith("QuadIdemFamily")
-    assert cx.FAMILIES["QuadFamily"].claims(spec, built) == {
+    assert sp.FAMILIES["QuadFamily"].claims(spec, built) == {
         "bent": True, "idempotent": True, "degree": 3}
     checked = vf.check(spec)
     assert checked.label == built.notes and checked.report.all_claims_met
     # affine F: the degree is the quadratic base's
-    affine = cx.spec_from_json(QUAD_IDEM_FAMILY.replace(
+    affine = sp.spec_from_json(QUAD_IDEM_FAMILY.replace(
         "X1*X2*X3+X2*X3*X4+X3*X4*X1+X4*X1*X2", "X1+X2+X3+X4"))
-    assert cx.FAMILIES["QuadFamily"].claims(
-        affine, cx.build(affine))["degree"] == 2
+    assert sp.FAMILIES["QuadFamily"].claims(
+        affine, sp.build(affine))["degree"] == 2
     # several shifts, F in one variable per shift: only bentness is claimed
-    plain = cx.ConstructionSpec("QuadFamily", 8, c=(1, 0, 0, 0, 1),
+    plain = sp.ConstructionSpec("QuadFamily", 8, c=(1, 0, 0, 0, 1),
                                 u=(0xc, 0xd), F="X1*X2")
-    assert cx.FAMILIES["QuadFamily"].claims(
-        plain, cx.build(plain)) == {"bent": True}
+    assert sp.FAMILIES["QuadFamily"].claims(
+        plain, sp.build(plain)) == {"bent": True}
 
 
 def test_check_labels_the_bare_quad_base_by_m():
-    spec = cx.ConstructionSpec("QuadIdem", 6, c=(1, 0, 0, 0))
+    spec = sp.ConstructionSpec("QuadIdem", 6, c=(1, 0, 0, 0))
     checked = vf.check(spec)
     assert checked.label == "QuadIdem m=3"
     assert checked.predicted_dual is None
