@@ -6,14 +6,15 @@ D_u h(x) = h(x) + h(x + u), then f is bent with dual
 
     f~ = g~ + F(D_u1 g~, ..., D_utau g~).
 
-So each family states only three things: its base table g, its base dual
-g~ (None for QuadFamily and MMMonomial, whose duals verification computes
-from the spectrum), and a closed-form n-bit mask row(u) with D_u D_v g~ = 0
-iff parity(row(u) & v) = 0, as that condition is F_2-linear in v.  _shifted
-checks it on every pair of shifts and computes the D_ui g~, once; its
-pair(F, notes) builds f and the predicted dual for any F.  The same rows
-let bentkit.specs draw shifts that meet the condition in one pass.  Each
-pair also carries the base, the shifts u_i and F, so the identity
+So each family states one Base(dom, g, gdual, row): its base table g, its
+base dual g~ (None for QuadFamily and MMMonomial, whose duals verification
+computes from the spectrum), and a closed-form n-bit mask row(u) with
+D_u D_v g~ = 0 iff parity(row(u) & v) = 0, as that is F_2-linear in v.
+_shifted(base, shifts) checks it on every pair of shifts and computes the
+D_ui g~, once; its pair(F, notes) builds f and the predicted dual for any
+F.  The row functions take the family's own parameters and no table, so
+bentkit.specs draws shifts under them too.  Each pair also carries the
+base, the shifts u_i and F, so the identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
 
@@ -84,6 +85,10 @@ from .multipoly import ReducedPoly
 ConstructedPair = namedtuple(
     "ConstructedPair", "f predicted_dual notes base shifts poly")
 
+# a bent base on dom: the tables of g and g~ (None: no dual formula), and
+# _shifted's pair test row(u) (None: every admissible pair meets it)
+Base = namedtuple("Base", "dom g gdual row")
+
 
 # ---------------------------------------------------------------------------
 # shared validation helpers
@@ -129,7 +134,7 @@ def _full(dom) -> int:
     return (1 << dom.size) - 1
 
 
-def _shifted(dom, base: int, gdual: int | None, shifts, row=None):
+def _shifted(base: Base, shifts):
     """pair(F, notes): the pair f = g + F(Tr(u_1 x), ..., Tr(u_tau x)).
 
     D_u D_v g~ = 0 is parity(row(u) & v) = 0 and must hold on every pair
@@ -137,6 +142,7 @@ def _shifted(dom, base: int, gdual: int | None, shifts, row=None):
     beyond the n index bits is a ValueError before any pair is judged.
     pair predicts the dual g~ + F(D_u1 g~, ...) when g~ is known.
     """
+    dom, g, gdual, row = base
     shifts = tuple(shifts)
     for u in shifts:
         if u >> dom.n:  # also every u < 0
@@ -150,12 +156,12 @@ def _shifted(dom, base: int, gdual: int | None, shifts, row=None):
              else [gdual ^ translate(gdual, dom.n, u) for u in shifts])
 
     def pair(F: ReducedPoly, notes: str) -> ConstructedPair:
-        f = base ^ multipoly.compose_traces(dom, F, shifts)
+        f = g ^ multipoly.compose_traces(dom, F, shifts)
         return ConstructedPair(
             f=TruthTable(dom, f),
             predicted_dual=(None if diffs is None else TruthTable(
                 dom, gdual ^ multipoly.compose(F, diffs, _full(dom)))),
-            notes=notes, base=TruthTable(dom, base), shifts=shifts, poly=F)
+            notes=notes, base=TruthTable(dom, g), shifts=shifts, poly=F)
     return pair
 
 
@@ -169,27 +175,24 @@ def _quadratic(field: Field, lin, mask: int) -> int:
 # Kasami family (norm-form base Tr_sub(lambda * x^(2^m+1)))
 # ---------------------------------------------------------------------------
 
-@_base_cache
-def _kasami_bits(field: Field, lam: int) -> int:
-    """Tr_sub(lam * x^(2^m+1)) = Tr(theta lam * x x^(2^m)), sliced."""
-    return _quadratic(field, field.frob_map(field.m), field.subtrace_mask(lam))
-
-
-def _kasami_row(field: Field, mu: int):
-    """row(u) of g~ = Tr_sub(mu x^(2^m+1)) + 1: its polar form is
-    Tr(mu u v^(2^m)) = Tr((mu u)^(2^m) v), as theta + theta^(2^m) = 1."""
+def _kasami_row(field: Field, lam: int):
+    """row(u) of g~ = Tr_sub(mu x^(2^m+1)) + 1, mu = lambda^-1: its polar
+    form is Tr(mu u v^(2^m)) = Tr((mu u)^(2^m) v), as
+    theta + theta^(2^m) = 1.  Subfield shifts meet it trivially."""
+    mu = field.inv(lam)
     return lambda u: field.trace_mask(field.frob(field.mul(mu, u), field.m))
 
 
-def _kasami_shifted(field: Field, lam: int, us):
-    """pair(F, notes) on the Kasami base, its dual by the theorem;
-    subfield shifts meet the pair condition trivially.  The base's dual is
-    Tr_sub(mu x^(2^m+1)) + 1 with mu = lambda^-1, which the un-inverted
-    statement form matches only at 1."""
+@_base_cache
+def _kasami_base(field: Field, lam: int) -> Base:
+    """g = Tr_sub(lam * x^(2^m+1)) = Tr(theta lam * x x^(2^m)), sliced, and
+    its dual Tr_sub(mu x^(2^m+1)) + 1 with mu = lambda^-1, which the
+    un-inverted statement form matches only at lambda = 1 = mu."""
     mu = field.inv(lam)
-    return _shifted(field, _kasami_bits(field, lam),
-                    _kasami_bits(field, mu) ^ _full(field), us,
-                    _kasami_row(field, mu))
+    frob = field.frob_map(field.m)
+    g = _quadratic(field, frob, field.subtrace_mask(lam))
+    gmu = g if mu == lam else _quadratic(field, frob, field.subtrace_mask(mu))
+    return Base(field, g, gmu ^ _full(field), _kasami_row(field, lam))
 
 
 def kasami_general(field: Field, lam: int, us,
@@ -200,7 +203,7 @@ def kasami_general(field: Field, lam: int, us,
     _check_lambda(field, lam)
     us = list(us)
     _check_tau(F, len(us), m)
-    return _kasami_shifted(field, lam, us)(
+    return _shifted(_kasami_base(field, lam), us)(
         F, f"KasamiGeneral n={field.n} lam={lam:#x} tau={F.tau}")
 
 
@@ -213,7 +216,7 @@ def kasami_subfield(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPa
     if rank(us) != len(us):
         raise NotIndependent("shift elements are dependent over F_2")
     _check_tau(F, len(us), m)
-    return _kasami_shifted(field, lam, us)(
+    return _shifted(_kasami_base(field, lam), us)(
         F, f"KasamiSubfield n={field.n} lam={lam:#x} tau={F.tau}")
 
 
@@ -235,14 +238,15 @@ def kasami_idempotent(field: Field, u: int, F: ReducedPoly) -> ConstructedPair:
     """Bent idempotent from a normal subfield orbit and rotation-symmetric F."""
     us = _normal_orbit(field, u)
     _check_rotsym(F, field.m)
-    return _kasami_shifted(field, 1, us)(
+    return _shifted(_kasami_base(field, 1), us)(
         F, f"KasamiIdempotent n={field.n} u={u:#x} d={F.degree()}")
 
 
 def kasami_ladder(field: Field, u: int):
     """(d, kasami_idempotent(field, u, e_d)) for d = 2..m from one checked
     base; each e_d is rotation symmetric in m variables."""
-    pair = _kasami_shifted(field, 1, _normal_orbit(field, u))
+    us = _normal_orbit(field, u)
+    pair = _shifted(_kasami_base(field, 1), us)
     for d in range(2, field.m + 1):
         yield d, pair(multipoly.elementary_symmetric(field.m, d),
                       f"KasamiIdempotent n={field.n} u={u:#x} d={d}")
@@ -256,7 +260,7 @@ def kasami_antiselfdual(field: Field, F: ReducedPoly) -> ConstructedPair:
 def kasami_antiselfdual_pairs(field: Field):
     """F -> its anti-self-dual pair, all from one checked base."""
     m = _require_half(field)
-    pair = _kasami_shifted(field, 1, field.trace_zero_basis())
+    pair = _shifted(_kasami_base(field, 1), field.trace_zero_basis())
 
     def antiselfdual(F: ReducedPoly) -> ConstructedPair:
         _check_tau(F, m - 1, m)
@@ -269,8 +273,8 @@ def kasami_antiselfdual_pairs(field: Field):
 # ---------------------------------------------------------------------------
 
 @_base_cache
-def _quad_bits(field: Field, c: tuple[int, ...], eps: int) -> int:
-    """The quadratic idempotent from one sliced product.
+def _quad_base(field: Field, c: tuple[int, ...], eps: int) -> Base:
+    """The quadratic idempotent from one sliced product; no dual or row.
 
     sum_{i<m} c_i Tr(x^(2^i+1)) = Tr(x L(x)) for the linear map
     L(x) = sum_{i<m} c_i x^(2^i), and the c_m term Tr_sub(x^(2^m+1)) is
@@ -285,17 +289,23 @@ def _quad_bits(field: Field, c: tuple[int, ...], eps: int) -> int:
     if any(lin):
         bits ^= _quadratic(field, lin, field.trace_mask(1))
     if c[m]:
-        bits ^= _kasami_bits(field, 1)
-    return bits
+        bits ^= _kasami_base(field, 1).g
+    return Base(field, bits, None, None)
 
 
-def quad_idempotent_g(field: Field, c, eps: int = 0) -> TruthTable:
-    """Quadratic idempotent sum_i c_i Tr(x^(2^i+1)) + c_m Tr_sub(x^(2^m+1)) + eps."""
+def _quad_coeffs(field: Field, c) -> tuple[int, ...]:
+    """c as the m + 1 coefficient bits of a quadratic idempotent."""
     m = _require_half(field, 1)
     c = tuple(int(b) & 1 for b in c)
     if len(c) != m + 1:
         raise ArityMismatch(f"need m+1={m + 1} coefficient bits, got {len(c)}")
-    return TruthTable(field, _quad_bits(field, c, eps & 1))
+    return c
+
+
+def quad_idempotent_g(field: Field, c, eps: int = 0) -> TruthTable:
+    """Quadratic idempotent sum_i c_i Tr(x^(2^i+1)) + c_m Tr_sub(x^(2^m+1)) + eps."""
+    c = _quad_coeffs(field, c)
+    return TruthTable(field, _quad_base(field, c, eps & 1).g)
 
 
 def is_quad_bent_gcd(c) -> bool:
@@ -305,6 +315,8 @@ def is_quad_bent_gcd(c) -> bool:
     must be coprime to X^n + 1; the affine bits c_0 and eps never matter.
     """
     c = tuple(int(b) & 1 for b in c)
+    if len(c) < 2:
+        raise ArityMismatch(f"need m+1 >= 2 coefficient bits, got {len(c)}")
     m = len(c) - 1
     n = 2 * m
     L = 0
@@ -322,14 +334,13 @@ def quad_family(field: Field, c, eps: int, us, F: ReducedPoly) -> ConstructedPai
     No closed-form dual is attached; verification computes the dual from
     the spectrum instead.
     """
-    m = _require_half(field, 1)
-    c = tuple(int(b) & 1 for b in c)
+    c = _quad_coeffs(field, c)
     if not is_quad_bent_gcd(c):
         raise BaseNotBent("coefficient vector fails the gcd bentness test")
     us = list(us)
     _check_subfield_units(field, us)
-    _check_tau(F, len(us), m)
-    return _shifted(field, quad_idempotent_g(field, c, eps).bits, None, us)(
+    _check_tau(F, len(us), field.m)
+    return _shifted(_quad_base(field, c, eps & 1), us)(
         F, f"QuadFamily n={field.n} c={''.join(map(str, c))} tau={F.tau}")
 
 
@@ -348,10 +359,10 @@ def quad_idempotent_family(field: Field, c, eps: int, u: int,
 # ---------------------------------------------------------------------------
 
 @_base_cache
-def _gold_bits(field: Field, lam: int) -> int:
+def _gold_base(field: Field, lam: int) -> Base:
     """Tr(lam * x^(2^k+1)) with k = n/4, sliced; it is its own dual."""
-    return _quadratic(field, field.frob_map(field.n // 4),
-                      field.trace_mask(lam))
+    g = _quadratic(field, field.frob_map(field.n // 4), field.trace_mask(lam))
+    return Base(field, g, g, _gold_row(field, lam))
 
 
 def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
@@ -364,8 +375,7 @@ def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
             f"lambda {lam:#x} fails lambda + lambda^(2^(3k)) = 1")
     us = list(us)
     _check_tau(F, len(us), field.n // 2)
-    base = _gold_bits(field, lam)
-    return _shifted(field, base, base, us, _gold_row(field, lam))(  # self-dual
+    return _shifted(_gold_base(field, lam), us)(
         F, f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}")
 
 
@@ -402,8 +412,9 @@ def _niho_sum(field: Field, k: int) -> int:
 
 
 @_base_cache
-def _niho_tables(field: Field, k: int) -> tuple[int, int]:
-    """Base bits Tr_sub(x^(2^m+1)) + _niho_sum and dual bits.
+def _niho_base(field: Field, k: int) -> Base:
+    """Base Tr_sub(x^(2^m+1)) + _niho_sum and its dual; subfield shifts
+    need no row.
 
     _niho_sum is a function of its own so that its planes are freed
     before the dual's are built, which keeps the peak at that of the dual.
@@ -411,7 +422,7 @@ def _niho_tables(field: Field, k: int) -> tuple[int, int]:
     m = field.m
     xs = coordinate_tables(field.n)
     full = _full(field)
-    g_bits = _kasami_bits(field, 1) ^ _niho_sum(field, k)
+    g_bits = _kasami_base(field, 1).g ^ _niho_sum(field, k)
     # dual: Tr_sub((alpha*A + x^(2^m) + alpha^(2^(n-k))) * A^(1/(2^k-1)))
     # with alpha + alpha^(2^m) = 1 and A = 1 + x + x^(2^m); the root index
     # 1/(2^k-1) is invertible mod 2^m-1 because gcd(k, m) = 1.
@@ -424,7 +435,7 @@ def _niho_tables(field: Field, k: int) -> tuple[int, int]:
     B = add_const([a ^ b for a, b in zip(
         linear_planes(A, field.scale_map(alpha)), xm)], alpha_c, full)
     d_bits = trace_planes(field.mul_planes(B, apow), field.subtrace_mask(1))
-    return g_bits, d_bits
+    return Base(field, g_bits, d_bits, None)
 
 
 def _check_niho(field: Field, k: int) -> int:
@@ -439,13 +450,13 @@ def _check_niho(field: Field, k: int) -> int:
 def niho_g(field: Field, k: int) -> TruthTable:
     """Niho-exponent bent base; k=1 degenerates to the norm-form base."""
     _check_niho(field, k)
-    return TruthTable(field, _niho_tables(field, k)[0])
+    return TruthTable(field, _niho_base(field, k).g)
 
 
 def niho_dual_g(field: Field, k: int) -> TruthTable:
     """Closed-form dual of the Niho base."""
     _check_niho(field, k)
-    return TruthTable(field, _niho_tables(field, k)[1])
+    return TruthTable(field, _niho_base(field, k).gdual)
 
 
 def niho_family(field: Field, k: int, us, F: ReducedPoly) -> ConstructedPair:
@@ -454,7 +465,7 @@ def niho_family(field: Field, k: int, us, F: ReducedPoly) -> ConstructedPair:
     us = list(us)
     _check_subfield_units(field, us)
     _check_tau(F, len(us), m)
-    return _shifted(field, *_niho_tables(field, k), us)(
+    return _shifted(_niho_base(field, k), us)(
         F, f"Niho n={field.n} k={k} tau={F.tau}")
 
 
@@ -483,18 +494,10 @@ def _check_pairs(K: Field, us) -> tuple[int, ...]:
     return shifts
 
 
-def _mm_linear_dual(K: Field, inv, b: int) -> int:
-    """The MMLinear base's dual Tr(y pi^-1(x) + b pi^-1(x)), inv the
-    columns of pi^-1."""
-    xs, ys = _grid_planes(K)
-    pix = linear_planes(xs, inv)
-    return (trace_planes(K.mul_planes(ys, pix), K.trace_mask(1))
-            ^ trace_planes(pix, K.trace_mask(b)))
-
-
-def _mm_linear_row(K: Field, inv):
+def _mm_linear_row(K: Field, pi):
     """row(x1, y1): the dual's polar form Tr(y1 pi^-1(x2) + y2 pi^-1(x1)),
     the first term through the transpose of pi^-1; b drops out."""
+    inv = invert(transpose(pi))  # the columns of pi^-1
     inv_t = transpose(inv)
     return lambda u: ((apply_linear(inv_t, K.trace_mask(u % K.size))
                        << K.n) | K.trace_mask(apply_linear(inv, u >> K.n)))
@@ -513,11 +516,14 @@ def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
     shifts = _check_pairs(K, us)
     _check_tau(F, len(shifts), m)
     xs, ys = _grid_planes(K)
-    base = (trace_planes(K.mul_planes(xs, linear_planes(ys, cols)),
-                         K.trace_mask(1))
-            ^ trace_planes(ys, K.trace_mask(b)))
-    return _shifted(BivariateDomain(K), base, _mm_linear_dual(K, inv, b),
-                    shifts, _mm_linear_row(K, inv))(
+    tmask, bmask = K.trace_mask(1), K.trace_mask(b)
+    g = (trace_planes(K.mul_planes(xs, linear_planes(ys, cols)), tmask)
+         ^ trace_planes(ys, bmask))
+    pix = linear_planes(xs, inv)  # the dual Tr(y pi^-1(x) + b pi^-1(x))
+    gdual = (trace_planes(K.mul_planes(ys, pix), tmask)
+             ^ trace_planes(pix, bmask))
+    base = Base(BivariateDomain(K), g, gdual, _mm_linear_row(K, pi))
+    return _shifted(base, shifts)(
         F, f"MMLinear m={m} b={b:#x} tau={F.tau}")
 
 
@@ -556,7 +562,7 @@ def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
             raise PreconditionViolated(
                 f"pair ({u1:#x},{u2:#x}) is not in GF(2^{s}) x GF(2^{s})")
     xs, ys = _grid_planes(K)
-    base = trace_planes(K.mul_planes(xs, K.pow_planes(ys, d)),
-                        K.trace_mask(1))
-    return _shifted(dom, base, None, shifts, _mm_monomial_row(K))(
+    base = Base(dom, trace_planes(K.mul_planes(xs, K.pow_planes(ys, d)),
+                                  K.trace_mask(1)), None, _mm_monomial_row(K))
+    return _shifted(base, shifts)(
         F, f"MMMonomial m={m} s={s} d={d} tau={F.tau}")

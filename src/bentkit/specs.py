@@ -2,8 +2,9 @@
 family registry FAMILIES, whose build materializes a spec through the
 constructors of bentkit.constructions.  The samplers _draw shifts
 uniformly from the kernel of the picked shifts' rows, the closed-form
-masks of constructions.  Only construct and sweep load this module; the
-demos call the constructors directly.
+masks of constructions; each row function takes the family's own
+parameters (lambda, pi) and builds no table.  Only construct and sweep
+load this module; the demos call the constructors directly.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .constructions import (
     is_quad_bent_gcd,
 )
 from .errors import ArityMismatch, BadSpec, NoSolution
-from .gf2n import BivariateDomain, Field, apply_linear, invert, rank, transpose
+from .gf2n import BivariateDomain, Field, apply_linear, rank
 from .multipoly import ReducedPoly
 
 # ---------------------------------------------------------------------------
@@ -79,8 +80,7 @@ def kasami_valid_us(field: Field, lam: int, tau: int, rng: random.Random,
     """Shift list whose pairs meet the Kasami pair condition."""
     basis = (field.subfield_basis(_require_half(field, 1)) if subfield_only
              else [1 << j for j in range(field.n)])
-    return _draw(basis, tau, rng, _kasami_row(field, field.inv(lam)),
-                 subfield_only)
+    return _draw(basis, tau, rng, _kasami_row(field, lam), subfield_only)
 
 
 def gold_valid_us(field: Field, lam: int, tau: int,
@@ -100,10 +100,9 @@ def random_invertible(m: int, rng: random.Random) -> tuple[int, ...]:
 def mm_linear_params(K: Field, tau: int, rng: random.Random):
     """Random (pi, b, pairs) satisfying the linear-permutation conditions."""
     rows = random_invertible(K.n, rng)
-    inv = invert(transpose(rows))  # the columns of pi^-1
     b = rng.randrange(K.size)
     shifts = _draw([1 << j for j in range(2 * K.n)], tau, rng,
-                   _mm_linear_row(K, inv), indep=True)
+                   _mm_linear_row(K, rows), indep=True)
     return rows, b, [BivariateDomain(K).split(u) for u in shifts]
 
 

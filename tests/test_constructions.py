@@ -13,6 +13,7 @@ from bentkit import constructions as cx
 from bentkit import multipoly as mp
 from bentkit import specs as sp
 from bentkit.errors import (
+    ArityMismatch,
     BadDimension,
     BadDivisor,
     BadLambda,
@@ -263,6 +264,13 @@ def test_is_quad_bent_gcd_examples():
     assert not cx.is_quad_bent_gcd([1, 1, 1, 0])
 
 
+@pytest.mark.parametrize("c", [(), (1,)])
+def test_is_quad_bent_gcd_refuses_fewer_than_two_bits(c):
+    message = f"need m\\+1 >= 2 coefficient bits, got {len(c)}"
+    with pytest.raises(ArityMismatch, match=message):
+        cx.is_quad_bent_gcd(c)
+
+
 def test_is_quad_bent_gcd_power_of_two_case():
     # n = 8: the verdict collapses to c_m = 1
     m = 4
@@ -293,6 +301,18 @@ def test_quad_family_rejections():
     with pytest.raises(NotInSubfield):
         cx.quad_family(field, [0, 0, 0, 1], 0, [outside, us[0]],
                        mp.poly(2, 0b11))
+
+
+@pytest.mark.parametrize("c", [[], [0, 0], [0, 1], [0, 0, 1, 1, 0]])
+def test_quad_family_checks_the_length_of_c_before_the_gcd_test(c):
+    """As quad_idempotent_g refuses c, whatever the gcd test would say."""
+    field = make_field(6)
+    us = subfield_basis(field, 2)
+    message = f"need m\\+1=4 coefficient bits, got {len(c)}"
+    with pytest.raises(ArityMismatch, match=message):
+        cx.quad_idempotent_g(field, c)
+    with pytest.raises(ArityMismatch, match=message):
+        cx.quad_family(field, c, 0, us, mp.poly(2, 0b11))
 
 
 def test_quad_idempotent_family_degree_ladder():

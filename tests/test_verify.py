@@ -244,10 +244,18 @@ def test_sweep_refuses_a_size_below_the_familys_least_before_checking_any(
     assert str(exc.value) == "need n = 2m with m >= 2, got n=2"
 
 
-def test_a_sweep_keeps_at_most_16_base_tables():
-    cx._quad_bits.cache_clear()
-    vf.sweep("QuadIdem", [3], 40, 0)
-    assert cx._quad_bits.cache_info().currsize <= 16
+@pytest.mark.parametrize("family, sizes, trials, builder", [
+    pytest.param("QuadIdem", [3], 40, "_quad_base", id="QuadIdem"),
+    pytest.param("KasamiGeneral", [5], 40, "_kasami_base", id="KasamiGeneral"),
+    pytest.param("GoldLike", [1, 2], 4, "_gold_base", id="GoldLike"),
+    pytest.param("Niho", [5, 7, 8, 9], 16, "_niho_base", id="Niho"),
+])
+def test_a_sweep_keeps_at_most_16_base_tables(family, sizes, trials, builder):
+    cache = getattr(cx, builder)
+    cache.cache_clear()
+    vf.sweep(family, sizes, trials, 0)
+    info = cache.cache_info()
+    assert info.misses and info.currsize <= info.maxsize == 16
 
 
 def test_sweep_refuses_an_unknown_family_before_drawing(monkeypatch):
