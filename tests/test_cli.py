@@ -505,6 +505,21 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+# the console script's shape, which the benchmark runs too
+CLI = "import sys; from bentkit.cli import main; sys.exit(main())"
+
+
+def fresh_cli(*argv, code=CLI, cwd=None):
+    """Run the CLI in a fresh interpreter, so that its exit runs too."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          cwd=cwd, capture_output=True, text=True,
+                          timeout=120)
+
+
 @pytest.mark.parametrize("family, sizes, n", [
     ("QuadIdem", "3..3000000", 26),
     ("QuadIdem", "3..10000000000", 26),
@@ -512,15 +527,45 @@ sys.exit(main(sys.argv[1:]))
 ])
 def test_sweep_refuses_an_oversized_range_without_expanding_it(family, sizes,
                                                                n):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]]
-                 if os.environ.get("PYTHONPATH") else [])))
-    out = subprocess.run(
-        [sys.executable, "-c", CAPPED_CLI, "sweep", "--family", family,
-         "--m", sizes, "--trials", "1"],
-        env=env, capture_output=True, text=True, timeout=120)
+    out = fresh_cli("sweep", "--family", family, "--m", sizes, "--trials",
+                    "1", code=CAPPED_CLI)
     want = f"error: UnsupportedDegree: tables need n <= 24, got n={n}\n"
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", want)
+
+
+@pytest.fixture(scope="module")
+def bent16(tmp_path_factory):
+    """A directory holding f.tt, a bent table at n = 16."""
+    path = tmp_path_factory.mktemp("bent16")
+    spec = sp.FAMILIES["KasamiGeneral"].sample(16, random.Random(0))
+    bf.save_tt(sp.build(spec).f, path / "f.tt")
+    return path
+
+
+def test_a_fresh_process_exits_0_with_the_whole_json_report(bent16):
+    out = fresh_cli("verify", "f.tt", "--json", cwd=bent16)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout)["is_bent"] is True
+
+
+def test_a_fresh_process_writes_all_65536_walsh_values_before_exit(bent16):
+    out = fresh_cli("walsh", "f.tt", "--json", cwd=bent16)
+    assert (out.returncode, out.stderr) == (0, "")
+    values = json.loads(out.stdout)["values"]
+    assert len(values) == 1 << 16 and {abs(v) for v in values} == {1 << 8}
+
+
+def test_a_fresh_process_exits_1_with_the_report_of_a_failed_claim(bent16):
+    out = fresh_cli("verify", "f.tt", "--expect", "nonbent", cwd=bent16)
+    assert (out.returncode, out.stderr) == (1, "")
+    assert out.stdout.startswith("FAIL f.tt: bent=True ")
+    assert out.stdout.count("\n") == 1
+
+
+def test_a_fresh_process_exits_2_with_one_error_line(tmp_path):
+    (tmp_path / "bad.tt").write_text("BF mod=0x13\n0000\n")
+    out = fresh_cli("verify", "bad.tt", cwd=tmp_path)
+    want = "error: FieldMismatch: header lacks n=\n"
     assert (out.returncode, out.stdout, out.stderr) == (2, "", want)
 
 

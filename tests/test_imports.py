@@ -7,7 +7,8 @@ so the demos compile the constructors and no spec layer.  No command
 loads dataclasses or the inspect it imports: the records are named
 tuples.  Each import check runs in a fresh interpreter without site
 (python -S), since this one has loaded everything and a site hook may
-load modules of its own.
+load modules of its own.  The CLI, and only the CLI, freezes every object
+at exit, so that CPython's last collections skip them.
 """
 
 import importlib
@@ -37,6 +38,15 @@ with contextlib.redirect_stdout(io.StringIO()):
 spec_layer = [name for name, module in sys.modules.items()
               if {"FAMILIES", "spec_from_json"} & set(vars(module))]
 print(json.dumps([code, sorted(sys.modules), sorted(spec_layer)]))
+"""
+
+# registers an exit hook before anything of bentkit is imported, so that
+# it runs after every hook bentkit registers, then runs the code in argv[1];
+# the hook prints the number of objects frozen at exit
+FROZEN_AT_EXIT = """\
+import atexit, gc, json, sys
+atexit.register(lambda: print(json.dumps(gc.get_freeze_count())))
+exec(sys.argv[1])
 """
 
 # each command, and whether it loads bentkit.constructions
@@ -117,6 +127,18 @@ def test_no_command_loads_dataclasses_or_inspect(loaded_by, argv):
     loaded = set(loaded_by(argv))
     assert "bentkit.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_the_cli_freezes_every_object_at_exit():
+    frozen = fresh_python(FROZEN_AT_EXIT, "from bentkit.cli import main\n"
+                          "assert main(['field', '--n', '8']) == 0")
+    assert frozen > 0
+
+
+def test_library_use_keeps_the_exit_collection():
+    frozen = fresh_python(FROZEN_AT_EXIT,
+                          "import bentkit.specs, bentkit.verify")
+    assert frozen == 0
 
 
 def test_import_bentkit_loads_no_submodule():
