@@ -74,7 +74,6 @@ from .gf2n import (
     linear_planes,
     poly_gcd,
     rank,
-    trace_planes,
     translate,
     transpose,
 )
@@ -168,7 +167,7 @@ def _shifted(base: Base, shifts):
 def _quadratic(field: Field, lin, mask: int) -> int:
     """The sliced form parity(x L(x) & mask), L the map with columns lin."""
     xs = coordinate_tables(field.n)
-    return trace_planes(field.mul_planes(xs, linear_planes(xs, lin)), mask)
+    return apply_linear(field.mul_planes(xs, linear_planes(xs, lin)), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ def _niho_sum(field: Field, k: int) -> int:
         xp = field.mul_planes(xp, add_const(z, 1, full))
         z = linear_planes(z, field.squaring_map())
     tmask = field.trace_mask(1)
-    return trace_planes(xp, tmask) ^ trace_planes(xs, tmask)
+    return apply_linear(xp, tmask) ^ apply_linear(xs, tmask)
 
 
 @_base_cache
@@ -434,7 +433,7 @@ def _niho_base(field: Field, k: int) -> Base:
     apow = field.pow_planes(A, e_root)  # 0 where A = 0, as e_root >= 1
     B = add_const([a ^ b for a, b in zip(
         linear_planes(A, field.scale_map(alpha)), xm)], alpha_c, full)
-    d_bits = trace_planes(field.mul_planes(B, apow), field.subtrace_mask(1))
+    d_bits = apply_linear(field.mul_planes(B, apow), field.subtrace_mask(1))
     return Base(field, g_bits, d_bits, None)
 
 
@@ -517,11 +516,11 @@ def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
     _check_tau(F, len(shifts), m)
     xs, ys = _grid_planes(K)
     tmask, bmask = K.trace_mask(1), K.trace_mask(b)
-    g = (trace_planes(K.mul_planes(xs, linear_planes(ys, cols)), tmask)
-         ^ trace_planes(ys, bmask))
+    g = (apply_linear(K.mul_planes(xs, linear_planes(ys, cols)), tmask)
+         ^ apply_linear(ys, bmask))
     pix = linear_planes(xs, inv)  # the dual Tr(y pi^-1(x) + b pi^-1(x))
-    gdual = (trace_planes(K.mul_planes(ys, pix), tmask)
-             ^ trace_planes(pix, bmask))
+    gdual = (apply_linear(K.mul_planes(ys, pix), tmask)
+             ^ apply_linear(pix, bmask))
     base = Base(BivariateDomain(K), g, gdual, _mm_linear_row(K, pi))
     return _shifted(base, shifts)(
         F, f"MMLinear m={m} b={b:#x} tau={F.tau}")
@@ -562,7 +561,7 @@ def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
             raise PreconditionViolated(
                 f"pair ({u1:#x},{u2:#x}) is not in GF(2^{s}) x GF(2^{s})")
     xs, ys = _grid_planes(K)
-    base = Base(dom, trace_planes(K.mul_planes(xs, K.pow_planes(ys, d)),
+    base = Base(dom, apply_linear(K.mul_planes(xs, K.pow_planes(ys, d)),
                                   K.trace_mask(1)), None, _mm_monomial_row(K))
     return _shifted(base, shifts)(
         F, f"MMMonomial m={m} s={s} d={d} tau={F.tau}")

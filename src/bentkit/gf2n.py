@@ -173,7 +173,8 @@ def apply_linear(columns, x: int) -> int:
     """L(x) for the F_2-linear map with L(e_j) = columns[j].
 
     x must have no bit beyond the columns, so an element from outside the
-    space cannot be silently truncated.
+    space cannot be silently truncated.  On the bit planes of a sliced
+    table and a mask, it returns the packed table of parity(v & mask).
     """
     if x >> len(columns):
         raise ValueError(f"{x:#x} has bits beyond {len(columns)} columns")
@@ -264,16 +265,6 @@ def linear_planes(planes, columns) -> tuple[int, ...]:
             col >>= 1
             i += 1
     return tuple(out)
-
-
-def trace_planes(planes, mask: int) -> int:
-    """Packed table of parity(v & mask): the XOR of the planes mask selects."""
-    acc = 0
-    for plane in planes:
-        if mask & 1:
-            acc ^= plane
-        mask >>= 1
-    return acc
 
 
 def add_const(planes, c: int, full: int) -> tuple[int, ...]:
@@ -594,7 +585,7 @@ class Field:
 
     def solve_semilinear(self, e: int, target: int) -> int:
         """Smallest solution of z + z^(2^e) = target, by linear algebra."""
-        images = [(1 << j) ^ self.frob(1 << j, e) for j in range(self.n)]
+        images = [(1 << j) ^ v for j, v in enumerate(self.frob_map(e))]
         sol, kernel = solve_f2(images, target)
         if sol is None:
             raise NoSolution(

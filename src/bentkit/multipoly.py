@@ -19,7 +19,7 @@ from .errors import (
     ZeroCoefficient,
     ZeroMask,
 )
-from .gf2n import MAX_TABLE_DEGREE, coordinate_tables, trace_planes
+from .gf2n import MAX_TABLE_DEGREE, apply_linear, coordinate_tables
 
 
 def _check_arity(tau: int) -> None:
@@ -92,7 +92,7 @@ def fourier(F: ReducedPoly) -> tuple[int, ...]:
     xs = coordinate_tables(F.tau)
     size = 1 << F.tau
     table = compose(F, xs, (1 << size) - 1)
-    return tuple(size - 2 * (table ^ trace_planes(xs, w)).bit_count()
+    return tuple(size - 2 * (table ^ apply_linear(xs, w)).bit_count()
                  for w in range(size))
 
 
@@ -156,7 +156,7 @@ def compose_traces(dom, F: ReducedPoly, us) -> int:
     if any(u == 0 for u in us):
         raise ZeroCoefficient("all trace coefficients must be nonzero")
     xs = coordinate_tables(dom.n)
-    args = [trace_planes(xs, dom.walsh_index(u)) for u in us]
+    args = [apply_linear(xs, dom.walsh_index(u)) for u in us]
     return compose(F, args, (1 << dom.size) - 1)
 
 

@@ -235,13 +235,6 @@ def spec_from_json(text: str) -> ConstructionSpec:
 # the family registry: spec fields, size rule, build, sampler and claims
 # ---------------------------------------------------------------------------
 
-def _field(spec: ConstructionSpec) -> Field:
-    """The spec's field, GF(2^(n/2)) for a grid family and GF(2^n) for the
-    rest: one shared Field per (n, modulus)."""
-    pairs = FAMILIES[spec.family].pairs
-    return gf2n.make_field(spec.n // 2 if pairs else spec.n, spec.mod)
-
-
 def _F(spec: ConstructionSpec, tau: int | None = None) -> ReducedPoly:
     """The spec's F in tau variables, by default one per shift."""
     return multipoly.parse_poly(spec.F, len(spec.u) if tau is None else tau)
@@ -254,16 +247,16 @@ def _with_shifts(name: str, n: int, us, rng: random.Random,
     return ConstructionSpec(name, n, u=tuple(us), F=F, **fields)
 
 
-def _build_kasami_idempotent(spec: ConstructionSpec) -> ConstructedPair:
-    field = _field(spec)
+def _build_kasami_idempotent(spec: ConstructionSpec,
+                              field: Field) -> ConstructedPair:
     if len(spec.u) != 1:
         raise BadSpec("KasamiIdempotent takes one u, the normal element")
     return constructions.kasami_idempotent(field, spec.u[0], _F(spec, field.m))
 
 
-def _build_quad_family(spec: ConstructionSpec) -> ConstructedPair:
+def _build_quad_family(spec: ConstructionSpec,
+                       field: Field) -> ConstructedPair:
     """One shift and F in m variables: the idempotent from a normal orbit."""
-    field = _field(spec)
     try:
         F = _F(spec)
     except ArityMismatch:
@@ -274,8 +267,9 @@ def _build_quad_family(spec: ConstructionSpec) -> ConstructedPair:
     return constructions.quad_family(field, spec.c, spec.eps or 0, spec.u, F)
 
 
-def _build_gold_like(spec: ConstructionSpec) -> ConstructedPair:
-    field, k = _field(spec), spec.n // 4
+def _build_gold_like(spec: ConstructionSpec,
+                     field: Field) -> ConstructedPair:
+    k = spec.n // 4
     if spec.k not in (None, k):
         raise BadSpec(f"GoldLike needs k = n/4 = {k}, got k={spec.k}")
     lam = field.solve_semilinear(3 * k, 1) if spec.lam is None else spec.lam
@@ -342,7 +336,7 @@ def _idempotent_claims(spec: ConstructionSpec, built: ConstructedPair) -> dict:
 # constructions.<name> at call time, so a tracer that rebinds them
 # (perfbench/shim.py) sees every instance.
 #   fields    spec keys it needs besides family and n
-#   build     spec -> ConstructedPair, or TruthTable (QuadIdem)
+#   build     (spec, field) -> ConstructedPair, or TruthTable (QuadIdem)
 #   sample    (n, rng) -> a random valid ConstructionSpec
 #   claims    (spec, built) -> the Expectation's keywords; default bent
 #   scale     n = scale * size; the size is m, or k (n = 4k); default 2
@@ -357,11 +351,11 @@ Family = namedtuple(
 FAMILIES = {
     "KasamiGeneral": Family(
         ("lambda", "u", "F"),
-        lambda s: constructions.kasami_general(_field(s), s.lam, s.u, _F(s)),
+        lambda s, K: constructions.kasami_general(K, s.lam, s.u, _F(s)),
         lambda n, rng: _sample_kasami("KasamiGeneral", n, rng)),
     "KasamiSubfield": Family(
         ("lambda", "u", "F"),
-        lambda s: constructions.kasami_subfield(_field(s), s.lam, s.u, _F(s)),
+        lambda s, K: constructions.kasami_subfield(K, s.lam, s.u, _F(s)),
         lambda n, rng: _sample_kasami("KasamiSubfield", n, rng, True),
         # degree deg F, or 2 (the quadratic base) for an affine F
         lambda s, b: {"bent": True, "degree": max(2, b.poly.degree())}),
@@ -374,15 +368,15 @@ FAMILIES = {
     "KasamiAntiSelfDual": Family(
         ("F",),
         # the size is checked before F is read in m - 1 variables
-        lambda s: constructions.kasami_antiselfdual(
-            _field(s), _F(s, _require_half(_field(s)) - 1)),
+        lambda s, K: constructions.kasami_antiselfdual(
+            K, _F(s, _require_half(K) - 1)),
         lambda n, rng: ConstructionSpec("KasamiAntiSelfDual", n, F=(
             multipoly.format_poly(random_poly(
                 _require_half(gf2n.make_field(n)) - 1, rng)))),
         lambda s, b: {"bent": True, "duality": DualityClass.ANTI_SELF_DUAL}),
     "QuadIdem": Family(
         ("c",),
-        lambda s: constructions.quad_idempotent_g(_field(s), s.c, s.eps or 0),
+        lambda s, K: constructions.quad_idempotent_g(K, s.c, s.eps or 0),
         lambda n, rng: ConstructionSpec("QuadIdem", n, c=tuple(
             rng.randint(0, 1) for _ in range(n // 2 + 1)), eps=rng.randint(0, 1)),
         lambda s, b: {"bent": is_quad_bent_gcd(s.c), "idempotent": True},
@@ -397,16 +391,15 @@ FAMILIES = {
                        scale=4, least=1, optional=("lambda", "k")),
     "Niho": Family(
         ("k", "u", "F"),
-        lambda s: constructions.niho_family(_field(s), s.k, s.u, _F(s)),
+        lambda s, K: constructions.niho_family(K, s.k, s.u, _F(s)),
         _sample_niho),
     "MMLinear": Family(
         ("pi", "u", "F"),
-        lambda s: constructions.mm_linear(
-            _field(s), s.pi, s.b or 0, s.u, _F(s)),
+        lambda s, K: constructions.mm_linear(K, s.pi, s.b or 0, s.u, _F(s)),
         _sample_mm_linear, least=1, pairs=True, optional=("b",)),
     "MMMonomial": Family(
         ("s", "u", "F"),
-        lambda s: constructions.mm_monomial(_field(s), s.s, s.u, _F(s)),
+        lambda s, K: constructions.mm_monomial(K, s.s, s.u, _F(s)),
         _sample_mm_monomial, least=1, pairs=True),
 }
 
@@ -432,7 +425,7 @@ def build(spec: ConstructionSpec):
     if spec.n % family.scale:
         raise BadSpec(f"{spec.family} needs n divisible by {family.scale}, "
                       f"got n={spec.n}")
-    # lambda and u lie in GF(2^n); grid coordinates and b in GF(2^m)
+    # every element lies in the spec's field: GF(2^m) on the grid, else GF(2^n)
     width = spec.n // 2 if family.pairs else spec.n
     elements = [v for v in (spec.lam, spec.b) if v is not None]
     for u in spec.u or ():
@@ -440,4 +433,4 @@ def build(spec: ConstructionSpec):
     if any(v.bit_length() > width for v in elements):
         raise BadSpec(f"{spec.family} field elements must be below "
                       f"2^{width}")
-    return family.build(spec)
+    return family.build(spec, gf2n.make_field(width, spec.mod))

@@ -128,13 +128,13 @@ Checked = namedtuple("Checked", "label f predicted_dual report")
 def check(spec: ConstructionSpec) -> Checked:
     """Build a spec and verify its family's claims, and f against the
     predicted dual where the family has one."""
-    from . import constructions, specs
+    from . import specs
     built = specs.build(spec)
     exp = Expectation(**specs.FAMILIES[spec.family].claims(spec, built))
-    if isinstance(built, constructions.ConstructedPair):
-        label, f, dual = built.notes, built.f, built.predicted_dual
-    else:  # QuadIdem: the bare base, with no dual attached
+    if isinstance(built, TruthTable):  # QuadIdem: the bare base, no dual
         label, f, dual = f"{spec.family} m={spec.n // 2}", built, None
+    else:
+        label, f, dual = built.notes, built.f, built.predicted_dual
     return Checked(label, f, dual, verify(f, exp, predicted_dual=dual))
 
 

@@ -137,6 +137,9 @@ def test_walsh_and_anf_commands(capsys, tmp_path):
     assert json.loads(out)["n"] == 4
     code, out, _ = run(capsys, "anf", str(path))
     assert code == 0 and out.startswith("degree 2")
+    code, doc, _ = run(capsys, "anf", str(path), "--json")
+    assert code == 0 and json.loads(doc) == {
+        "degree": 2, "anf": out.splitlines()[1]}
 
 
 def test_dual_command_roundtrip(capsys, tmp_path):

@@ -29,6 +29,7 @@ from bentkit.errors import (
     NotRotationSymmetric,
     PreconditionViolated,
     SingularPermutation,
+    ZeroCoefficient,
 )
 from bentkit.gf2n import (
     BivariateDomain,
@@ -128,6 +129,9 @@ def test_kasami_general_rejects_bad_parameters():
             break
     else:
         raise AssertionError("no violating pair found")
+    with pytest.raises(ArityMismatch, match="tau=4 outside 1..3"):
+        cx.kasami_general(field, 1, [field.find_normal()] * 4,
+                          mp.poly(4, 0b1111))
 
 
 def test_kasami_subfield_degree_three():
@@ -163,6 +167,8 @@ def test_kasami_subfield_rejections():
     u = subfield_units(field)[0]
     with pytest.raises(NotIndependent):
         cx.kasami_subfield(field, 1, [u, u], mp.poly(2, 0b11))
+    with pytest.raises(ZeroCoefficient, match="must be nonzero"):
+        cx.kasami_subfield(field, 1, [u, 0], mp.poly(2, 0b11))
 
 
 def test_kasami_idempotent_elementary_symmetric_ladder():
@@ -301,6 +307,8 @@ def test_quad_family_rejections():
     with pytest.raises(NotInSubfield):
         cx.quad_family(field, [0, 0, 0, 1], 0, [outside, us[0]],
                        mp.poly(2, 0b11))
+    with pytest.raises(ZeroCoefficient, match="must be nonzero"):
+        cx.quad_family(field, [0, 0, 0, 1], 0, [us[0], 0], mp.poly(2, 0b11))
 
 
 @pytest.mark.parametrize("c", [[], [0, 0], [0, 1], [0, 0, 1, 1, 0]])
@@ -474,6 +482,8 @@ def test_niho_rejections():
                    if field6.frob(x, 3) != x)
     with pytest.raises(NotInSubfield):
         cx.niho_family(field6, 2, [outside], mp.poly(1, 1))
+    with pytest.raises(ZeroCoefficient, match="must be nonzero"):
+        cx.niho_family(field6, 2, [0], mp.poly(1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ from bentkit.gf2n import (  # noqa: E402
     poly_mul,
     pull_linear,
     rank,
-    trace_planes,
     translate,
     transpose,
 )
@@ -354,7 +353,7 @@ def test_sliced_mul_pow_and_linear_maps_match_field_arithmetic(field, data):
         assert values_of(linear_planes(a, cols), size) == [
             image(x) for x in va]
         mask = data.draw(element)
-        assert trace_planes(a, pw.pullback_mask(cols, mask)) == packed(
+        assert apply_linear(a, pw.pullback_mask(cols, mask)) == packed(
             pw.parity(image(x) & mask) for x in va)
 
 

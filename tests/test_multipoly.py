@@ -100,6 +100,8 @@ def test_rotation_closure():
             == frozenset({0b0011, 0b0110, 0b1100, 0b1001}))
     with pytest.raises(ZeroMask):
         mp.rotation_closure(0, 3)
+    with pytest.raises(ArityMismatch):
+        mp.rotation_closure(0b1000, 3)
     rng = random.Random(13)
     for _ in range(20):
         tau = rng.randint(1, 8)

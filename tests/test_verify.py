@@ -80,6 +80,25 @@ def test_failure_messages_count_the_mismatches():
     assert rep.failures == ["dual differs at 3 beta, first at beta=0x2"]
 
 
+def test_every_wrong_claim_is_explained():
+    field = make_field(8)
+    pair = cx.kasami_idempotent(field, field.find_normal(),
+                                mp.elementary_symmetric(4, 3))
+    rep = vf.verify(pair.f, vf.Expectation(
+        bent=False, degree=2, idempotent=False,
+        duality=bf.DualityClass.SELF_DUAL))
+    assert rep.failures == [
+        "expected non-bent but the spectrum is flat",
+        "degree 3 != expected 2",
+        "idempotent=True != expected False",
+        "duality Neither != expected SelfDual"]
+    assert rep.dual_match is None and not rep.all_claims_met
+    flat = vf.verify(bf.TruthTable(field, 0), vf.Expectation(bent=False),
+                     predicted_dual=pair.predicted_dual)
+    assert flat.dual_match is False
+    assert flat.failures == ["predicted dual given but function is not bent"]
+
+
 def test_report_carries_the_computed_dual():
     field = make_field(4)
     g = pw.kasami_base(field, 1)
