@@ -23,9 +23,10 @@ The child reads time.process_time at each boundary, and the whole op is
 the child's user + system CPU from wait4:
 
 - interpreter and site: the CPU spent before the child's first statement;
-- bentkit's import and compile: `from bentkit import cli`, with argparse
-  already loaded;
-- argparse: its import, `cli.build_parser()` and `parse_args`;
+- bentkit's import and compile: `from bentkit import cli`;
+- argument parsing: `cli.parse(argv)`; in a checkout older than it,
+  whose CLI parsed with argparse, the import of argparse (made before
+  bentkit's), `cli.build_parser()` and `parse_args`;
 - the checks: the command itself, `args.func(args)`;
 - exit and the rest: the whole op minus the parts above.
 
@@ -54,18 +55,22 @@ SEED = 0                # the benchmark's default seed, with golden records
 WORKLOADS = ("carlet-n14", "sweep-small", "verify-n16")
 
 PARTS = ("interpreter and `site`", "bentkit's import and compile",
-         "argparse: import, parser, parse",
+         "argument parsing",
          "the checks (construction, transforms, claims)",
          "exit and the rest")
 
+# argv: the file for the times, "table" or "argparse" (how the checkout
+# parses), then the op's arguments
 CHILD = """\
 import sys, time
 t = [time.process_time()]
-import argparse
+if sys.argv[2] == "argparse":
+    import argparse
 t.append(time.process_time())
 from bentkit import cli
 t.append(time.process_time())
-args = cli.build_parser().parse_args(sys.argv[2:])
+args = (cli.parse(sys.argv[3:]) if sys.argv[2] == "table"
+        else cli.build_parser().parse_args(sys.argv[3:]))
 t.append(time.process_time())
 code = args.func(args)
 t.append(time.process_time())
@@ -95,6 +100,8 @@ class Tree:
 
     def __init__(self, root: Path, scratch: Path):
         self.label = str(root)
+        cli = (root / "src" / "bentkit" / "cli.py").read_text()
+        self.parser = "table" if "\ndef parse(" in cli else "argparse"
         shutil.copytree(root / "src", scratch / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
         self.work = scratch / "work"
@@ -110,7 +117,7 @@ class Tree:
         times = self.work / "times.txt"
         with open(self.work / "stdout.txt", "wb") as out:
             proc = subprocess.Popen(
-                [sys.executable, "-c", CHILD, str(times),
+                [sys.executable, "-c", CHILD, str(times), self.parser,
                  *self.ops[workload]],
                 cwd=self.work, env=self.env, stdout=out,
                 stderr=subprocess.PIPE)
@@ -120,10 +127,11 @@ class Tree:
         if proc.returncode:
             sys.exit(f"{self.label}: {workload} exited {proc.returncode}: "
                      f"{err.decode(errors='replace')[-300:]}")
-        site, argp, imported, parsed, checked = map(
+        site, preloaded, imported, parsed, checked = map(
             float, times.read_text().split())
         whole = usage.ru_utime + usage.ru_stime
-        return [site, imported - argp, argp - site + parsed - imported,
+        return [site, imported - preloaded,
+                preloaded - site + parsed - imported,
                 checked - parsed, whole - checked]
 
 

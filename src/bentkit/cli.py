@@ -1,22 +1,28 @@
 """Command-line interface: construct, verify, transform, demonstrate.
 
+One table, COMMANDS, states each command: its handler, its help and its
+arguments.  parse(argv) reads the command line against it, and the same
+table prints the help of `bentkit -h` and of each command's `-h`.
+
 Exit codes: 0 when every checked claim holds, 1 when a claim fails (the
-report is still printed), 2 on usage or input errors.
+report is still printed), 2 on usage or input errors, each with one
+"error: <class>: ..." line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import itertools
 import json
 import sys
+import types
 from pathlib import Path
 
 from . import boolfun, multipoly
 from .boolfun import DualityClass
-from .errors import BadRange, BentkitError, NotBent, OddDimension
+from .errors import (BadArgument, BadRange, BentkitError, NotBent,
+                     OddDimension)
 from .gf2n import make_field
 from .verify import (
     Expectation,
@@ -79,6 +85,9 @@ def _cmd_construct(args) -> int:
     return 0 if rep.all_claims_met else 1
 
 
+_EXPECT = "bentkit verify: argument --expect: "
+
+
 def _parse_expectations(args) -> Expectation | None:
     claims = {}
     for token in args.expect or []:
@@ -97,16 +106,16 @@ def _parse_expectations(args) -> Expectation | None:
                 try:
                     claims["degree"] = int(val)
                 except ValueError:
-                    raise BentkitError(
-                        f"degree must be an integer, got {val!r}") from None
+                    raise BadArgument(f"{_EXPECT}degree must be an integer, "
+                                      f"got {val!r}") from None
             elif part.startswith("duality="):
                 val = part.split("=", 1)[1].lower()
                 if val not in _DUALITY_NAMES:
-                    raise BentkitError(
-                        f"duality must be self, anti or neither, got {val!r}")
+                    raise BadArgument(f"{_EXPECT}duality must be self, anti "
+                                      f"or neither, got {val!r}")
                 claims["duality"] = _DUALITY_NAMES[val]
             else:
-                raise BentkitError(f"unknown expectation {part!r}")
+                raise BadArgument(f"{_EXPECT}unknown expectation {part!r}")
     if not claims:
         return None
     return Expectation(**claims)
@@ -238,89 +247,207 @@ def _cmd_sweep(args) -> int:
     return 0 if rep.all_ok else 1
 
 
-def _hex_int(text: str) -> int:
-    return int(text, 16)
+# An argument is a row (names, kind, default, help).  names is one name,
+# or several spellings with the long one last, which also names the
+# attribute: "--emit-tt" is args.emit_tt.  A name without a dash is
+# positional.  kind is "flag" (present or not), "int", "hex", "text", or
+# "list" (a text that may repeat; the attribute lists them in order).
+# A command is (help, handler, rows), a group of commands (help, commands).
+REQUIRED = object()    # the default of an argument that must be given
+HELP = ("-h --help", "help", None, "show this help and exit")
+
+COMMANDS = {
+    "field": ("validate and print a field description", _cmd_field, [
+        ("--n", "int", REQUIRED, "the degree n of GF(2^n)"),
+        ("--mod", "hex", None, "modulus bitmask in hex (default: the "
+                               "smallest irreducible with constant term 1)"),
+    ]),
+    "construct": ("build a family instance from a JSON spec file",
+                  _cmd_construct, [
+        ("specfile", "text", REQUIRED, "the JSON spec; writes its .tt "
+                                       "files beside it"),
+        ("--json", "flag", False, "print the report as JSON"),
+    ]),
+    "verify": ("verify claims about a truth-table file", _cmd_verify, [
+        ("ttfile", "text", REQUIRED, "the truth table"),
+        ("--expect", "list", None, "comma list: bent, nonbent, idempotent, "
+                                   "degree=D, duality=self|anti|neither "
+                                   "(default: bent); repeatable"),
+        ("--dual", "text", None, "predicted dual table to compare"),
+        ("--emit-tt", "text", None, "write the computed dual table here "
+                                    "(exit 2 if the table is not bent)"),
+        ("--json", "flag", False, "print the report as JSON"),
+    ]),
+    "walsh": ("print the exact Walsh spectrum", _cmd_walsh, [
+        ("ttfile", "text", REQUIRED, "the truth table"),
+        ("--json", "flag", False, "print the spectrum as JSON"),
+    ]),
+    "anf": ("print algebraic normal form and degree", _cmd_anf, [
+        ("ttfile", "text", REQUIRED, "the truth table"),
+        ("--json", "flag", False, "print the form as JSON"),
+    ]),
+    "dual": ("emit the dual of a bent function", _cmd_dual, [
+        ("ttfile", "text", REQUIRED, "the truth table"),
+        ("-o --out", "text", None, "output file (default: stdout)"),
+    ]),
+    "demo": ("run an open-problem demonstrator", {
+        "carlet": ("bent idempotents of every degree 2..m",
+                   _cmd_demo_carlet, [
+            ("--m", "int", REQUIRED, "half the degree n = 2m"),
+            ("--seed", "int", 0, "picks the normal element"),
+            ("--json", "flag", False, "print the reports as JSON"),
+        ]),
+        "mesnager": ("anti-self-dual triple with anti-self-dual sum",
+                     _cmd_demo_mesnager, [
+            ("--m", "int", REQUIRED, "half the degree n = 2m"),
+            ("--f1", "text", None, "F1 in m - 1 variables (default: X1*X2)"),
+            ("--f2", "text", None, "F2 in m - 1 variables (default: X2)"),
+            ("--f3", "text", None, "F3 in m - 1 variables (default: X1)"),
+            ("--json", "flag", False, "print the reports as JSON"),
+        ]),
+    }),
+    "sweep": ("seeded random verification across a size range", _cmd_sweep, [
+        ("--family", "text", REQUIRED,
+         "family name (an unknown name lists the known ones)"),
+        ("--m", "text", REQUIRED,
+         "sizes like 3 or 2..4 or 2,3,5 (k values for GoldLike)"),
+        ("--trials", "int", REQUIRED, "instances drawn per size"),
+        ("--seed", "int", 0, "seed of the draws"),
+        ("--json", "flag", False, "print the report as JSON"),
+    ]),
+}
+TOP = ("construct and exactly verify bent functions over GF(2^n)", COMMANDS)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bentkit",
-        description="construct and exactly verify bent functions over GF(2^n)")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _name(row) -> str:
+    return row[0].split()[-1]
 
-    p = sub.add_parser("field", help="validate and print a field description")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mod", type=_hex_int, default=None,
-                   help="modulus bitmask in hex (default: the smallest "
-                        "irreducible with constant term 1)")
-    p.set_defaults(func=_cmd_field)
 
-    p = sub.add_parser("construct",
-                       help="build a family instance from a JSON spec file")
-    p.add_argument("specfile")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_construct)
+def _dest(row) -> str:
+    return _name(row).lstrip("-").replace("-", "_")
 
-    p = sub.add_parser("verify", help="verify claims about a truth-table file")
-    p.add_argument("ttfile")
-    p.add_argument("--expect", action="append",
-                   help="comma list: bent, nonbent, idempotent, degree=D, "
-                        "duality=self|anti|neither (default: bent)")
-    p.add_argument("--dual", help="predicted dual table to compare")
-    p.add_argument("--emit-tt", help="write the computed dual table here "
-                   "(exit 2 if the table is not bent)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("walsh", help="print the exact Walsh spectrum")
-    p.add_argument("ttfile")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_walsh)
+def _lookup(prog: str, options: dict, name: str):
+    """The row that name spells in full or, if it is a long option, by a
+    prefix no other option shares."""
+    if name in options:
+        return options[name]
+    hits = set()
+    if name.startswith("--") and name != "--":
+        hits = {row for key, row in options.items() if key.startswith(name)}
+    if len(hits) == 1:
+        return hits.pop()
+    if hits:
+        raise BadArgument(f"{prog}: ambiguous option {name}: could be "
+                          + ", ".join(sorted(map(_name, hits))))
+    raise BadArgument(f"{prog}: unknown option {name}")
 
-    p = sub.add_parser("anf", help="print algebraic normal form and degree")
-    p.add_argument("ttfile")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_anf)
 
-    p = sub.add_parser("dual", help="emit the dual of a bent function")
-    p.add_argument("ttfile")
-    p.add_argument("-o", "--out", help="output file (default: stdout)")
-    p.set_defaults(func=_cmd_dual)
+def _value(prog: str, row, text: str):
+    kind = row[1]
+    try:
+        return (int(text) if kind == "int" else int(text, 16)
+                if kind == "hex" else text)
+    except ValueError:
+        raise BadArgument(f"{prog}: argument {_name(row)}: "
+                          f"invalid {kind} value {text!r}") from None
 
-    demo = sub.add_parser("demo", help="run an open-problem demonstrator")
-    dsub = demo.add_subparsers(dest="demo_command", required=True)
-    p = dsub.add_parser("carlet",
-                        help="bent idempotents of every degree 2..m")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_demo_carlet)
-    p = dsub.add_parser("mesnager",
-                        help="anti-self-dual triple with anti-self-dual sum")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--f1")
-    p.add_argument("--f2")
-    p.add_argument("--f3")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_demo_mesnager)
 
-    p = sub.add_parser("sweep",
-                       help="seeded random verification across a size range")
-    p.add_argument("--family", required=True,
-                   help="family name (an unknown name lists the known ones)")
-    p.add_argument("--m", required=True,
-                   help="sizes like 3 or 2..4 or 2,3,5 (k values for GoldLike)")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_sweep)
-    return parser
+def parse(argv=None) -> types.SimpleNamespace:
+    """argv (default sys.argv[1:]) read against COMMANDS: the command's
+    handler as func and one attribute per argument.  An option's value is
+    the rest of its token after "=" or else the next token, whatever it
+    is; a long option may be shortened to a unique prefix; after "--"
+    every token is positional.  -h or --help gives the func that prints
+    the help of the command named so far.  Raises BadArgument."""
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    prog, node = "bentkit", TOP
+    while len(node) == 2:  # a group: the next token names the command
+        token = next(tokens, None)
+        if token is not None and token[:1] == "-":
+            _lookup(prog, {"-h": HELP, "--help": HELP}, token)
+            return types.SimpleNamespace(func=_help, prog=prog, node=node)
+        if token not in node[1]:
+            what = ("missing command" if token is None
+                    else f"unknown command {token!r}")
+            raise BadArgument(
+                f"{prog}: {what}; choose from {', '.join(node[1])}")
+        prog, node = f"{prog} {token}", node[1][token]
+    rows = node[2]
+    options = {name: row for row in rows + [HELP]
+               for name in row[0].split() if name[0] == "-"}
+    positionals = iter(row for row in rows if row[0][0] != "-")
+    values, dashes = {}, False
+    for token in tokens:
+        if token[:1] != "-" or token == "-" or dashes:
+            row = next(positionals, None)
+            if row is None:
+                raise BadArgument(f"{prog}: unexpected argument {token!r}")
+            values[_dest(row)] = token
+            continue
+        if token == "--":
+            dashes = True
+            continue
+        if token[1] == "-":
+            name, eq, text = token.partition("=")
+        else:  # -oFILE or -o=FILE
+            name, eq, text = token[:2], token[2:], token[2:].removeprefix("=")
+        row = _lookup(prog, options, name)
+        kind = row[1]
+        if kind == "help":
+            return types.SimpleNamespace(func=_help, prog=prog, node=node)
+        if kind == "flag":
+            if eq:
+                raise BadArgument(f"{prog}: argument {_name(row)} takes no "
+                                  "value")
+            values[_dest(row)] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise BadArgument(f"{prog}: argument {_name(row)} needs a "
+                                  "value")
+        if kind == "list":
+            values.setdefault(_dest(row), []).append(text)
+        else:
+            values[_dest(row)] = _value(prog, row, text)
+    for row in rows:
+        if _dest(row) not in values:
+            if row[2] is REQUIRED:
+                raise BadArgument(f"{prog}: argument {_name(row)} is "
+                                  "required")
+            values[_dest(row)] = row[2]
+    return types.SimpleNamespace(func=node[1], **values)
+
+
+def _help(args) -> int:
+    """Print the usage of args.prog and what its node holds."""
+    import textwrap
+    doc, body = args.node[0], args.node[-1]
+    if len(args.node) == 2:
+        lines = [f"usage: {args.prog} {{{','.join(body)}}} ...", "", doc, "",
+                 "commands:"]
+        lines += [f"  {name:<20}  {sub[0]}" for name, sub in body.items()]
+    else:
+        usage = []
+        for row in body:
+            text = _name(row)
+            if text[0] == "-" and row[1] != "flag":
+                text += " " + _dest(row).upper()
+            usage.append(text if row[2] is REQUIRED else f"[{text}]")
+        lines = [f"usage: {args.prog} {' '.join(usage)}", "", doc, "",
+                 "arguments:"]
+        for names, _, _, text in body + [HELP]:
+            lines.append(textwrap.fill(
+                text, 79, initial_indent=f"  {', '.join(names.split()):<20}  ",
+                subsequent_indent=" " * 24))
+    print("\n".join(lines))
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse(argv)
         return args.func(args)
     except (BentkitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -131,5 +131,10 @@ class BadRange(BentkitError):
     pass
 
 
+class BadArgument(BentkitError):
+    """A command line that names no command, or an argument the command
+    lacks, does not take, or cannot read."""
+
+
 class EmptyExpectation(BentkitError, ValueError):
     """Also a ValueError, which callers caught before it was a BentkitError."""

@@ -9,6 +9,7 @@ import pytest
 
 import pointwise as pw
 from bentkit import boolfun as bf
+from bentkit import cli
 from bentkit import constructions as cx
 from bentkit import multipoly as mp
 from bentkit import specs as sp
@@ -292,6 +293,7 @@ def test_construct_refuses_a_shift_pair_violation(capsys, tmp_path, doc):
 @pytest.mark.parametrize("claim, reason", [
     ("degree=x", "degree must be an integer"),
     ("duality=foo", "duality must be self, anti or neither"),
+    ("bent,odd", "unknown expectation 'odd'"),
 ])
 def test_verify_rejects_malformed_expectations(capsys, tmp_path, claim,
                                                reason):
@@ -299,6 +301,8 @@ def test_verify_rejects_malformed_expectations(capsys, tmp_path, claim,
     bf.save_tt(pw.kasami_base(make_field(4), 1), path)
     code, out, err = run(capsys, "verify", str(path), "--expect", claim)
     assert code == 2 and out == "" and reason in err
+    assert err.startswith("error: BadArgument: bentkit verify: "
+                          "argument --expect: ")
 
 
 def test_demo_carlet_refuses_m_below_two(capsys):
@@ -600,3 +604,126 @@ def test_construct_and_sweep_report_what_check_reports(capsys, tmp_path,
     assert entry.notes == checked.label
     assert entry.report.to_dict() | {"elapsed": 0} == want
     assert entry.report.computed_dual is None  # no table kept per entry
+
+
+# argv -> the attributes argparse gave it, when it parsed the command line:
+# each form the CLI takes, then the examples of README's "Command line".
+# func is the handler's name; argparse's command and demo_command, which
+# named the handler, are left out.
+PARSED = [
+    (["field", "--n", "6"], {"func": "_cmd_field", "n": 6, "mod": None}),
+    (["field", "--n=6", "--mod", "43"],
+     {"func": "_cmd_field", "n": 6, "mod": 67}),
+    (["field", "--mod=0x43", "--n", "6"],
+     {"func": "_cmd_field", "n": 6, "mod": 67}),
+    (["sweep", "--fam", "QuadIdem", "--m", "2..3", "--tri", "2"],
+     {"func": "_cmd_sweep", "family": "QuadIdem", "m": "2..3", "trials": 2,
+      "seed": 0, "json": False}),
+    (["sweep", "--family=QuadIdem", "--m=2", "--trials=1", "--seed=-5"],
+     {"func": "_cmd_sweep", "family": "QuadIdem", "m": "2", "trials": 1,
+      "seed": -5, "json": False}),
+    (["demo", "carlet", "--m", "3", "--seed", "-5"],
+     {"func": "_cmd_demo_carlet", "m": 3, "seed": -5, "json": False}),
+    (["demo", "carlet", "--m", "-1"],
+     {"func": "_cmd_demo_carlet", "m": -1, "seed": 0, "json": False}),
+    (["demo", "carlet", "--m", "3", "--m", "4", "--seed", "1", "--seed", "2"],
+     {"func": "_cmd_demo_carlet", "m": 4, "seed": 2, "json": False}),
+    (["verify", "--json", "f.tt", "--expect", "bent", "--expect",
+      "degree=3,idempotent"],
+     {"func": "_cmd_verify", "ttfile": "f.tt",
+      "expect": ["bent", "degree=3,idempotent"], "dual": None,
+      "emit_tt": None, "json": True}),
+    (["verify", "f.tt", "--emit-tt", "d.tt", "--dual=g.tt"],
+     {"func": "_cmd_verify", "ttfile": "f.tt", "expect": None, "dual": "g.tt",
+      "emit_tt": "d.tt", "json": False}),
+    (["verify", "--", "-f.tt"],
+     {"func": "_cmd_verify", "ttfile": "-f.tt", "expect": None, "dual": None,
+      "emit_tt": None, "json": False}),
+    (["dual", "f.tt", "-o", "d.tt"],
+     {"func": "_cmd_dual", "ttfile": "f.tt", "out": "d.tt"}),
+    (["dual", "-od.tt", "f.tt"],
+     {"func": "_cmd_dual", "ttfile": "f.tt", "out": "d.tt"}),
+    (["dual", "-o=d.tt", "f.tt"],
+     {"func": "_cmd_dual", "ttfile": "f.tt", "out": "d.tt"}),
+    (["dual", "--out", "a", "--out", "b", "f.tt"],
+     {"func": "_cmd_dual", "ttfile": "f.tt", "out": "b"}),
+    (["demo", "mesnager", "--m", "3", "--f1", "X1*X2", "--f2=X2", "--f3",
+      "X1", "--js"],
+     {"func": "_cmd_demo_mesnager", "m": 3, "f1": "X1*X2", "f2": "X2",
+      "f3": "X1", "json": True}),
+    (["construct", "inst.json", "--json"],
+     {"func": "_cmd_construct", "specfile": "inst.json", "json": True}),
+    (["walsh", "--json", "inst.tt"],
+     {"func": "_cmd_walsh", "ttfile": "inst.tt", "json": True}),
+    (["demo", "carlet", "--m", "4"],
+     {"func": "_cmd_demo_carlet", "m": 4, "seed": 0, "json": False}),
+    (["demo", "mesnager", "--m", "3", "--f1", "X1*X2", "--f2", "X2", "--f3",
+      "X1"],
+     {"func": "_cmd_demo_mesnager", "m": 3, "f1": "X1*X2", "f2": "X2",
+      "f3": "X1", "json": False}),
+    (["sweep", "--family", "KasamiSubfield", "--m", "2..4", "--trials", "25",
+      "--seed", "7"],
+     {"func": "_cmd_sweep", "family": "KasamiSubfield", "m": "2..4",
+      "trials": 25, "seed": 7, "json": False}),
+    (["construct", "inst.json"],
+     {"func": "_cmd_construct", "specfile": "inst.json", "json": False}),
+    (["verify", "inst.tt", "--expect", "bent,degree=3", "--dual",
+      "inst.dual.tt"],
+     {"func": "_cmd_verify", "ttfile": "inst.tt", "expect": ["bent,degree=3"],
+      "dual": "inst.dual.tt", "emit_tt": None, "json": False}),
+    (["walsh", "inst.tt"],
+     {"func": "_cmd_walsh", "ttfile": "inst.tt", "json": False}),
+    (["anf", "inst.tt"], {"func": "_cmd_anf", "ttfile": "inst.tt",
+                          "json": False}),
+    (["dual", "inst.tt", "-o", "inst.dual.tt"],
+     {"func": "_cmd_dual", "ttfile": "inst.tt", "out": "inst.dual.tt"}),
+]
+
+
+def parsed(argv):
+    args = vars(cli.parse(argv))
+    return args | {"func": args["func"].__name__}
+
+
+@pytest.mark.parametrize("argv, want", [
+    pytest.param(argv, want, id=" ".join(argv)) for argv, want in PARSED])
+def test_parse_gives_what_argparse_gave(argv, want):
+    assert parsed(argv) == want
+
+
+def test_main_reads_sys_argv_without_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["bentkit", "field", "--n", "3"])
+    assert main() == 0
+    assert capsys.readouterr().out == "n=3,mod=0xb\n"
+
+
+def test_an_option_takes_the_next_token_whatever_it_is():
+    """argparse refused a value that looks like an option."""
+    argv = ["demo", "mesnager", "--m", "3", "--f1", "-X1", "--f2", "--json"]
+    assert parsed(argv) == {"func": "_cmd_demo_mesnager", "m": 3, "f1": "-X1",
+                            "f2": "--json", "f3": None, "json": False}
+
+
+def commands(node=cli.TOP, argv=()):
+    """(argv, node) for the top, every group and every command in
+    COMMANDS."""
+    yield list(argv), node
+    if len(node) == 2:
+        for name, sub in node[1].items():
+            yield from commands(sub, argv + (name,))
+
+
+@pytest.mark.parametrize("help_flag", ["-h", "--help", "--he"])
+@pytest.mark.parametrize("argv, node", [
+    pytest.param(argv, node, id=" ".join(["bentkit", *argv]))
+    for argv, node in commands()])
+def test_help_names_every_argument_and_exits_0(capsys, argv, node,
+                                               help_flag):
+    code, out, err = run(capsys, *argv, help_flag)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: {' '.join(['bentkit', *argv])} ")
+    assert node[0] in out
+    names = (node[1] if len(node) == 2
+             else [name for row in node[2] for name in row[0].split()])
+    for name in names:
+        assert f" {name}" in out, name

@@ -118,7 +118,20 @@ def test_mutated_specs_keep_the_cli_contract(capsys, tmp_path, name):
         check_construct(capsys, path, json.dumps(mutate(doc, rng)))
 
 
+# command lines that the parser refuses, each with BadArgument
+USAGE_ERRORS = [
+    [], ["frob"], ["demo"], ["demo", "frob"], ["--json"], ["--", "field"],
+    ["verify", "f.tt", "--bogus"],
+    ["demo", "mesnager", "--m", "3", "--f", "X1"],
+    ["sweep", "--family", "QuadIdem", "--m", "2"],
+    ["demo", "carlet", "--m", "3", "--seed"],
+    ["field", "--n", "x"], ["field", "--n", "3", "--mod=zz"],
+    ["field", "--n", "3", "extra"], ["walsh", "f.tt", "--json=yes"],
+    ["verify"],
+]
+
 ARGUMENTS = [
+    *USAGE_ERRORS,
     *(["demo", "carlet", "--m", m] for m in ("-1", "0", "1", "2", "3", "13")),
     ["demo", "carlet", "--m", "3", "--seed", "-5"],
     ["demo", "carlet", "--m", "3", "--seed", "100000", "--json"],
@@ -147,6 +160,13 @@ def test_arguments_keep_the_cli_contract(capsys, argv):
         assert_refused_cleanly(argv, code, out, err)
     else:
         assert not err and "FAIL" not in out, (argv, out, err)
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_are_one_bad_argument_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, ""), (argv, code, out, err)
+    assert ERROR_LINE.fullmatch(err)[1] == "BadArgument", (argv, err)
 
 
 def mutate_tt(text: str, rng: random.Random) -> str:

@@ -5,10 +5,12 @@ walsh, anf, dual, field) never load bentkit.constructions.  Only the
 commands that read or draw a spec (construct and sweep) load bentkit.specs,
 so the demos compile the constructors and no spec layer.  No command
 loads dataclasses or the inspect it imports: the records are named
-tuples.  Each import check runs in a fresh interpreter without site
-(python -S), since this one has loaded everything and a site hook may
-load modules of its own.  The CLI, and only the CLI, freezes every object
-at exit, so that CPython's last collections skip them.
+tuples.  Nor does any load argparse or the gettext it imports: the CLI
+reads its command line from its own table.  Each import check runs in a
+fresh interpreter without site (python -S), since this one has loaded
+everything and a site hook may load modules of its own.  The CLI, and
+only the CLI, freezes every object at exit, so that CPython's last
+collections skip them.
 """
 
 import importlib
@@ -127,6 +129,11 @@ def test_no_command_loads_dataclasses_or_inspect(loaded_by, argv):
     loaded = set(loaded_by(argv))
     assert "bentkit.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
+def test_no_command_loads_argparse_or_gettext(loaded_by, argv):
+    assert not set(loaded_by(argv)) & {"argparse", "gettext"}
 
 
 def test_the_cli_freezes_every_object_at_exit():
