@@ -24,9 +24,7 @@ the child's user + system CPU from wait4:
 
 - interpreter and site: the CPU spent before the child's first statement;
 - bentkit's import and compile: `from bentkit import cli`;
-- argument parsing: `cli.parse(argv)`; in a checkout older than it,
-  whose CLI parsed with argparse, the import of argparse (made before
-  bentkit's), `cli.build_parser()` and `parse_args`;
+- argument parsing: `cli.parse(argv)`, which every ROOT's CLI must have;
 - the checks: the command itself, `args.func(args)`;
 - exit and the rest: the whole op minus the parts above.
 
@@ -59,18 +57,13 @@ PARTS = ("interpreter and `site`", "bentkit's import and compile",
          "the checks (construction, transforms, claims)",
          "exit and the rest")
 
-# argv: the file for the times, "table" or "argparse" (how the checkout
-# parses), then the op's arguments
+# argv: the file for the times, then the op's arguments
 CHILD = """\
 import sys, time
 t = [time.process_time()]
-if sys.argv[2] == "argparse":
-    import argparse
-t.append(time.process_time())
 from bentkit import cli
 t.append(time.process_time())
-args = (cli.parse(sys.argv[3:]) if sys.argv[2] == "table"
-        else cli.build_parser().parse_args(sys.argv[3:]))
+args = cli.parse(sys.argv[2:])
 t.append(time.process_time())
 code = args.func(args)
 t.append(time.process_time())
@@ -100,8 +93,6 @@ class Tree:
 
     def __init__(self, root: Path, scratch: Path):
         self.label = str(root)
-        cli = (root / "src" / "bentkit" / "cli.py").read_text()
-        self.parser = "table" if "\ndef parse(" in cli else "argparse"
         shutil.copytree(root / "src", scratch / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
         self.work = scratch / "work"
@@ -117,8 +108,7 @@ class Tree:
         times = self.work / "times.txt"
         with open(self.work / "stdout.txt", "wb") as out:
             proc = subprocess.Popen(
-                [sys.executable, "-c", CHILD, str(times), self.parser,
-                 *self.ops[workload]],
+                [sys.executable, "-c", CHILD, str(times), *self.ops[workload]],
                 cwd=self.work, env=self.env, stdout=out,
                 stderr=subprocess.PIPE)
             err = proc.stderr.read()
@@ -127,12 +117,11 @@ class Tree:
         if proc.returncode:
             sys.exit(f"{self.label}: {workload} exited {proc.returncode}: "
                      f"{err.decode(errors='replace')[-300:]}")
-        site, preloaded, imported, parsed, checked = map(
-            float, times.read_text().split())
+        site, imported, parsed, checked = map(float,
+                                              times.read_text().split())
         whole = usage.ru_utime + usage.ru_stime
-        return [site, imported - preloaded,
-                preloaded - site + parsed - imported,
-                checked - parsed, whole - checked]
+        return [site, imported - site, parsed - imported, checked - parsed,
+                whole - checked]
 
 
 def report(workload: str, trees: list[Tree]) -> None:

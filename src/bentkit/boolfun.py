@@ -166,11 +166,10 @@ def dual(spec: WalshSpectrum) -> TruthTable:
 
 def duality_class(f: TruthTable, fdual: TruthTable) -> DualityClass:
     """Pointwise comparison of a function with its dual."""
-    if f.domain != fdual.domain:
-        raise FieldMismatch("tables live on different domains")
-    if f.bits == fdual.bits:
+    bits = add(f, fdual).bits
+    if bits == 0:
         return DualityClass.SELF_DUAL
-    if f.bits ^ fdual.bits == (1 << f.domain.size) - 1:
+    if bits == (1 << f.domain.size) - 1:
         return DualityClass.ANTI_SELF_DUAL
     return DualityClass.NEITHER
 

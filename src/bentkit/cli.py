@@ -4,9 +4,9 @@ One table, COMMANDS, states each command: its handler, its help and its
 arguments.  parse(argv) reads the command line against it, and the same
 table prints the help of `bentkit -h` and of each command's `-h`.
 
-Exit codes: 0 when every checked claim holds, 1 when a claim fails (the
-report is still printed), 2 on usage or input errors, each with one
-"error: <class>: ..." line on stderr.
+Exit codes: 0 when every checked claim holds, 1 when one fails (the report
+is still printed), 2 on usage or input errors with one "error: ..." line on
+stderr, and 141 (128 + SIGPIPE) when the reader of stdout has closed it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import atexit
 import gc
 import itertools
 import json
+import os
 import sys
 import types
 from pathlib import Path
@@ -448,7 +449,12 @@ def _help(args) -> int:
 def main(argv=None) -> int:
     try:
         args = parse(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # end quietly, as a writer killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (BentkitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -540,7 +540,7 @@ def _mm_monomial_row(K: Field):
     """row(u1, u2): D_u D_v g~ = 0 for GF(2^s)^2 grid shifts u, v is
     Tr(u1^2 v2 + u2 v1^2) = Tr(u1^2 v2) + Tr(u2^(2^(m-1)) v1) = 0."""
     return lambda u: ((K.trace_mask(K.frob(u % K.size, K.n - 1)) << K.n)
-                      | K.trace_mask(K.sqr(u >> K.n)))
+                      | K.trace_mask(K.frob(u >> K.n, 1)))
 
 
 def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:

@@ -367,8 +367,9 @@ class Field:
                 r ^= modulus
             red.append(r)
         self._red = red
-        self._sqr_basis = [poly_mod(1 << (2 * j), modulus) for j in range(n)]
-        self._frob_basis = {}
+        self._frob_basis = {0: [1 << j for j in range(n)],
+                            1: [poly_mod(1 << (2 * j), modulus)
+                                for j in range(n)]}
         self._trace_form = None
         self._walsh_map = None
         self._subfield = None
@@ -395,23 +396,18 @@ class Field:
         """Product of two field elements."""
         return poly_mulmod(a, b, self.modulus)
 
-    def sqr(self, a: int) -> int:
-        """Square via the Frobenius linear map."""
-        return apply_linear(self._sqr_basis, a)
-
     def frob(self, a: int, k: int) -> int:
-        """a^(2^k); k is taken modulo n."""
-        if k % self.n == 0:
-            return a
+        """a^(2^k), through frob_map(k)."""
         return apply_linear(self.frob_map(k), a)
 
     def frob_map(self, k: int) -> list[int]:
-        """Column images of x -> x^(2^k), squared from the map for k - 1."""
+        """Column images of x -> x^(2^k), k taken modulo n: past the seeds
+        k = 0 and 1, the map for k - 1 squared through frob_map(1)."""
         k %= self.n
         basis = self._frob_basis.get(k)
         if basis is None:
-            basis = ([self.sqr(v) for v in self.frob_map(k - 1)] if k
-                     else [1 << j for j in range(self.n)])
+            sqr = self.frob_map(1)
+            basis = [apply_linear(sqr, v) for v in self.frob_map(k - 1)]
             self._frob_basis[k] = basis
         return basis
 
@@ -452,14 +448,14 @@ class Field:
         e %= self.size - 1
         if e == 0:
             e = self.size - 1
-        r = None
+        r, sqr = None, self.frob_map(1)
         while True:
             if e & 1:
                 r = a if r is None else self.mul_planes(r, a)
             e >>= 1
             if not e:
                 return r
-            a = linear_planes(a, self._sqr_basis)
+            a = linear_planes(a, sqr)
 
     def inv(self, a: int) -> int:
         """a^-1 by extended Euclid over F_2[X]: each row (r, g) keeps
@@ -483,18 +479,16 @@ class Field:
         """Rows of the trace form: bit j of row i is Tr(e_i e_j).
 
         The form is a Hankel matrix in t_k = Tr(x^k), k < 2n-1: t_k for
-        k < n from the definition, and t_k for k >= n as the trace of
-        x^k mod the modulus, already at hand in _red.
+        k < n is bit 0 of Tr(e_k) = sum_i e_k^(2^i), column k summed over
+        the n Frobenius maps, and t_k for k >= n is the trace of x^k mod
+        the modulus, already at hand in _red.
         """
         if self._trace_form is None:
             n = self.n
             t = 0
-            for k in range(n):
-                v = s = 1 << k
-                for _ in range(n - 1):
-                    v = self.sqr(v)
-                    s ^= v
-                t |= (s & 1) << k
+            for i in range(n):
+                for k, v in enumerate(self.frob_map(i)):
+                    t ^= (v & 1) << k
             for k, red in enumerate(self._red, n):
                 t |= ((red & t).bit_count() & 1) << k
             self._trace_form = [(t >> i) & (self.size - 1) for i in range(n)]
@@ -613,7 +607,7 @@ class Field:
 
     def squaring_map(self) -> list[int]:
         """Column images of the F_2-linear map x -> x^2."""
-        return self._sqr_basis
+        return self.frob_map(1)
 
     def header(self) -> str:
         return f"n={self.n} mod=0x{self.modulus:x}"

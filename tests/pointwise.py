@@ -301,7 +301,7 @@ def kasami_subfield(field: Field, lam: int, us, F):
 def normal_orbit(field: Field, u: int) -> list[int]:
     orbit = [u]
     for _ in range(field.m - 1):
-        orbit.append(field.sqr(orbit[-1]))
+        orbit.append(field.frob(orbit[-1], 1))
     return orbit
 
 

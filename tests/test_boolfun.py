@@ -124,7 +124,7 @@ def test_duality_class():
             == bf.DualityClass.ANTI_SELF_DUAL)
     other = bf.TruthTable(field, g.bits ^ 0b110)
     assert bf.duality_class(g, other) == bf.DualityClass.NEITHER
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(FieldMismatch, match="on different domains"):
         bf.duality_class(g, bf.TruthTable(make_field(6), 0))
 
 

@@ -241,6 +241,7 @@ def test_usage_error_exits_two(capsys):
     ("BF n=4\n0000\n", "lacks mod="),
     ("BF n=4 mod=0x13\nzz00\n", "not hex"),
     ("BF n=2 mod=0x7\nff\n", "payload sets bits at or above index 4"),
+    ("BF n=4 mod=0x13 grid=zz\n0000\n", "unknown grid='zz'"),
 ])
 def test_verify_rejects_malformed_table_files(capsys, tmp_path, text,
                                               reason):
@@ -303,6 +304,24 @@ def test_verify_rejects_malformed_expectations(capsys, tmp_path, claim,
     assert code == 2 and out == "" and reason in err
     assert err.startswith("error: BadArgument: bentkit verify: "
                           "argument --expect: ")
+
+
+@pytest.mark.parametrize("claims, code, failure", [
+    (["bent,,duality=anti"], 0, None),  # the empty part is skipped
+    (["idempotent"], 1, "idempotent=False != expected True"),
+    (["duality=SELF"], 1, "duality AntiSelfDual != expected SelfDual"),
+    (["bent", "--expect", "duality=Anti"], 0, None),
+])
+def test_verify_checks_idempotence_and_duality_claims(capsys, tmp_path,
+                                                      claims, code, failure):
+    path = tmp_path / "a.tt"
+    spec = '{"family": "KasamiAntiSelfDual", "n": 6, "F": "X1*X2"}'
+    bf.save_tt(sp.build(sp.spec_from_json(spec)).f, path)
+    got, out, err = run(capsys, "verify", str(path), "--expect", *claims)
+    assert (got, err) == (code, "")
+    assert out.startswith(("PASS " if code == 0 else "FAIL ") + str(path))
+    assert "duality=AntiSelfDual" in out
+    assert (failure in out) if failure else "  [" not in out
 
 
 def test_demo_carlet_refuses_m_below_two(capsys):
@@ -516,15 +535,16 @@ sys.exit(main(sys.argv[1:]))
 CLI = "import sys; from bentkit.cli import main; sys.exit(main())"
 
 
-def fresh_cli(*argv, code=CLI, cwd=None):
-    """Run the CLI in a fresh interpreter, so that its exit runs too."""
+def fresh_cli(*argv, code=CLI, cwd=None, stdout=subprocess.PIPE, **env):
+    """Run the CLI in a fresh interpreter, so that its exit runs too; env
+    holds environment variables to set in it."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]]
-                 if os.environ.get("PYTHONPATH") else [])))
+                 if os.environ.get("PYTHONPATH") else [])), **env)
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          cwd=cwd, capture_output=True, text=True,
-                          timeout=120)
+                          cwd=cwd, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
 
 
 @pytest.mark.parametrize("family, sizes, n", [
@@ -574,6 +594,26 @@ def test_a_fresh_process_exits_2_with_one_error_line(tmp_path):
     out = fresh_cli("verify", "bad.tt", cwd=tmp_path)
     want = "error: FieldMismatch: header lacks n=\n"
     assert (out.returncode, out.stdout, out.stderr) == (2, "", want)
+
+
+# PYTHONUNBUFFERED="" leaves stdout block-buffered, so `field`'s one line
+# is written at the flush before exit; "1" writes every print at once
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [("field", "--n", "8"), ("walsh", "t.tt")])
+def test_a_closed_stdout_ends_the_process_with_141_and_no_error(
+        tmp_path, argv, unbuffered):
+    """`bentkit walsh t.tt | head -1` is not an input error: the command ends
+    as a writer killed by SIGPIPE would, with 128 + 13 and a quiet stderr."""
+    table = bf.TruthTable(make_field(12), random.Random(1).getrandbits(4096))
+    bf.save_tt(table, tmp_path / "t.tt")
+    read, write = os.pipe()
+    os.close(read)  # before the child starts, so that its first write fails
+    try:
+        out = fresh_cli(*argv, cwd=tmp_path, stdout=write,
+                        PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (141, "")
 
 
 def test_library_sweep_reads_sizes_only_up_to_the_first_bad_one():

@@ -22,6 +22,7 @@ from bentkit.errors import (
     BentkitError,
     GcdViolated,
     LambdaConstraintViolated,
+    NoModularInverse,
     NoSolution,
     NotIndependent,
     NotInSubfield,
@@ -567,6 +568,9 @@ def test_mm_monomial_exponents_frozen():
     assert cx.monomial_inverse_exponent(3, 1) == 5   # 3d = 1 mod 7
     assert cx.monomial_inverse_exponent(2, 2) == 2   # 5d = 1 mod 3
     assert (cx.monomial_inverse_exponent(4, 4) * 17) % 15 == 1
+    with pytest.raises(NoModularInverse,
+                       match=r"2\^1\+1 is not invertible mod 2\^4-1"):
+        cx.monomial_inverse_exponent(4, 1)
 
 
 def test_mm_monomial_single_pair():

@@ -104,8 +104,8 @@ def test_frobenius_is_multiplicative():
     for _ in range(10_000):
         a = rng.randrange(field.size)
         b = rng.randrange(field.size)
-        assert field.sqr(field.mul(a, b)) == field.mul(field.sqr(a),
-                                                       field.sqr(b))
+        assert field.frob(field.mul(a, b), 1) == field.mul(
+            field.frob(a, 1), field.frob(b, 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 12])
@@ -116,6 +116,27 @@ def test_fermat_and_sqrt_exhaustive(n):
         assert field.inv(a) == pw.power(field, a, -1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_frob_map_is_the_one_source_of_every_power_of_two(n):
+    """frob and squaring_map read frob_map, and trace_form sums its maps;
+    at n = 1 squaring is the identity."""
+    field = make_field(n)
+    assert field.squaring_map() is field.frob_map(1)
+    for x in range(min(field.size, 64)):
+        assert pw.trace_abs(field, x) == naive_trace(field, x)
+    for k in range(-1, 2 * n + 2):
+        assert field.frob_map(k) is field.frob_map(k % n)
+        for x in range(min(field.size, 64)):
+            want = x
+            for _ in range(k % n):
+                want = field.mul(want, want)
+            assert field.frob(x, k) == want
+    # as for every k, k = 0 mod n refuses a value beyond the field
+    for k in (0, 1, n):
+        with pytest.raises(ValueError, match="bits beyond"):
+            field.frob(field.size, k)
+
+
 def test_pow_conventions():
     field = make_field(4)
     assert pw.power(field, 0, 0) == 1
@@ -123,6 +144,9 @@ def test_pow_conventions():
     a = 9
     assert pw.power(field, a, field.size - 1 + 3) == pw.power(field, a, 3)
     assert field.mul(pw.power(field, a, -1), a) == 1
+    with pytest.raises(ValueError,
+                       match="the sliced power needs a nonzero exponent"):
+        field.pow_planes(coordinate_tables(4), 0)
 
 
 def test_inv_of_zero():
@@ -138,7 +162,8 @@ def test_inv_of_zero():
 def test_trace_frobenius_invariance_exhaustive(n):
     field = make_field(n)
     for x in range(field.size):
-        assert pw.trace_abs(field, x) == pw.trace_abs(field, field.sqr(x))
+        assert pw.trace_abs(field, x) == pw.trace_abs(field,
+                                                      field.frob(x, 1))
 
 
 def test_trace_additivity():
@@ -161,7 +186,7 @@ def test_trace_sub_matches_subfield_bruteforce():
     field = make_field(4)
     for x in range(16):
         y = field.mul(x, field.frob(x, 2))  # norm lands in the subfield
-        assert field.trace_sub(y) == y ^ field.sqr(y)
+        assert field.trace_sub(y) == y ^ field.frob(y, 1)
 
 
 def test_trace_sub_examples_and_errors():
@@ -217,7 +242,7 @@ def test_is_normal_examples():
 def test_is_normal_matches_rank_oracle():
     field = make_field(8)
     for u in field.subfield()[1:]:
-        orbit = [u, field.sqr(u), field.frob(u, 2), field.frob(u, 3)]
+        orbit = [u, field.frob(u, 1), field.frob(u, 2), field.frob(u, 3)]
         assert field.is_normal(u) == (rank(orbit) == 4)
 
 

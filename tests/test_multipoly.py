@@ -126,6 +126,8 @@ def test_compose_traces_examples():
         mp.compose_traces(field, mp.poly(2, 0b11), [1, 0])
     with pytest.raises(ArityMismatch):
         mp.compose_traces(field, mp.poly(2, 0b11), [1])
+    with pytest.raises(ArityMismatch, match="2 variables but 1 arguments"):
+        mp.compose(mp.poly(2, 0b11), [0xaaaa], 0xffff)  # X_0 on 16 indices
 
 
 @pytest.mark.parametrize("n", [4, 6])
