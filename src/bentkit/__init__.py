@@ -6,13 +6,13 @@ imported on first access, so a command loads only the layers it runs.
 
 import importlib
 
-# submodule -> the names the package exports from it.  The checker itself
-# stays at bentkit.verify.verify, so bentkit.verify is the submodule.
+# submodule -> the names it defines that the package exports.  The checker
+# and ReducedPoly live in boolfun, and bentkit.verify is the submodule.
 _EXPORTS = {
-    "boolfun": ("DualityClass", "TruthTable", "WalshSpectrum", "add",
-                "add_const", "anf", "degree", "dual", "duality_class",
-                "is_bent", "is_idempotent", "load_tt", "parse_tt", "save_tt",
-                "walsh"),
+    "boolfun": ("DualityClass", "Expectation", "ReducedPoly", "TruthTable",
+                "VerificationReport", "WalshSpectrum", "add", "add_const",
+                "anf", "degree", "dual", "duality_class", "is_bent",
+                "is_idempotent", "load_tt", "parse_tt", "save_tt", "walsh"),
     "constructions": ("ConstructedPair", "gold_like", "is_quad_bent_gcd",
                       "kasami_antiselfdual", "kasami_general",
                       "kasami_idempotent", "kasami_subfield", "mm_linear",
@@ -20,11 +20,11 @@ _EXPORTS = {
                       "quad_family", "quad_idempotent_family",
                       "quad_idempotent_g"),
     "gf2n": ("BivariateDomain", "Field", "make_field"),
-    "multipoly": ("ReducedPoly", "compose_traces", "elementary_symmetric",
-                  "fourier", "is_rotation_symmetric", "rotation_closure"),
+    "multipoly": ("compose_traces", "elementary_symmetric", "fourier",
+                  "is_rotation_symmetric", "rotation_closure"),
     "specs": ("ConstructionSpec", "build", "spec_from_json", "spec_to_json"),
-    "verify": ("Expectation", "VerificationReport", "demo_carlet",
-               "demo_mesnager", "master_identity_holds", "sweep"),
+    "verify": ("demo_carlet", "demo_mesnager", "master_identity_holds",
+               "sweep"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items()
           for name in names}

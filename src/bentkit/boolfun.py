@@ -18,27 +18,34 @@ is floating point and nothing is sampled.
   The dual is the sign plane, and the per-beta integers are built only
   when a caller asks for ``values`` (the ``walsh`` command's printout).
 - ANF.  The Moebius transform is ``bits ^= (bits & ~X_j) << 2^j`` for each
-  j.  Its result is a multipoly.ReducedPoly in the n index coordinates:
-  the coefficient table is packed like the truth table, so the polynomial
-  layer's degree and text format read it as they stand.
+  j.  Its result is a ReducedPoly in the n index coordinates: bit I of
+  coeffs is the coefficient of the monomial on the set bits of I, packed
+  like the truth table, and the degree is read against the masks K_d of
+  the indices with d ones.  ReducedPoly is defined here, the one
+  polynomial type, and bentkit.multipoly builds on it.
 - Idempotence.  f(x^2) = f(x) compares the table with itself pulled
   through the squaring map.
 
 Both index maps are F_2-linear and go through gf2n.pull_linear.  The list
 oracles in tests/pointwise.py (fwht, mobius, walsh_naive) are the
 reference the packed kernels are tested against.
+
+The table checker, verify() with its Expectation and VerificationReport,
+lives here too, so a command that checks a table loads this module and
+the field layer alone; bentkit.verify imports it for the demos and sweeps.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import time
 from collections import namedtuple
 
-from .errors import FieldMismatch, NotBent, OddDimension
-from .gf2n import (BivariateDomain, Field, coordinate_tables, make_field,
-                   pull_linear)
-from .multipoly import ReducedPoly
+from .errors import (ArityMismatch, EmptyExpectation, FieldMismatch, NotBent,
+                     OddDimension, UnsupportedDegree)
+from .gf2n import (MAX_TABLE_DEGREE, BivariateDomain, Field,
+                   coordinate_tables, make_field, pull_linear)
 
 Domain = Field | BivariateDomain
 
@@ -174,6 +181,49 @@ def duality_class(f: TruthTable, fdual: TruthTable) -> DualityClass:
     return DualityClass.NEITHER
 
 
+def _check_arity(tau: int) -> None:
+    """1 <= tau, and tau obeys the table bound: coeffs has 2^tau bits."""
+    if tau < 1:
+        raise ArityMismatch("at least one variable is required")
+    if tau > MAX_TABLE_DEGREE:
+        raise UnsupportedDegree(
+            f"polynomials need tau <= {MAX_TABLE_DEGREE}, got tau={tau}")
+
+
+@functools.cache
+def _weight_classes(n: int) -> tuple[int, ...]:
+    """Masks K_0..K_n on 2^n indices: bit i of K_d is set iff i has d ones."""
+    classes = [1]
+    for j in range(n):
+        h = 1 << j
+        classes = [same | (one_less << h) for same, one_less
+                   in zip(classes + [0], [0] + classes)]
+    return tuple(classes)
+
+
+class ReducedPoly(namedtuple("ReducedPoly", "tau coeffs")):
+    __slots__ = ()
+
+    def __new__(cls, tau: int, coeffs: int):
+        _check_arity(tau)
+        if coeffs < 0 or coeffs >> (1 << tau):
+            raise ArityMismatch("monomial mask exceeds the variable count")
+        return super().__new__(cls, tau, coeffs)
+
+    # _replace builds through _make: check its values as __new__ does
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def degree(self) -> int:
+        classes = _weight_classes(self.tau)
+        return next((d for d in range(self.tau, 0, -1)
+                     if self.coeffs & classes[d]), 0)
+
+    def __add__(self, other: "ReducedPoly") -> "ReducedPoly":
+        if self.tau != other.tau:
+            raise ArityMismatch("variable counts differ")
+        return ReducedPoly(self.tau, self.coeffs ^ other.coeffs)
+
+
 def _moebius_packed(bits: int, n: int) -> int:
     """Moebius transform of a packed table (its own inverse)."""
     for j, xj in enumerate(coordinate_tables(n)):
@@ -210,6 +260,99 @@ def add_const(f: TruthTable, bit: int) -> TruthTable:
 
 
 # ---------------------------------------------------------------------------
+# The table checker: every claim about one table, exactly.
+# ---------------------------------------------------------------------------
+
+class Expectation(namedtuple("Expectation", "bent degree idempotent duality",
+                             defaults=(None,) * 4)):
+    """The claims to check; a claim left None is not checked."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self == (None,) * 4:
+            raise EmptyExpectation("expectation is empty")
+        return self
+
+    # _replace builds through _make: check its values as __new__ does
+    _make = classmethod(lambda cls, values: cls(*values))
+
+
+def _json_fields(report, skip: str) -> dict:
+    """A report's fields in order but skip, a DualityClass by its value."""
+    return {name: v.value if isinstance(v, DualityClass) else v
+            for name, v in zip(report._fields, report) if name != skip}
+
+
+class VerificationReport(namedtuple("VerificationReport", (
+        "is_bent walsh_min_abs walsh_max_abs degree idempotent duality "
+        "dual_match elapsed all_claims_met failures computed_dual"))):
+    """failures is a list of messages.  computed_dual, the dual computed
+    from the spectrum, is for callers and is not serialized."""
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        return _json_fields(self, "computed_dual")
+
+
+def verify(f: TruthTable, exp: Expectation,
+           predicted_dual: TruthTable | None = None) -> VerificationReport:
+    """Run the full exact pipeline on f and compare against expectations.
+
+    A predicted dual from another domain is FieldMismatch.
+    """
+    if predicted_dual is not None and predicted_dual.domain != f.domain:
+        raise FieldMismatch("dual table lives on a different domain")
+    start = time.perf_counter()
+    spec = walsh(f)
+    lo, hi = spec.extrema()
+    flat = 1 << (f.domain.n // 2)
+    bent = f.domain.n % 2 == 0 and lo == flat and hi == flat
+    deg = degree(f)
+    idem = is_idempotent(f)
+    computed_dual = dual(spec) if bent else None
+    dcls = (duality_class(f, computed_dual) if bent
+            else DualityClass.NEITHER)
+    dual_match = None
+    failures: list[str] = []
+    if predicted_dual is not None:
+        if computed_dual is None:
+            dual_match = False
+            failures.append("predicted dual given but function is not bent")
+        else:
+            diff = predicted_dual.bits ^ computed_dual.bits
+            dual_match = not diff
+            if diff:
+                beta = (diff & -diff).bit_length() - 1
+                failures.append(f"dual differs at {diff.bit_count()} beta, "
+                                f"first at beta={beta:#x}")
+
+    if exp.bent is not None and bent != exp.bent:
+        if exp.bent and f.domain.n % 2:
+            failures.append(f"expected bent but n={f.domain.n} is odd")
+        elif exp.bent:
+            off = spec.off_flat_mask()
+            bad = (off & -off).bit_length() - 1
+            failures.append(
+                f"expected bent but W({bad:#x}) = {spec.value(bad)}; "
+                f"{off.bit_count()} beta have |W| != {flat}")
+        else:
+            failures.append("expected non-bent but the spectrum is flat")
+    if exp.degree is not None and deg != exp.degree:
+        failures.append(f"degree {deg} != expected {exp.degree}")
+    if exp.idempotent is not None and idem != exp.idempotent:
+        failures.append(f"idempotent={idem} != expected {exp.idempotent}")
+    if exp.duality is not None and dcls != exp.duality:
+        failures.append(f"duality {dcls.value} != expected {exp.duality.value}")
+    return VerificationReport(
+        is_bent=bent, walsh_min_abs=lo, walsh_max_abs=hi, degree=deg,
+        idempotent=idem, duality=dcls, dual_match=dual_match,
+        elapsed=time.perf_counter() - start,
+        all_claims_met=not failures, failures=failures,
+        computed_dual=computed_dual)
+
+
+# ---------------------------------------------------------------------------
 # File format: header line, then the packed bits hex-encoded (byte 0 first,
 # lowest index in the least-significant bit of each byte).
 # ---------------------------------------------------------------------------
@@ -228,6 +371,10 @@ def parse_tt(text: str) -> TruthTable:
     bad = [tok for tok in tokens if "=" not in tok]
     if bad:
         raise FieldMismatch(f"header token {bad[0]!r} is not key=value")
+    keys = [tok.split("=", 1)[0] for tok in tokens]
+    repeated = [key for key in keys if keys.count(key) > 1]
+    if repeated:
+        raise FieldMismatch(f"header repeats {repeated[0]}=")
     fields = dict(tok.split("=", 1) for tok in tokens)
     missing = [key for key in ("n", "mod") if key not in fields]
     if missing:

@@ -4,6 +4,10 @@ One table, COMMANDS, states each command: its handler, its help and its
 arguments.  parse(argv) reads the command line against it, and the same
 table prints the help of `bentkit -h` and of each command's `-h`.
 
+A table command (verify, walsh, dual, field) loads the checker and the
+field layer alone; anf also loads bentkit.multipoly for its text format,
+and construct, sweep and the demos load bentkit.verify when they run.
+
 Exit codes: 0 when every checked claim holds, 1 when one fails (the report
 is still printed), 2 on usage or input errors with one "error: ..." line on
 stderr, and 141 (128 + SIGPIPE) when the reader of stdout has closed it.
@@ -20,20 +24,11 @@ import sys
 import types
 from pathlib import Path
 
-from . import boolfun, multipoly
-from .boolfun import DualityClass
+from . import boolfun
+from .boolfun import DualityClass, Expectation, VerificationReport
 from .errors import (BadArgument, BadRange, BentkitError, NotBent,
                      OddDimension)
 from .gf2n import make_field
-from .verify import (
-    Expectation,
-    VerificationReport,
-    check,
-    demo_carlet,
-    demo_mesnager,
-    sweep as run_sweep,
-    verify as run_verify,
-)
 
 # Freeze every object at exit so CPython's final collections and teardown skip
 # them (about 8 ms of CPU a command); only cyclic garbage's finalizers go.
@@ -65,9 +60,9 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    from . import specs
+    from . import specs, verify
     spec_path = Path(args.specfile)
-    checked = check(specs.spec_from_json(spec_path.read_text()))
+    checked = verify.check(specs.spec_from_json(spec_path.read_text()))
     stem = spec_path.parent / spec_path.stem
     written = [f"{stem}.tt"]
     boolfun.save_tt(checked.f, written[0])
@@ -126,7 +121,7 @@ def _cmd_verify(args) -> int:
     table = boolfun.load_tt(args.ttfile)
     exp = _parse_expectations(args) or Expectation(bent=True)
     predicted = boolfun.load_tt(args.dual) if args.dual else None
-    rep = run_verify(table, exp, predicted_dual=predicted)
+    rep = boolfun.verify(table, exp, predicted_dual=predicted)
     if args.emit_tt and rep.is_bent:
         boolfun.save_tt(rep.computed_dual, args.emit_tt)
     if args.json:
@@ -153,6 +148,7 @@ def _cmd_walsh(args) -> int:
 
 
 def _cmd_anf(args) -> int:
+    from . import multipoly
     table = boolfun.load_tt(args.ttfile)
     poly = boolfun.anf(table)
     text = multipoly.format_poly(poly)
@@ -177,7 +173,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_demo_carlet(args) -> int:
-    entries = demo_carlet(args.m, seed=args.seed)
+    from . import verify
+    entries = verify.demo_carlet(args.m, seed=args.seed)
     ok = True
     docs = []
     for e in entries:
@@ -199,7 +196,8 @@ def _cmd_demo_carlet(args) -> int:
 
 
 def _cmd_demo_mesnager(args) -> int:
-    bundle = demo_mesnager(args.m, args.f1, args.f2, args.f3)
+    from . import verify
+    bundle = verify.demo_mesnager(args.m, args.f1, args.f2, args.f3)
     labels = ["f1", "f2", "f3", "f1+f2+f3"]
     if args.json:
         doc = {lbl: rep.to_dict()
@@ -233,8 +231,9 @@ def _parse_range(text: str):
 
 
 def _cmd_sweep(args) -> int:
-    rep = run_sweep(args.family, _parse_range(args.m), args.trials,
-                   args.seed)
+    from . import verify
+    rep = verify.sweep(args.family, _parse_range(args.m), args.trials,
+                       args.seed)
     if args.json:
         print(json.dumps(rep.to_dict(), indent=2))
     else:

@@ -1,45 +1,19 @@
 """Reduced multivariate polynomials over F_2 and their Fourier coefficients.
 
-A ReducedPoly packs its coefficients like a truth table (boolfun.anf
-returns one): bit I of coeffs is the coefficient of the monomial on the
-set bits of I, bit i selecting X_{i+1}.  The degree is read against the
-masks K_d of the indices with d ones, e_d is K_d, and the scaled Fourier
-coefficients chat[w] = 2^tau * c_w are popcounts of packed tables.
+ReducedPoly itself is defined in bentkit.boolfun, whose anf returns one,
+and is imported here: bit I of coeffs is the coefficient of the monomial
+on the set bits of I, bit i selecting X_{i+1}.  This module builds and
+reads them: e_d is the mask K_d of the indices with d ones, the scaled
+Fourier coefficients chat[w] = 2^tau * c_w are popcounts of packed
+tables, and compose_traces gives a construction's table.
 """
 
 from __future__ import annotations
 
-import functools
-from collections import namedtuple
-
-from .errors import (
-    ArityMismatch,
-    DegreeOutOfRange,
-    UnsupportedDegree,
-    ZeroCoefficient,
-    ZeroMask,
-)
-from .gf2n import MAX_TABLE_DEGREE, apply_linear, coordinate_tables
-
-
-def _check_arity(tau: int) -> None:
-    """1 <= tau, and tau obeys the table bound: coeffs has 2^tau bits."""
-    if tau < 1:
-        raise ArityMismatch("at least one variable is required")
-    if tau > MAX_TABLE_DEGREE:
-        raise UnsupportedDegree(
-            f"polynomials need tau <= {MAX_TABLE_DEGREE}, got tau={tau}")
-
-
-@functools.cache
-def _weight_classes(n: int) -> tuple[int, ...]:
-    """Masks K_0..K_n on 2^n indices: bit i of K_d is set iff i has d ones."""
-    classes = [1]
-    for j in range(n):
-        h = 1 << j
-        classes = [same | (one_less << h) for same, one_less
-                   in zip(classes + [0], [0] + classes)]
-    return tuple(classes)
+from .boolfun import ReducedPoly, _check_arity, _weight_classes
+from .errors import (ArityMismatch, DegreeOutOfRange, ZeroCoefficient,
+                     ZeroMask)
+from .gf2n import apply_linear, coordinate_tables
 
 
 def _masks(coeffs: int) -> list[int]:
@@ -50,29 +24,6 @@ def _masks(coeffs: int) -> list[int]:
 def _rotate(mask: int, tau: int) -> int:
     """The monomial with X_i replaced by X_(i+1), cyclically in tau."""
     return ((mask << 1) & ((1 << tau) - 1)) | (mask >> (tau - 1))
-
-
-class ReducedPoly(namedtuple("ReducedPoly", "tau coeffs")):
-    __slots__ = ()
-
-    def __new__(cls, tau: int, coeffs: int):
-        _check_arity(tau)
-        if coeffs < 0 or coeffs >> (1 << tau):
-            raise ArityMismatch("monomial mask exceeds the variable count")
-        return super().__new__(cls, tau, coeffs)
-
-    # _replace builds through _make: check its values as __new__ does
-    _make = classmethod(lambda cls, values: cls(*values))
-
-    def degree(self) -> int:
-        classes = _weight_classes(self.tau)
-        return next((d for d in range(self.tau, 0, -1)
-                     if self.coeffs & classes[d]), 0)
-
-    def __add__(self, other: "ReducedPoly") -> "ReducedPoly":
-        if self.tau != other.tau:
-            raise ArityMismatch("variable counts differ")
-        return ReducedPoly(self.tau, self.coeffs ^ other.coeffs)
 
 
 def poly(tau: int, *monomials: int) -> ReducedPoly:

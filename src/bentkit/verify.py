@@ -1,8 +1,11 @@
 """Claim checking for constructed functions, demonstrators, and sweeps.
 
-Failures are data, not exceptions: a report records every mismatch (with
-the offending spectrum index where that makes sense) so a falsified claim
-can be diagnosed instead of vanishing into a stack trace.
+The one-table checker, verify() with its Expectation and
+VerificationReport, is bentkit.boolfun's, imported here: this module adds
+what builds before it checks (check, the demos, the sweeps).  Failures
+are data, not exceptions: a report records every mismatch (with the
+offending spectrum index where that makes sense) so a falsified claim can
+be diagnosed instead of vanishing into a stack trace.
 
 The spectrum identity is checked on bit planes: master_identity_holds
 sums its weighted, translated sign tables with boolfun.add_planes.
@@ -15,111 +18,16 @@ import time
 from collections import namedtuple
 
 from . import boolfun, multipoly
-from .boolfun import DualityClass, TruthTable
-from .errors import (
-    BadRange,
-    DimensionTooSmall,
-    EmptyExpectation,
-    FieldMismatch,
-    NoSolution,
-    PreconditionViolated,
-)
+from .boolfun import (DualityClass, Expectation, ReducedPoly, TruthTable,
+                      VerificationReport, _json_fields, verify)
+from .errors import (BadRange, DimensionTooSmall, NoSolution,
+                     PreconditionViolated)
 from .gf2n import make_field, require_table_degree, translate
-from .multipoly import ReducedPoly
 
 # ConstructedPair (bentkit.constructions) and ConstructionSpec
 # (bentkit.specs) appear only in postponed annotations, which are never
 # evaluated: the demos load constructions, and only check, _sample and
 # sweep load specs.
-
-
-class Expectation(namedtuple("Expectation", "bent degree idempotent duality",
-                             defaults=(None,) * 4)):
-    """The claims to check; a claim left None is not checked."""
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self == (None,) * 4:
-            raise EmptyExpectation("expectation is empty")
-        return self
-
-    # _replace builds through _make: check its values as __new__ does
-    _make = classmethod(lambda cls, values: cls(*values))
-
-
-def _json_fields(report, skip: str) -> dict:
-    """A report's fields in order but skip, a DualityClass by its value."""
-    return {name: v.value if isinstance(v, DualityClass) else v
-            for name, v in zip(report._fields, report) if name != skip}
-
-
-class VerificationReport(namedtuple("VerificationReport", (
-        "is_bent walsh_min_abs walsh_max_abs degree idempotent duality "
-        "dual_match elapsed all_claims_met failures computed_dual"))):
-    """failures is a list of messages.  computed_dual, the dual computed
-    from the spectrum, is for callers and is not serialized."""
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return _json_fields(self, "computed_dual")
-
-
-def verify(f: TruthTable, exp: Expectation,
-           predicted_dual: TruthTable | None = None) -> VerificationReport:
-    """Run the full exact pipeline on f and compare against expectations.
-
-    A predicted dual from another domain is FieldMismatch.
-    """
-    if predicted_dual is not None and predicted_dual.domain != f.domain:
-        raise FieldMismatch("dual table lives on a different domain")
-    start = time.perf_counter()
-    spec = boolfun.walsh(f)
-    lo, hi = spec.extrema()
-    flat = 1 << (f.domain.n // 2)
-    bent = f.domain.n % 2 == 0 and lo == flat and hi == flat
-    deg = boolfun.degree(f)
-    idem = boolfun.is_idempotent(f)
-    computed_dual = boolfun.dual(spec) if bent else None
-    dcls = (boolfun.duality_class(f, computed_dual) if bent
-            else DualityClass.NEITHER)
-    dual_match = None
-    failures: list[str] = []
-    if predicted_dual is not None:
-        if computed_dual is None:
-            dual_match = False
-            failures.append("predicted dual given but function is not bent")
-        else:
-            diff = predicted_dual.bits ^ computed_dual.bits
-            dual_match = not diff
-            if diff:
-                beta = (diff & -diff).bit_length() - 1
-                failures.append(f"dual differs at {diff.bit_count()} beta, "
-                                f"first at beta={beta:#x}")
-
-    if exp.bent is not None and bent != exp.bent:
-        if exp.bent and f.domain.n % 2:
-            failures.append(f"expected bent but n={f.domain.n} is odd")
-        elif exp.bent:
-            off = spec.off_flat_mask()
-            bad = (off & -off).bit_length() - 1
-            failures.append(
-                f"expected bent but W({bad:#x}) = {spec.value(bad)}; "
-                f"{off.bit_count()} beta have |W| != {flat}")
-        else:
-            failures.append("expected non-bent but the spectrum is flat")
-    if exp.degree is not None and deg != exp.degree:
-        failures.append(f"degree {deg} != expected {exp.degree}")
-    if exp.idempotent is not None and idem != exp.idempotent:
-        failures.append(f"idempotent={idem} != expected {exp.idempotent}")
-    if exp.duality is not None and dcls != exp.duality:
-        failures.append(f"duality {dcls.value} != expected {exp.duality.value}")
-    return VerificationReport(
-        is_bent=bent, walsh_min_abs=lo, walsh_max_abs=hi, degree=deg,
-        idempotent=idem, duality=dcls, dual_match=dual_match,
-        elapsed=time.perf_counter() - start,
-        all_claims_met=not failures, failures=failures,
-        computed_dual=computed_dual)
 
 
 Checked = namedtuple("Checked", "label f predicted_dual report")

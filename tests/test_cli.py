@@ -242,6 +242,9 @@ def test_usage_error_exits_two(capsys):
     ("BF n=4 mod=0x13\nzz00\n", "not hex"),
     ("BF n=2 mod=0x7\nff\n", "payload sets bits at or above index 4"),
     ("BF n=4 mod=0x13 grid=zz\n0000\n", "unknown grid='zz'"),
+    ("BF n=8 n=16 mod=0x1002b\n00\n", "header repeats n="),
+    ("BF n=4 mod=0x13 mod=0x19\n0000\n", "header repeats mod="),
+    ("BF n=4 grid=xy mod=0x7 grid=xy\n0000\n", "header repeats grid="),
 ])
 def test_verify_rejects_malformed_table_files(capsys, tmp_path, text,
                                               reason):

@@ -1,9 +1,12 @@
 """The package loads only the layers a command runs.
 
 `import bentkit` is lazy, and the commands that build nothing (verify,
-walsh, anf, dual, field) never load bentkit.constructions.  Only the
-commands that read or draw a spec (construct and sweep) load bentkit.specs,
-so the demos compile the constructors and no spec layer.  No command
+walsh, anf, dual, field) never load bentkit.constructions.  The table
+checker and ReducedPoly live in bentkit.boolfun, so only the commands that
+build (construct, sweep and the demos) load bentkit.verify, and only they
+and anf, for its text format, load bentkit.multipoly.  Only the commands
+that read or draw a spec (construct and sweep) load bentkit.specs, so the
+demos compile the constructors and no spec layer.  No command
 loads dataclasses or the inspect it imports: the records are named
 tuples.  Nor does any load argparse or the gettext it imports: the CLI
 reads its command line from its own table.  Each import check runs in a
@@ -51,7 +54,8 @@ atexit.register(lambda: print(json.dumps(gc.get_freeze_count())))
 exec(sys.argv[1])
 """
 
-# each command, and whether it loads bentkit.constructions
+# each command, and whether it builds: loads bentkit.constructions and
+# bentkit.verify
 COMMANDS = [
     (["verify", "f.tt"], False),
     (["walsh", "f.tt"], False),
@@ -118,6 +122,14 @@ def test_only_construct_and_sweep_load_specs(loaded_by, argv):
         argv[0] in ("construct", "sweep"))
 
 
+@pytest.mark.parametrize("argv, builds", COMMANDS)
+def test_only_the_commands_that_build_load_verify_and_multipoly(
+        loaded_by, argv, builds):
+    loaded = loaded_by(argv)
+    assert ("bentkit.verify" in loaded) == builds
+    assert ("bentkit.multipoly" in loaded) == (builds or argv[0] == "anf")
+
+
 @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS
                                   if argv[0] == "demo"])
 def test_the_demos_compile_no_spec_layer(run, argv):
@@ -163,6 +175,19 @@ def test_every_export_is_its_submodules_object():
     star = {}
     exec("from bentkit import *", star)
     assert set(bentkit.__all__) <= set(star)
+    # the checker's records and ReducedPoly come from boolfun alone
+    loaded = fresh_python(
+        "import json, sys, bentkit; bentkit.Expectation; bentkit.ReducedPoly;"
+        " print(json.dumps(sorted(sys.modules)))")
+    assert "bentkit.boolfun" in loaded
+    assert not {"bentkit.verify", "bentkit.multipoly"} & set(loaded)
+
+
+def test_the_moved_names_are_one_object():
+    from bentkit import multipoly, verify
+    for name in ("verify", "Expectation", "VerificationReport"):
+        assert getattr(verify, name) is getattr(bf, name), name
+    assert multipoly.ReducedPoly is bf.ReducedPoly
 
 
 def test_dir_lists_the_exports_and_verify_is_the_submodule():
