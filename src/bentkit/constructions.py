@@ -8,17 +8,21 @@ D_u h(x) = h(x) + h(x + u), then f is bent with dual
 
 So each family states one Base(dom, g, gdual, row): its base table g, its
 base dual g~ (None for QuadFamily and MMMonomial, whose duals verification
-computes from the spectrum), and a closed-form n-bit mask row(u) with
+computes from the spectrum), and an n-bit mask row(u) with
 D_u D_v g~ = 0 iff parity(row(u) & v) = 0, as that is F_2-linear in v.
 _shifted(base, shifts) checks it on every pair of shifts and computes the
 D_ui g~, once; its pair(F, notes) builds f and the predicted dual for any
-F.  The row functions take the family's own parameters and no table, so
-bentkit.specs draws shifts under them too.  Each pair also carries the
-base, the shifts u_i and F, so the identity
+F.  Each pair also carries the base, the shifts u_i and F, so the identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
 
 can be re-checked against any instance.
+
+The Kasami, Gold and MMLinear bases are quadratic, and one rule gives
+their g~ and row from g's polar matrix B and the Walsh index map T:
+g~(beta) = g(B^-1 T beta) + [W_g(0) < 0] and row(u) = T B^-1 T u
+(_quadratic).  B needs no table, so bentkit.specs draws shifts under the
+same rows.  Niho and MMMonomial, not quadratic, state their own.
 
 Families on GF(2^(2m)) use univariate tables; the Maiorana-McFarland
 families live on the GF(2^m) x GF(2^m) grid (BivariateDomain), where the
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 from . import multipoly
@@ -123,8 +127,8 @@ def _check_subfield_units(field: Field, us) -> None:
             raise NotInSubfield(f"shift {u:#x} is not in GF(2^{m})")
 
 
-# Each base builder keeps its 16 latest tables, of 2^n bits each (2 MiB at
-# n = 24): on the benchmark's sweeps that loses 2 of 549 unbounded hits.
+# Each base builder keeps its 16 latest bases, tables of 2^n bits (2 MiB at
+# n = 24), and each form builder its 16 latest forms, which hold no table.
 _base_cache = lru_cache(maxsize=16)
 
 
@@ -164,34 +168,66 @@ def _shifted(base: Base, shifts):
     return pair
 
 
-def _quadratic(field: Field, lin, mask: int) -> int:
-    """The sliced form parity(x L(x) & mask), L the map with columns lin."""
-    xs = coordinate_tables(field.n)
-    return apply_linear(field.mul_planes(xs, linear_planes(xs, lin)), mask)
+# g(v) = Tr_K(A(v) C(v)) on dom, A and C the columns of linear maps from
+# the n index bits into a field K, with the maps that _quadratic derives
+Quadratic = namedtuple("Quadratic", "dom K A C M row")
+
+
+def _product(K: Field, A, C) -> int:
+    """The sliced table v -> Tr_K(A(v) C(v))."""
+    xs = coordinate_tables(len(A))
+    return apply_linear(K.mul_planes(linear_planes(xs, A)[:K.n],
+                                     linear_planes(xs, C)[:K.n]),
+                        K.trace_mask(1))
+
+
+def _quadratic(dom, K: Field, A, C) -> Quadratic:
+    """g's maps M = B^-1 T and row(u) = T M u, from no table: B is g's polar
+    matrix, with column j A^T Trmask(C e_j) + C^T Trmask(A e_j), and T the
+    Walsh index map; as g~(beta) = g(M beta) + const (_quadratic_base), the
+    polar matrix of g~ is M^T B M = T B^-1 T."""
+    At, Ct = transpose(A), transpose(C)
+    inv = invert([apply_linear(At, K.trace_mask(c)) ^ apply_linear(
+        Ct, K.trace_mask(a)) for a, c in zip(A, C)])
+    M = [apply_linear(inv, dom.walsh_index(1 << j)) for j in range(dom.n)]
+    return Quadratic(dom, K, A, C, M,
+                     partial(apply_linear, [dom.walsh_index(v) for v in M]))
+
+
+def _quadratic_base(q: Quadratic, lin: int = 0) -> Base:
+    """The base g + parity(lin & v), its dual and its row.
+
+    For B a = T beta, g(x + a) = g(x) + Tr(beta x) + g(a), as g(0) = 0, so
+    W_g(beta) = (-1)^g(a) W_g(0): g~(beta) = g(M beta) + [W_g(0) < 0], the
+    sliced product on A M and C M, and W_g(0) < 0 iff wt(g) > 2^(n-1).
+    """
+    dom, K, A, C, M, row = q
+    xs = coordinate_tables(dom.n)
+    g = _product(K, A, C) ^ apply_linear(xs, lin)
+    gdual = (_product(K, [apply_linear(A, v) for v in M],
+                      [apply_linear(C, v) for v in M])
+             ^ apply_linear(xs, apply_linear(transpose(M), lin)))
+    if 2 * g.bit_count() > dom.size:
+        gdual ^= _full(dom)
+    return Base(dom, g, gdual, row)
 
 
 # ---------------------------------------------------------------------------
 # Kasami family (norm-form base Tr_sub(lambda * x^(2^m+1)))
 # ---------------------------------------------------------------------------
 
-def _kasami_row(field: Field, lam: int):
-    """row(u) of g~ = Tr_sub(mu x^(2^m+1)) + 1, mu = lambda^-1: its polar
-    form is Tr(mu u v^(2^m)) = Tr((mu u)^(2^m) v), as
-    theta + theta^(2^m) = 1.  Subfield shifts meet it trivially."""
-    mu = field.inv(lam)
-    return lambda u: field.trace_mask(field.frob(field.mul(mu, u), field.m))
+@_base_cache
+def _kasami_form(field: Field, lam: int) -> Quadratic:
+    """Tr_sub(lam x^(2^m+1)) = Tr(x theta lam x^(2^m)), where
+    theta + theta^(2^m) = 1."""
+    c = field.mul(field.solve_semilinear(field.m, 1), lam)
+    return _quadratic(field, field, field.frob_map(0),
+                      [field.mul(c, v) for v in field.frob_map(field.m)])
 
 
 @_base_cache
 def _kasami_base(field: Field, lam: int) -> Base:
-    """g = Tr_sub(lam * x^(2^m+1)) = Tr(theta lam * x x^(2^m)), sliced, and
-    its dual Tr_sub(mu x^(2^m+1)) + 1 with mu = lambda^-1, which the
-    un-inverted statement form matches only at lambda = 1 = mu."""
-    mu = field.inv(lam)
-    frob = field.frob_map(field.m)
-    g = _quadratic(field, frob, field.subtrace_mask(lam))
-    gmu = g if mu == lam else _quadratic(field, frob, field.subtrace_mask(mu))
-    return Base(field, g, gmu ^ _full(field), _kasami_row(field, lam))
+    return _quadratic_base(_kasami_form(field, lam))
 
 
 def kasami_general(field: Field, lam: int, us,
@@ -275,21 +311,19 @@ def kasami_antiselfdual_pairs(field: Field):
 def _quad_base(field: Field, c: tuple[int, ...], eps: int) -> Base:
     """The quadratic idempotent from one sliced product; no dual or row.
 
-    sum_{i<m} c_i Tr(x^(2^i+1)) = Tr(x L(x)) for the linear map
-    L(x) = sum_{i<m} c_i x^(2^i), and the c_m term Tr_sub(x^(2^m+1)) is
-    the Kasami base at lambda = 1.
+    sum_{i<m} c_i Tr(x^(2^i+1)) + c_m Tr_sub(x^(2^m+1)) = Tr(x L(x)) for
+    L(x) = sum_{i<m} c_i x^(2^i) + c_m theta x^(2^m), as in _kasami_form.
     """
     m = field.m
-    bits = _full(field) if eps else 0
-    lin = [0] * field.n
-    for i in range(m):
-        if c[i]:
-            lin = [a ^ b for a, b in zip(lin, field.frob_map(i))]
-    if any(lin):
-        bits ^= _quadratic(field, lin, field.trace_mask(1))
+    maps = [field.frob_map(i) for i in range(m) if c[i]]
     if c[m]:
-        bits ^= _kasami_base(field, 1).g
-    return Base(field, bits, None, None)
+        theta = field.solve_semilinear(m, 1)
+        maps.append([field.mul(theta, v) for v in field.frob_map(m)])
+    lin = [0] * field.n
+    for cols in maps:
+        lin = [a ^ b for a, b in zip(lin, cols)]
+    g = _product(field, field.frob_map(0), lin)
+    return Base(field, g ^ _full(field) if eps else g, None, None)
 
 
 def _quad_coeffs(field: Field, c) -> tuple[int, ...]:
@@ -358,10 +392,16 @@ def quad_idempotent_family(field: Field, c, eps: int, u: int,
 # ---------------------------------------------------------------------------
 
 @_base_cache
+def _gold_form(field: Field, lam: int) -> Quadratic:
+    """Tr(x lam x^(2^k)) with k = n/4."""
+    frob = field.frob_map(field.n // 4)
+    return _quadratic(field, field, field.frob_map(0),
+                      [field.mul(lam, v) for v in frob])
+
+
+@_base_cache
 def _gold_base(field: Field, lam: int) -> Base:
-    """Tr(lam * x^(2^k+1)) with k = n/4, sliced; it is its own dual."""
-    g = _quadratic(field, field.frob_map(field.n // 4), field.trace_mask(lam))
-    return Base(field, g, g, _gold_row(field, lam))
+    return _quadratic_base(_gold_form(field, lam))
 
 
 def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
@@ -376,13 +416,6 @@ def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
     _check_tau(F, len(us), field.n // 2)
     return _shifted(_gold_base(field, lam), us)(
         F, f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}")
-
-
-def _gold_row(field: Field, lam: int):
-    """row(u): the polar form Tr(lam (u v^(2^k) + u^(2^k) v)), k = n/4."""
-    k = field.n // 4
-    return lambda u: field.trace_mask(
-        field.frob(field.mul(lam, u), -k) ^ field.mul(lam, field.frob(u, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +505,6 @@ def niho_family(field: Field, k: int, us, F: ReducedPoly) -> ConstructedPair:
 # Maiorana-McFarland families on the bivariate grid
 # ---------------------------------------------------------------------------
 
-def _grid_planes(base: Field) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Planes of x and y on the grid: the high and low coordinate tables."""
-    cs = coordinate_tables(2 * base.n)
-    return cs[base.n:], cs[:base.n]
-
-
 def _check_pairs(K: Field, us) -> tuple[int, ...]:
     """Grid shift indices (u1 << m) | u2 of pairs independent over F_2.
 
@@ -493,13 +520,13 @@ def _check_pairs(K: Field, us) -> tuple[int, ...]:
     return shifts
 
 
-def _mm_linear_row(K: Field, pi):
-    """row(x1, y1): the dual's polar form Tr(y1 pi^-1(x2) + y2 pi^-1(x1)),
-    the first term through the transpose of pi^-1; b drops out."""
-    inv = invert(transpose(pi))  # the columns of pi^-1
-    inv_t = transpose(inv)
-    return lambda u: ((apply_linear(inv_t, K.trace_mask(u % K.size))
-                       << K.n) | K.trace_mask(apply_linear(inv, u >> K.n)))
+@_base_cache
+def _mm_linear_form(K: Field, pi: tuple[int, ...]) -> Quadratic:
+    """Tr(x pi(y)) on the grid: A reads x, the high half of an index, and C
+    is pi of y, the low half."""
+    m = K.n
+    return _quadratic(BivariateDomain(K), K, [0] * m + K.frob_map(0),
+                      transpose(pi) + [0] * m)
 
 
 def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
@@ -508,21 +535,12 @@ def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
     pi is a linear bijection, an m x m matrix over F_2 in row-bitmask form.
     """
     m = K.n
-    if len(pi) != m:
+    if len(pi) != m or any(row >> m for row in pi):  # also every row < 0
         raise SingularPermutation(f"pi must be {m}x{m}")
-    cols = transpose(pi)
-    inv = invert(cols)  # the columns of pi^-1
+    q = _mm_linear_form(K, tuple(pi))
     shifts = _check_pairs(K, us)
     _check_tau(F, len(shifts), m)
-    xs, ys = _grid_planes(K)
-    tmask, bmask = K.trace_mask(1), K.trace_mask(b)
-    g = (apply_linear(K.mul_planes(xs, linear_planes(ys, cols)), tmask)
-         ^ apply_linear(ys, bmask))
-    pix = linear_planes(xs, inv)  # the dual Tr(y pi^-1(x) + b pi^-1(x))
-    gdual = (apply_linear(K.mul_planes(ys, pix), tmask)
-             ^ apply_linear(pix, bmask))
-    base = Base(BivariateDomain(K), g, gdual, _mm_linear_row(K, pi))
-    return _shifted(base, shifts)(
+    return _shifted(_quadratic_base(q, K.trace_mask(b)), shifts)(
         F, f"MMLinear m={m} b={b:#x} tau={F.tau}")
 
 
@@ -560,7 +578,8 @@ def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
         if K.frob(u1, s) != u1 or K.frob(u2, s) != u2:
             raise PreconditionViolated(
                 f"pair ({u1:#x},{u2:#x}) is not in GF(2^{s}) x GF(2^{s})")
-    xs, ys = _grid_planes(K)
+    cs = coordinate_tables(dom.n)  # x is the high half of an index, y the low
+    xs, ys = cs[m:], cs[:m]
     base = Base(dom, apply_linear(K.mul_planes(xs, K.pow_planes(ys, d)),
                                   K.trace_mask(1)), None, _mm_monomial_row(K))
     return _shifted(base, shifts)(

@@ -19,10 +19,6 @@ class ReducibleModulus(BentkitError):
     pass
 
 
-class DivisionByZero(BentkitError):
-    pass
-
-
 class NotInSubfield(BentkitError):
     pass
 

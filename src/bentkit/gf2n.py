@@ -23,7 +23,6 @@ import functools
 
 from .errors import (
     DimensionTooSmall,
-    DivisionByZero,
     NoSolution,
     NotInSubfield,
     ReducibleModulus,
@@ -255,13 +254,14 @@ def coordinate_tables(n: int) -> tuple[int, ...]:
 # whatever the number of indices.
 
 def linear_planes(planes, columns) -> tuple[int, ...]:
-    """Planes of L(v), for the F_2-linear map with L(e_j) = columns[j]."""
+    """Planes of L(v), for the F_2-linear map with L(e_j) = columns[j]; a
+    plane goes into an empty output as it is, not copied by 0 ^ plane."""
     out = [0] * len(columns)
     for plane, col in zip(planes, columns):
         i = 0
         while col:
             if col & 1:
-                out[i] ^= plane
+                out[i] = out[i] ^ plane if out[i] else plane
             col >>= 1
             i += 1
     return tuple(out)
@@ -456,22 +456,6 @@ class Field:
             if not e:
                 return r
             a = linear_planes(a, sqr)
-
-    def inv(self, a: int) -> int:
-        """a^-1 by extended Euclid over F_2[X]: each row (r, g) keeps
-        r = g a mod the modulus while r's degree drops to r = 1."""
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
-        if a >> self.n:  # also every a < 0; a multiple of the modulus loops
-            raise ValueError(f"{a:#x} is not an element of GF(2^{self.n})")
-        r, g, r2, g2 = a, 1, self.modulus, 0
-        while r != 1:
-            j = r.bit_length() - r2.bit_length()
-            if j < 0:
-                r, g, r2, g2, j = r2, g2, r, g, -j
-            r ^= r2 << j
-            g ^= g2 << j
-        return g
 
     # -- traces ----------------------------------------------------------------
 

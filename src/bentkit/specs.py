@@ -1,10 +1,11 @@
 """Seeded parameter search, ConstructionSpec with its JSON codec, and the
 family registry FAMILIES, whose build materializes a spec through the
 constructors of bentkit.constructions.  The samplers _draw shifts
-uniformly from the kernel of the picked shifts' rows, the closed-form
-masks of constructions; each row function takes the family's own
-parameters (lambda, pi) and builds no table.  Only construct and sweep
-load this module; the demos call the constructors directly.
+uniformly from the kernel of the picked shifts' rows, the rows the
+constructors check: for a quadratic base the matrix T B^-1 T of its
+_kasami_form, _gold_form or _mm_linear_form, which builds no table and is
+cached per parameters, so a draw and its build share it.  Only construct
+and sweep load this module; the demos call the constructors directly.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from . import constructions, gf2n, multipoly
 from .boolfun import DualityClass
 from .constructions import (
     ConstructedPair,
-    _gold_row,
-    _kasami_row,
-    _mm_linear_row,
+    _gold_form,
+    _kasami_form,
+    _mm_linear_form,
     _mm_monomial_row,
     _require_half,
     is_quad_bent_gcd,
@@ -80,14 +81,14 @@ def kasami_valid_us(field: Field, lam: int, tau: int, rng: random.Random,
     """Shift list whose pairs meet the Kasami pair condition."""
     basis = (field.subfield_basis(_require_half(field, 1)) if subfield_only
              else [1 << j for j in range(field.n)])
-    return _draw(basis, tau, rng, _kasami_row(field, lam), subfield_only)
+    return _draw(basis, tau, rng, _kasami_form(field, lam).row, subfield_only)
 
 
 def gold_valid_us(field: Field, lam: int, tau: int,
                   rng: random.Random) -> list[int]:
     """Shift list whose pairs meet the Gold-like pair condition."""
     return _draw([1 << j for j in range(field.n)], tau, rng,
-                 _gold_row(field, lam))
+                 _gold_form(field, lam).row)
 
 
 def random_invertible(m: int, rng: random.Random) -> tuple[int, ...]:
@@ -102,7 +103,7 @@ def mm_linear_params(K: Field, tau: int, rng: random.Random):
     rows = random_invertible(K.n, rng)
     b = rng.randrange(K.size)
     shifts = _draw([1 << j for j in range(2 * K.n)], tau, rng,
-                   _mm_linear_row(K, rows), indep=True)
+                   _mm_linear_form(K, rows).row, indep=True)
     return rows, b, [BivariateDomain(K).split(u) for u in shifts]
 
 

@@ -15,8 +15,11 @@ references for the packed transforms and index maps; monomials and
 evaluate, which read a ReducedPoly monomial by monomial, for the packed
 polynomial layer; master_identity_holds, beta by beta, for the packed
 spectrum identity in bentkit.verify; table_condition, D_u D_v g~ = 0 read
-on the table, for each family's closed-form row(u) and for the shifts the
-samplers draw from the kernel of those rows.  trace_abs reads the absolute
+on the table, for each family's row(u) and for the shifts the samplers
+draw from the kernel of those rows.  kasami_row, gold_row and
+mm_linear_row are the closed-form rows of the literature, the oracles for
+the rows that bentkit.constructions reads off the polar matrix of a
+quadratic base.  trace_abs reads the absolute
 trace at one point, and power is the per-point a^e that Field.pow_planes
 slices.
 kasami_base and parseval_holds are the tests' own references for the
@@ -265,7 +268,7 @@ def kasami_general(field: Field, lam: int, us, F):
     m = field.m
     base = kasami_bits(field, lam)
     f = base ^ compose_traces(field, F, us)
-    lam_inv = field.inv(lam)
+    lam_inv = power(field, lam, -1)
     ums = [field.frob(u, m) for u in us]
     smask = field.subtrace_mask(lam_inv)
     dual_base = kasami_bits(field, lam_inv)
@@ -284,7 +287,7 @@ def kasami_general(field: Field, lam: int, us, F):
 def kasami_subfield(field: Field, lam: int, us, F):
     base = kasami_bits(field, lam)
     f = base ^ compose_traces(field, F, us)
-    lam_inv = field.inv(lam)
+    lam_inv = power(field, lam, -1)
     masks = [trace_mask(field, field.mul(lam_inv, u)) for u in us]
     consts = [trace_sub(field, field.mul(lam_inv, field.mul(u, u)))
               for u in us]
@@ -490,3 +493,34 @@ def table_condition(gdual: int, n: int, u: int, v: int) -> bool:
     """D_u D_v g~ = 0, read on the packed table g~."""
     d = gdual ^ translate(gdual, n, u)
     return d == translate(d, n, v)
+
+
+def kasami_row(field: Field, lam: int):
+    """row(u) of g~ = Tr_sub(mu x^(2^m+1)) + 1, mu = lambda^-1: its polar
+    form is Tr(mu u v^(2^m)) = Tr((mu u)^(2^m) v), as
+    theta + theta^(2^m) = 1."""
+    mu = power(field, lam, -1)
+    return lambda u: trace_mask(field, field.frob(field.mul(mu, u), field.m))
+
+
+def gold_row(field: Field, lam: int):
+    """row(u) of Gold's self-dual Tr(lam x^(2^k+1)), k = n/4: its polar
+    form Tr(lam (u v^(2^k) + u^(2^k) v))."""
+    k = field.n // 4
+    return lambda u: trace_mask(field, field.frob(field.mul(lam, u), -k)
+                                ^ field.mul(lam, field.frob(u, k)))
+
+
+def mm_linear_row(K: Field, rows):
+    """row(x1, y1) of the MMLinear dual Tr(y pi^-1(x) + b pi^-1(x)): its
+    polar form Tr(y1 pi^-1(x2) + y2 pi^-1(x1)); b drops out."""
+    inv_rows = invert(rows)
+
+    def row(u):
+        x1, y1 = u >> K.n, u & (K.size - 1)
+        t, xmask = trace_mask(K, y1), 0  # Tr(y1 pi^-1(x2)) as a mask on x2
+        for j, r in enumerate(inv_rows):
+            if (t >> j) & 1:
+                xmask ^= r
+        return (xmask << K.n) | trace_mask(K, pullback_mask(inv_rows, x1))
+    return row

@@ -87,7 +87,7 @@ def test_a_method_named_only_as_a_builtin_is_unused():
     assert any(isinstance(node, ast.Name) and node.id == "pow"
                for node in ast.walk(trees["constructions.py"]))
     source = (PACKAGE / "gf2n.py").read_text()
-    anchor = "    def inv(self, a: int) -> int:\n"
+    anchor = "    def pow_planes(self, a, e: int) -> tuple[int, ...]:\n"
     assert anchor in source
     trees["gf2n.py"] = ast.parse(source.replace(
         anchor, "    def pow(self, a: int, e: int) -> int:\n"

@@ -92,7 +92,7 @@ def test_kasami_general_f_zero_reduces_to_base():
     pair = cx.kasami_general(field, lam, [1], mp.poly(1))
     assert pair.f.bits == pw.kasami_base(field, lam).bits
     # the closed-form dual is the inverse-coefficient base plus one
-    expected = bf.add_const(pw.kasami_base(field, field.inv(lam)), 1)
+    expected = bf.add_const(pw.kasami_base(field, pw.power(field, lam, -1)), 1)
     assert pair.predicted_dual.bits == expected.bits
     assert_bent_with_dual(pair)
 
@@ -545,6 +545,17 @@ def test_mm_linear_random_parameters():
             assert_bent_with_dual(pair)
 
 
+def test_mm_linear_refuses_a_row_of_pi_outside_the_field(monkeypatch):
+    """A bit beyond m, or a negative row, is refused before B is built; it
+    used to be truncated into another pi (0b1001 -> the identity's row)."""
+    def unexpected(*args):
+        raise AssertionError("built the polar matrix")
+    monkeypatch.setattr(cx, "_quadratic", unexpected)
+    for pi in ([0b1001, 0b010, 0b100], [-1, 0b010, 0b100]):
+        with pytest.raises(SingularPermutation, match="pi must be 3x3"):
+            cx.mm_linear(make_field(3), pi, 0, [(1, 0)], mp.poly(1, 1))
+
+
 def test_mm_linear_rejections():
     with pytest.raises(SingularPermutation):
         cx.mm_linear(make_field(2), (1, 1), 0, [(1, 0)], mp.poly(1, 1))
@@ -764,8 +775,9 @@ def test_each_pick_is_uniform_on_the_admissible_shifts(family):
 
 
 # At n = 20 no sampler may hold a 2^n-bit table's worth of memory (at
-# n = 24, a 2^24-bit one): each pair test reads a closed-form row(u), so
-# a sampler that builds its base or its dual fails.  A list of
+# n = 24, a 2^24-bit one): each pair test reads row(u) off a matrix, for
+# a quadratic base T B^-1 T from its polar matrix B, built from no table,
+# so a sampler that builds its base or its dual fails.  A list of
 # MMMonomial's 4^10 - 1 candidate pairs at s = 10 would come to about 320.
 SAMPLER_TABLES_N20 = 1
 

@@ -10,8 +10,10 @@ definition of the trace.
 The translation behind D_u is checked against the per-index shift
 T[i ^ s], every pair family's dual against the theorem
 f~ = g~ + F(D_u1 g~, ...), with g~ and f~ read from spectra, and every
-family's pair test parity(row(u) & v) = 0, with row(u) in closed form,
-against D_u D_v g~ = 0 on the table (pointwise.table_condition).
+family's pair test parity(row(u) & v) = 0 against D_u D_v g~ = 0 on the
+table (pointwise.table_condition).  On the quadratic bases, g~ and row(u)
+come from the polar matrix; they are checked against the spectrum dual
+and against the literature's closed forms in tests/pointwise.py.
 The plane adder is checked against integer addition, and the packed
 spectrum identity against its beta-by-beta oracle, on real and tampered
 pairs.
@@ -575,9 +577,11 @@ def test_kasami_pair_predicate_is_the_table_condition(field, seed):
     rng = random.Random(seed)
     for lam in field.subfield()[1:]:
         gdual = spectrum_dual(pw.kasami_base(field, lam))
-        row = cx._kasami_row(field, lam)
+        row = cx._kasami_form(field, lam).row
+        oracle = pw.kasami_row(field, lam)
         for _ in range(4):
             u, v = rng.randrange(field.size), rng.randrange(field.size)
+            assert row(u) == oracle(u)
             assert (row_holds(row, u, v)
                     == pw.table_condition(gdual, field.n, u, v))
 
@@ -590,9 +594,10 @@ def test_gold_pair_predicate_is_the_table_condition(field, seed):
     lam = rng.choice([z for z in range(field.size)
                       if z ^ field.frob(z, 3 * k) == 1])
     gdual = spectrum_dual(cx.gold_like(field, lam, [1], mp.poly(1, 1)).base)
-    row = cx._gold_row(field, lam)
+    row, oracle = cx._gold_form(field, lam).row, pw.gold_row(field, lam)
     for _ in range(40):
         u, v = rng.randrange(field.size), rng.randrange(field.size)
+        assert row(u) == oracle(u)
         assert row_holds(row, u, v) == pw.table_condition(gdual, field.n, u, v)
 
 
@@ -605,10 +610,51 @@ def test_mm_linear_pair_predicate_is_the_table_condition(K, seed):
     b = rng.randrange(K.size)
     base = cx.mm_linear(K, rows, b, [(1, 0)], mp.poly(1, 1)).base
     gdual = spectrum_dual(base)
-    row = cx._mm_linear_row(K, rows)
+    row, oracle = cx._mm_linear_form(K, rows).row, pw.mm_linear_row(K, rows)
     for _ in range(40):
         u, v = rng.randrange(base.domain.size), rng.randrange(base.domain.size)
+        assert row(u) == oracle(u)
         assert row_holds(row, u, v) == pw.table_condition(gdual, 2 * m, u, v)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_the_generic_kasami_dual_is_the_spectrum_and_closed_form_dual(m):
+    """g~ from the polar matrix, for every nonzero subfield lambda, against
+    the spectrum and Tr_sub(lambda^-1 x^(2^m+1)) + 1 per point."""
+    field = gf2n.make_field(2 * m)
+    for lam in field.subfield()[1:]:
+        _, g, dual = pw.kasami_general(field, lam, [1], mp.poly(1))
+        pair = cx.kasami_general(field, lam, [1], mp.poly(1))  # F = 0
+        assert pair.base.bits == g
+        assert pair.predicted_dual.bits == spectrum_dual(pair.base) == dual
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_the_generic_gold_dual_is_the_spectrum_and_closed_form_dual(n):
+    """g~ from the polar matrix, for every lambda with
+    lambda + lambda^(2^(3k)) = 1, against the spectrum and g itself."""
+    field, k = gf2n.make_field(n), n // 4
+    lams = [z for z in range(field.size) if z ^ field.frob(z, 3 * k) == 1]
+    assert lams
+    for lam in lams:
+        _, g, dual = pw.gold_like(field, lam, [1], mp.poly(1))
+        pair = cx.gold_like(field, lam, [1], mp.poly(1))
+        assert pair.base.bits == g == dual
+        assert pair.predicted_dual.bits == spectrum_dual(pair.base) == dual
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_the_generic_mm_linear_dual_is_the_spectrum_and_closed_form_dual(m):
+    """g~ from the polar matrix, for random (pi, b), against the spectrum
+    and Tr(y pi^-1(x) + b pi^-1(x)) per point."""
+    rng = random.Random(f"mm linear dual {m}")
+    K = gf2n.make_field(m)
+    for _ in range(4):
+        rows, b = sp.random_invertible(m, rng), rng.randrange(K.size)
+        _, g, dual = pw.mm_linear(m, rows, b, [(1, 0)], mp.poly(1))
+        pair = cx.mm_linear(K, rows, b, [(1, 0)], mp.poly(1))
+        assert pair.base.bits == g
+        assert pair.predicted_dual.bits == spectrum_dual(pair.base) == dual
 
 
 @settings(max_examples=20)
