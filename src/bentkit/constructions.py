@@ -12,7 +12,9 @@ computes from the spectrum), and an n-bit mask row(u) with
 D_u D_v g~ = 0 iff parity(row(u) & v) = 0, as that is F_2-linear in v.
 _shifted(base, shifts) checks it on every pair of shifts and computes the
 D_ui g~, once; its pair(F, notes) builds f and the predicted dual for any
-F.  Each pair also carries the base, the shifts u_i and F, so the identity
+F.  It keeps its last base and shift tuple, so constructor calls on the
+same ones, such as a degree ladder's rungs, check and translate once.
+Each pair also carries the base, the shifts u_i and F, so the identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
 
@@ -137,7 +139,10 @@ def _full(dom) -> int:
     return (1 << dom.size) - 1
 
 
-def _shifted(base: Base, shifts):
+# The demos build many F on one base and one shift list (a degree ladder,
+# Mesnager's triple and its sum), so the last checked list is kept.
+@lru_cache(maxsize=1)
+def _shifted(base: Base, shifts: tuple[int, ...]):
     """pair(F, notes): the pair f = g + F(Tr(u_1 x), ..., Tr(u_tau x)).
 
     D_u D_v g~ = 0 is parity(row(u) & v) = 0 and must hold on every pair
@@ -146,7 +151,6 @@ def _shifted(base: Base, shifts):
     pair predicts the dual g~ + F(D_u1 g~, ...) when g~ is known.
     """
     dom, g, gdual, row = base
-    shifts = tuple(shifts)
     for u in shifts:
         if u >> dom.n:  # also every u < 0
             raise ValueError(f"shift {u:#x} leaves {dom.n} index bits")
@@ -182,13 +186,13 @@ def _product(K: Field, A, C) -> int:
 
 
 def _quadratic(dom, K: Field, A, C) -> Quadratic:
-    """g's maps M = B^-1 T and row(u) = T M u, from no table: B is g's polar
-    matrix, with column j A^T Trmask(C e_j) + C^T Trmask(A e_j), and T the
-    Walsh index map; as g~(beta) = g(M beta) + const (_quadratic_base), the
-    polar matrix of g~ is M^T B M = T B^-1 T."""
-    At, Ct = transpose(A), transpose(C)
-    inv = invert([apply_linear(At, K.trace_mask(c)) ^ apply_linear(
-        Ct, K.trace_mask(a)) for a, c in zip(A, C)])
+    """g's maps M = B^-1 T and row(u) = T M u, from no table: B = X + X^T is
+    g's polar matrix, with X_ij = Tr_K(A e_i C e_j), so column j of X is
+    A^T Trmask(C e_j), and T is the Walsh index map; as g~(beta) = g(M beta)
+    + const (_quadratic_base), the polar matrix of g~ is M^T B M = T B^-1 T."""
+    At = transpose(A)
+    X = [apply_linear(At, K.trace_mask(c)) for c in C]
+    inv = invert([x ^ y for x, y in zip(X, transpose(X))])
     M = [apply_linear(inv, dom.walsh_index(1 << j)) for j in range(dom.n)]
     return Quadratic(dom, K, A, C, M,
                      partial(apply_linear, [dom.walsh_index(v) for v in M]))
@@ -236,7 +240,7 @@ def kasami_general(field: Field, lam: int, us,
     that pairwise meet D_u D_v g~ = 0 on the base's dual g~."""
     m = _require_half(field)
     _check_lambda(field, lam)
-    us = list(us)
+    us = tuple(us)
     _check_tau(F, len(us), m)
     return _shifted(_kasami_base(field, lam), us)(
         F, f"KasamiGeneral n={field.n} lam={lam:#x} tau={F.tau}")
@@ -246,7 +250,7 @@ def kasami_subfield(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPa
     """Kasami family with independent subfield shifts."""
     m = _require_half(field)
     _check_lambda(field, lam)
-    us = list(us)
+    us = tuple(us)
     _check_subfield_units(field, us)
     if rank(us) != len(us):
         raise NotIndependent("shift elements are dependent over F_2")
@@ -255,12 +259,12 @@ def kasami_subfield(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPa
         F, f"KasamiSubfield n={field.n} lam={lam:#x} tau={F.tau}")
 
 
-def _normal_orbit(field: Field, u: int) -> list[int]:
+def _normal_orbit(field: Field, u: int) -> tuple[int, ...]:
     """Shifts u, u^2, ..., u^(2^(m-1)) of a normal subfield element u."""
     _require_half(field)
     if not field.is_normal(u):
         raise NotNormal(f"{u:#x} is not a normal element of the subfield")
-    return field.orbit(u)
+    return tuple(field.orbit(u))
 
 
 def _check_rotsym(F: ReducedPoly, m: int) -> None:
@@ -277,30 +281,12 @@ def kasami_idempotent(field: Field, u: int, F: ReducedPoly) -> ConstructedPair:
         F, f"KasamiIdempotent n={field.n} u={u:#x} d={F.degree()}")
 
 
-def kasami_ladder(field: Field, u: int):
-    """(d, kasami_idempotent(field, u, e_d)) for d = 2..m from one checked
-    base; each e_d is rotation symmetric in m variables."""
-    us = _normal_orbit(field, u)
-    pair = _shifted(_kasami_base(field, 1), us)
-    for d in range(2, field.m + 1):
-        yield d, pair(multipoly.elementary_symmetric(field.m, d),
-                      f"KasamiIdempotent n={field.n} u={u:#x} d={d}")
-
-
 def kasami_antiselfdual(field: Field, F: ReducedPoly) -> ConstructedPair:
     """Anti-self-dual family over the trace-zero hyperplane basis."""
-    return kasami_antiselfdual_pairs(field)(F)
-
-
-def kasami_antiselfdual_pairs(field: Field):
-    """F -> its anti-self-dual pair, all from one checked base."""
     m = _require_half(field)
-    pair = _shifted(_kasami_base(field, 1), field.trace_zero_basis())
-
-    def antiselfdual(F: ReducedPoly) -> ConstructedPair:
-        _check_tau(F, m - 1, m)
-        return pair(F, f"KasamiAntiSelfDual n={field.n} d={F.degree()}")
-    return antiselfdual
+    _check_tau(F, m - 1, m)
+    return _shifted(_kasami_base(field, 1), tuple(field.trace_zero_basis()))(
+        F, f"KasamiAntiSelfDual n={field.n} d={F.degree()}")
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +356,7 @@ def quad_family(field: Field, c, eps: int, us, F: ReducedPoly) -> ConstructedPai
     c = _quad_coeffs(field, c)
     if not is_quad_bent_gcd(c):
         raise BaseNotBent("coefficient vector fails the gcd bentness test")
-    us = list(us)
+    us = tuple(us)
     _check_subfield_units(field, us)
     _check_tau(F, len(us), field.m)
     return _shifted(_quad_base(field, c, eps & 1), us)(
@@ -412,7 +398,7 @@ def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
     if lam ^ field.frob(lam, 3 * k) != 1:
         raise LambdaConstraintViolated(
             f"lambda {lam:#x} fails lambda + lambda^(2^(3k)) = 1")
-    us = list(us)
+    us = tuple(us)
     _check_tau(F, len(us), field.n // 2)
     return _shifted(_gold_base(field, lam), us)(
         F, f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}")
@@ -494,7 +480,7 @@ def niho_dual_g(field: Field, k: int) -> TruthTable:
 def niho_family(field: Field, k: int, us, F: ReducedPoly) -> ConstructedPair:
     """Niho base plus F of trace forms with subfield shifts."""
     m = _check_niho(field, k)
-    us = list(us)
+    us = tuple(us)
     _check_subfield_units(field, us)
     _check_tau(F, len(us), m)
     return _shifted(_niho_base(field, k), us)(

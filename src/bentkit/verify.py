@@ -95,8 +95,11 @@ def demo_carlet(m: int, seed: int = 0) -> list[CarletEntry]:
             f"m >= 2 required for a degree-2 rung, got {m}")
     require_table_degree(2 * m)
     field = make_field(2 * m)
+    u = field.find_normal(seed)
     out = []
-    for d, pair in constructions.kasami_ladder(field, field.find_normal(seed)):
+    for d in range(2, m + 1):
+        pair = constructions.kasami_idempotent(
+            field, u, multipoly.elementary_symmetric(m, d))
         rep = verify(pair.f,
                      Expectation(bent=True, degree=d, idempotent=True),
                      predicted_dual=pair.predicted_dual)
@@ -135,13 +138,12 @@ def demo_mesnager(m: int, F1: ReducedPoly | str | None = None,
                   for F, mask in ((F1, 0b11), (F2, 0b10), (F3, 0b01)))
     field = make_field(2 * m)
     want = Expectation(bent=True, duality=DualityClass.ANTI_SELF_DUAL)
-    pair = constructions.kasami_antiselfdual_pairs(field)
-    pairs = [pair(F) for F in (F1, F2, F3)]
+    pairs = [constructions.kasami_antiselfdual(field, F) for F in (F1, F2, F3)]
     reports = [verify(p.f, want, predicted_dual=p.predicted_dual)
                for p in pairs]
     total = boolfun.add(boolfun.add(pairs[0].f, pairs[1].f), pairs[2].f)
     reports.append(verify(total, want))
-    direct = pair(F1 + F2 + F3)
+    direct = constructions.kasami_antiselfdual(field, F1 + F2 + F3)
     return MesnagerBundle(reports, total, total.bits == direct.f.bits)
 
 

@@ -168,10 +168,12 @@ def test_demo_carlet_seed_changes_normal_element():
     assert orbits[0] != orbits[1]
 
 
-@pytest.mark.parametrize("m", [3, 4, 6])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_demo_carlet_translates_each_shift_once(m, monkeypatch):
-    """The ladder shares one base: m translations of g~ in all, one per
-    orbit shift, not m at each of the m - 1 rungs."""
+    """The rungs share one checked base through _shifted's memo: m
+    translations of g~ in all, one per orbit shift, not m at each of the
+    m - 1 rungs."""
+    cx._shifted.cache_clear()
     shifts = []
     translate = cx.translate
 
@@ -185,11 +187,12 @@ def test_demo_carlet_translates_each_shift_once(m, monkeypatch):
     assert tuple(shifts) == entries[0].pair.shifts
 
 
-@pytest.mark.parametrize("m", [3, 4, 6])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_demo_mesnager_translates_each_shift_once(m, monkeypatch):
-    """The four pairs share one anti-self-dual base: m - 1 translations of
-    g~ in all, one per trace-zero shift, not m - 1 for each pair; an F of
-    another arity is still ArityMismatch."""
+    """The four pairs share one anti-self-dual base through _shifted's
+    memo: m - 1 translations of g~ in all, one per trace-zero shift, not
+    m - 1 for each pair; an F of another arity is still ArityMismatch."""
+    cx._shifted.cache_clear()
     shifts = []
     translate = cx.translate
 
