@@ -156,18 +156,23 @@ def walsh(f: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(dom, tuple(planes))
 
 
+def no_dual_error(n: int) -> OddDimension | NotBent:
+    """The refusal of a dual on n variables: odd n, or a spectrum not flat."""
+    return (OddDimension(f"bentness is undefined for odd n={n}") if n % 2
+            else NotBent("spectrum is not flat; no dual exists"))
+
+
 def is_bent(spec: WalshSpectrum) -> bool:
     """True iff every |W(beta)| equals 2^(n/2)."""
-    n = spec.domain.n
-    if n % 2 != 0:
-        raise OddDimension(f"bentness is undefined for odd n={n}")
+    if spec.domain.n % 2 != 0:
+        raise no_dual_error(spec.domain.n)
     return spec.off_flat_mask() == 0
 
 
 def dual(spec: WalshSpectrum) -> TruthTable:
     """Dual table: W(beta) = 2^(n/2) * (-1)^dual(beta), the sign plane."""
     if not is_bent(spec):
-        raise NotBent("spectrum is not flat; no dual exists")
+        raise no_dual_error(spec.domain.n)
     return TruthTable(spec.domain, spec.planes[-1])
 
 

@@ -26,8 +26,7 @@ from pathlib import Path
 
 from . import boolfun
 from .boolfun import DualityClass, Expectation, VerificationReport
-from .errors import (BadArgument, BadRange, BentkitError, NotBent,
-                     OddDimension)
+from .errors import BadArgument, BadRange, BentkitError
 from .gf2n import make_field
 
 # Freeze every object at exit so CPython's final collections and teardown skip
@@ -129,9 +128,7 @@ def _cmd_verify(args) -> int:
     else:
         print(_report_line(args.ttfile, rep))
     if args.emit_tt and not rep.is_bent:  # refused as `dual` refuses it
-        n = table.domain.n
-        raise (OddDimension(f"bentness is undefined for odd n={n}") if n % 2
-               else NotBent("spectrum is not flat; no dual exists"))
+        raise boolfun.no_dual_error(table.domain.n)
     return 0 if rep.all_claims_met else 1
 
 

@@ -10,10 +10,10 @@ So each family states one Base(dom, g, gdual, row): its base table g, its
 base dual g~ (None for QuadFamily and MMMonomial, whose duals verification
 computes from the spectrum), and an n-bit mask row(u) with
 D_u D_v g~ = 0 iff parity(row(u) & v) = 0, as that is F_2-linear in v.
-_shifted(base, shifts) checks it on every pair of shifts and computes the
-D_ui g~, once; its pair(F, notes) builds f and the predicted dual for any
-F.  It keeps its last base and shift tuple, so constructor calls on the
-same ones, such as a degree ladder's rungs, check and translate once.
+_shifted(base, shifts, F, notes), every family's gate, checks F's arity
+and builds f and the predicted dual; _differences(base, shifts) checks the
+row on every pair of shifts and computes the D_ui g~, keeping the last
+base and shift tuple, so a degree ladder's rungs check and translate once.
 Each pair also carries the base, the shifts u_i and F, so the identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
@@ -90,9 +90,13 @@ from .multipoly import ReducedPoly
 ConstructedPair = namedtuple(
     "ConstructedPair", "f predicted_dual notes base shifts poly")
 
-# a bent base on dom: the tables of g and g~ (None: no dual formula), and
-# _shifted's pair test row(u) (None: every admissible pair meets it)
-Base = namedtuple("Base", "dom g gdual row")
+
+# a bent base on dom: tables g, g~ (None: no dual formula) and the pair test
+# row(u) (None: any pair passes); it equals only itself, so it hashes in O(1)
+# (__ne__ is set too: tuple's would still compare the tables)
+class Base(namedtuple("Base", "dom g gdual row")):
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,7 @@ def _require_half(field: Field, least: int = 2) -> int:
 
 
 def _check_lambda(field: Field, lam: int) -> None:
+    _require_half(field)
     if lam == 0:
         raise BadLambda("lambda must be nonzero")
     if field.frob(lam, field.m) != lam:
@@ -139,18 +144,29 @@ def _full(dom) -> int:
     return (1 << dom.size) - 1
 
 
+def _shifted(base: Base, shifts: tuple[int, ...], F: ReducedPoly,
+             notes: str) -> ConstructedPair:
+    """The pair f = g + F(Tr(u_1 x), ..., Tr(u_tau x)), with the dual
+    g~ + F(D_u1 g~, ...) when g~ is known.  F needs one variable per
+    shift, and 1 <= tau <= n/2: checked before any pair is judged."""
+    dom, g, gdual, _ = base
+    _check_tau(F, len(shifts), dom.n // 2)
+    diffs = _differences(base, shifts)
+    return ConstructedPair(
+        f=TruthTable(dom, g ^ multipoly.compose_traces(dom, F, shifts)),
+        predicted_dual=(None if diffs is None else TruthTable(
+            dom, gdual ^ multipoly.compose(F, diffs, _full(dom)))),
+        notes=notes, base=TruthTable(dom, g), shifts=shifts, poly=F)
+
+
 # The demos build many F on one base and one shift list (a degree ladder,
 # Mesnager's triple and its sum), so the last checked list is kept.
 @lru_cache(maxsize=1)
-def _shifted(base: Base, shifts: tuple[int, ...]):
-    """pair(F, notes): the pair f = g + F(Tr(u_1 x), ..., Tr(u_tau x)).
-
-    D_u D_v g~ = 0 is parity(row(u) & v) = 0 and must hold on every pair
-    of shifts; it is checked, and the D_ui g~ are computed, once.  A shift
-    beyond the n index bits is a ValueError before any pair is judged.
-    pair predicts the dual g~ + F(D_u1 g~, ...) when g~ is known.
-    """
-    dom, g, gdual, row = base
+def _differences(base: Base, shifts: tuple[int, ...]):
+    """The D_ui g~ (None without g~) of shifts that pass the pair test,
+    D_u D_v g~ = 0, that is parity(row(u) & v) = 0, on every pair; a shift
+    beyond the n index bits is a ValueError before any pair is judged."""
+    dom, _, gdual, row = base
     for u in shifts:
         if u >> dom.n:  # also every u < 0
             raise ValueError(f"shift {u:#x} leaves {dom.n} index bits")
@@ -159,17 +175,8 @@ def _shifted(base: Base, shifts: tuple[int, ...]):
         if (rows[i] & shifts[j]).bit_count() & 1:
             raise PreconditionViolated(
                 f"shift condition fails for pair ({i + 1},{j + 1})")
-    diffs = (None if gdual is None  # D_u g~
-             else [gdual ^ translate(gdual, dom.n, u) for u in shifts])
-
-    def pair(F: ReducedPoly, notes: str) -> ConstructedPair:
-        f = g ^ multipoly.compose_traces(dom, F, shifts)
-        return ConstructedPair(
-            f=TruthTable(dom, f),
-            predicted_dual=(None if diffs is None else TruthTable(
-                dom, gdual ^ multipoly.compose(F, diffs, _full(dom)))),
-            notes=notes, base=TruthTable(dom, g), shifts=shifts, poly=F)
-    return pair
+    return (None if gdual is None  # D_u g~
+            else [gdual ^ translate(gdual, dom.n, u) for u in shifts])
 
 
 # g(v) = Tr_K(A(v) C(v)) on dom, A and C the columns of linear maps from
@@ -238,25 +245,20 @@ def kasami_general(field: Field, lam: int, us,
                    F: ReducedPoly) -> ConstructedPair:
     """Kasami base plus F of trace forms, for shifts anywhere in the field
     that pairwise meet D_u D_v g~ = 0 on the base's dual g~."""
-    m = _require_half(field)
     _check_lambda(field, lam)
-    us = tuple(us)
-    _check_tau(F, len(us), m)
-    return _shifted(_kasami_base(field, lam), us)(
-        F, f"KasamiGeneral n={field.n} lam={lam:#x} tau={F.tau}")
+    return _shifted(_kasami_base(field, lam), tuple(us), F,
+                    f"KasamiGeneral n={field.n} lam={lam:#x} tau={F.tau}")
 
 
 def kasami_subfield(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
     """Kasami family with independent subfield shifts."""
-    m = _require_half(field)
     _check_lambda(field, lam)
     us = tuple(us)
     _check_subfield_units(field, us)
     if rank(us) != len(us):
         raise NotIndependent("shift elements are dependent over F_2")
-    _check_tau(F, len(us), m)
-    return _shifted(_kasami_base(field, lam), us)(
-        F, f"KasamiSubfield n={field.n} lam={lam:#x} tau={F.tau}")
+    return _shifted(_kasami_base(field, lam), us, F,
+                    f"KasamiSubfield n={field.n} lam={lam:#x} tau={F.tau}")
 
 
 def _normal_orbit(field: Field, u: int) -> tuple[int, ...]:
@@ -267,26 +269,24 @@ def _normal_orbit(field: Field, u: int) -> tuple[int, ...]:
     return tuple(field.orbit(u))
 
 
-def _check_rotsym(F: ReducedPoly, m: int) -> None:
+def _check_rotsym(F: ReducedPoly) -> None:
     if not multipoly.is_rotation_symmetric(F):
         raise NotRotationSymmetric("F must be invariant under cyclic shift")
-    _check_tau(F, m, m)
 
 
 def kasami_idempotent(field: Field, u: int, F: ReducedPoly) -> ConstructedPair:
     """Bent idempotent from a normal subfield orbit and rotation-symmetric F."""
     us = _normal_orbit(field, u)
-    _check_rotsym(F, field.m)
-    return _shifted(_kasami_base(field, 1), us)(
-        F, f"KasamiIdempotent n={field.n} u={u:#x} d={F.degree()}")
+    _check_rotsym(F)
+    return _shifted(_kasami_base(field, 1), us, F,
+                    f"KasamiIdempotent n={field.n} u={u:#x} d={F.degree()}")
 
 
 def kasami_antiselfdual(field: Field, F: ReducedPoly) -> ConstructedPair:
     """Anti-self-dual family over the trace-zero hyperplane basis."""
-    m = _require_half(field)
-    _check_tau(F, m - 1, m)
-    return _shifted(_kasami_base(field, 1), tuple(field.trace_zero_basis()))(
-        F, f"KasamiAntiSelfDual n={field.n} d={F.degree()}")
+    _require_half(field)
+    return _shifted(_kasami_base(field, 1), tuple(field.trace_zero_basis()), F,
+                    f"KasamiAntiSelfDual n={field.n} d={F.degree()}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +303,7 @@ def _quad_base(field: Field, c: tuple[int, ...], eps: int) -> Base:
     m = field.m
     maps = [field.frob_map(i) for i in range(m) if c[i]]
     if c[m]:
-        theta = field.solve_semilinear(m, 1)
-        maps.append([field.mul(theta, v) for v in field.frob_map(m)])
+        maps.append(_kasami_form(field, 1).C)
     lin = [0] * field.n
     for cols in maps:
         lin = [a ^ b for a, b in zip(lin, cols)]
@@ -358,16 +357,15 @@ def quad_family(field: Field, c, eps: int, us, F: ReducedPoly) -> ConstructedPai
         raise BaseNotBent("coefficient vector fails the gcd bentness test")
     us = tuple(us)
     _check_subfield_units(field, us)
-    _check_tau(F, len(us), field.m)
-    return _shifted(_quad_base(field, c, eps & 1), us)(
-        F, f"QuadFamily n={field.n} c={''.join(map(str, c))} tau={F.tau}")
+    return _shifted(_quad_base(field, c, eps & 1), us, F, "QuadFamily "
+                    f"n={field.n} c={''.join(map(str, c))} tau={F.tau}")
 
 
 def quad_idempotent_family(field: Field, c, eps: int, u: int,
                            F: ReducedPoly) -> ConstructedPair:
     """Bent idempotent of prescribed degree from any quadratic base."""
     us = _normal_orbit(field, u)
-    _check_rotsym(F, field.m)
+    _check_rotsym(F)
     pair = quad_family(field, c, eps, us, F)
     return pair._replace(
         notes=f"QuadIdemFamily n={field.n} u={u:#x} d={F.degree()}")
@@ -398,10 +396,8 @@ def gold_like(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPair:
     if lam ^ field.frob(lam, 3 * k) != 1:
         raise LambdaConstraintViolated(
             f"lambda {lam:#x} fails lambda + lambda^(2^(3k)) = 1")
-    us = tuple(us)
-    _check_tau(F, len(us), field.n // 2)
-    return _shifted(_gold_base(field, lam), us)(
-        F, f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}")
+    return _shifted(_gold_base(field, lam), tuple(us), F,
+                    f"GoldLike n={field.n} k={k} lam={lam:#x} tau={F.tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +427,8 @@ def _niho_sum(field: Field, k: int) -> int:
 
 @_base_cache
 def _niho_base(field: Field, k: int) -> Base:
-    """Base Tr_sub(x^(2^m+1)) + _niho_sum and its dual; subfield shifts
-    need no row.
+    """Base Tr_sub(x^(2^m+1)) + _niho_sum, the norm term from
+    _kasami_form, and its dual; subfield shifts need no row.
 
     _niho_sum is a function of its own so that its planes are freed
     before the dual's are built, which keeps the peak at that of the dual.
@@ -440,7 +436,8 @@ def _niho_base(field: Field, k: int) -> Base:
     m = field.m
     xs = coordinate_tables(field.n)
     full = _full(field)
-    g_bits = _kasami_base(field, 1).g ^ _niho_sum(field, k)
+    q = _kasami_form(field, 1)
+    g_bits = _product(field, q.A, q.C) ^ _niho_sum(field, k)
     # dual: Tr_sub((alpha*A + x^(2^m) + alpha^(2^(n-k))) * A^(1/(2^k-1)))
     # with alpha + alpha^(2^m) = 1 and A = 1 + x + x^(2^m); the root index
     # 1/(2^k-1) is invertible mod 2^m-1 because gcd(k, m) = 1.
@@ -456,13 +453,12 @@ def _niho_base(field: Field, k: int) -> Base:
     return Base(field, g_bits, d_bits, None)
 
 
-def _check_niho(field: Field, k: int) -> int:
+def _check_niho(field: Field, k: int) -> None:
     m = _require_half(field)
     if not 1 <= k <= m:
         raise PreconditionViolated(f"need 1 <= k <= m = {m}, got k={k}")
     if math.gcd(k, m) != 1:
         raise GcdViolated(f"need gcd(k, m) = 1, got k={k}, m={m}")
-    return m
 
 
 def niho_g(field: Field, k: int) -> TruthTable:
@@ -479,12 +475,11 @@ def niho_dual_g(field: Field, k: int) -> TruthTable:
 
 def niho_family(field: Field, k: int, us, F: ReducedPoly) -> ConstructedPair:
     """Niho base plus F of trace forms with subfield shifts."""
-    m = _check_niho(field, k)
+    _check_niho(field, k)
     us = tuple(us)
     _check_subfield_units(field, us)
-    _check_tau(F, len(us), m)
-    return _shifted(_niho_base(field, k), us)(
-        F, f"Niho n={field.n} k={k} tau={F.tau}")
+    return _shifted(_niho_base(field, k), us, F,
+                    f"Niho n={field.n} k={k} tau={F.tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +520,8 @@ def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
         raise SingularPermutation(f"pi must be {m}x{m}")
     q = _mm_linear_form(K, tuple(pi))
     shifts = _check_pairs(K, us)
-    _check_tau(F, len(shifts), m)
-    return _shifted(_quadratic_base(q, K.trace_mask(b)), shifts)(
-        F, f"MMLinear m={m} b={b:#x} tau={F.tau}")
+    return _shifted(_quadratic_base(q, K.trace_mask(b)), shifts, F,
+                    f"MMLinear m={m} b={b:#x} tau={F.tau}")
 
 
 def monomial_inverse_exponent(m: int, s: int) -> int:
@@ -559,7 +553,6 @@ def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
     d = monomial_inverse_exponent(m, s)
     dom = BivariateDomain(K)
     shifts = _check_pairs(K, us)
-    _check_tau(F, len(shifts), m)
     for u1, u2 in map(dom.split, shifts):
         if K.frob(u1, s) != u1 or K.frob(u2, s) != u2:
             raise PreconditionViolated(
@@ -568,5 +561,5 @@ def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
     xs, ys = cs[m:], cs[:m]
     base = Base(dom, apply_linear(K.mul_planes(xs, K.pow_planes(ys, d)),
                                   K.trace_mask(1)), None, _mm_monomial_row(K))
-    return _shifted(base, shifts)(
-        F, f"MMMonomial m={m} s={s} d={d} tau={F.tau}")
+    return _shifted(base, shifts, F,
+                    f"MMMonomial m={m} s={s} d={d} tau={F.tau}")

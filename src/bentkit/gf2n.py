@@ -33,8 +33,8 @@ from .errors import (
 
 MAX_DEGREE = 28
 # Largest n with tables on 2^n indices: at n = 24 the carlet degree ladder
-# takes 55.5 s and 381 MB peak (2-core Xeon, CPython 3.11), and each step
-# of 2 in n costs 6-9x that.
+# takes 74 CPU s and 406 MB peak RSS in a child process (2-core Xeon,
+# CPython 3.11), and each step of 2 in n costs 6-9x that.
 MAX_TABLE_DEGREE = 24
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def next_modulus(n):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_kasami_ladder_rungs_equal_kasami_idempotent(m):
-    """The rungs d = 2..m built one after another through _shifted's memo
+    """The rungs d = 2..m built one after another through _differences' memo
     of the checked orbit are the pairs built from a cold memo, field by
     field."""
     n = 2 * m
@@ -211,7 +211,7 @@ def test_kasami_ladder_rungs_equal_kasami_idempotent(m):
             es = [mp.elementary_symmetric(m, d) for d in range(2, m + 1)]
             rungs = [cx.kasami_idempotent(field, u, F) for F in es]
             for F, pair in zip(es, rungs):
-                cx._shifted.cache_clear()
+                cx._differences.cache_clear()
                 alone = cx.kasami_idempotent(field, u, F)
                 assert pair._asdict() == alone._asdict()
 
@@ -400,6 +400,81 @@ def test_shifts_outside_the_field_are_a_value_error(n, build):
     for us in ([1 << n, 1], [1, 1 << n], [-1, 1], [1, -1]):
         with pytest.raises(ValueError):
             build(field, us, mp.poly(2, 0b11))
+
+
+def test_differences_memo_keys_the_base_by_identity():
+    """The memo hits on the cached base and misses on an equal copy, as a
+    Base equals only itself; hashing one reads no table, so even a list in
+    place of g hashes."""
+    field = make_field(8)
+    base, us = cx._kasami_base(field, 1), tuple(subfield_basis(field, 2))
+    cx._differences.cache_clear()
+    for b in (base, base, cx.Base(*base)):
+        cx._differences(b, us)
+    info = cx._differences.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+    assert cx.Base(*base) != base and not cx.Base(*base) == base
+    hash(cx.Base(field, [], None, None))
+
+
+def _grid_pairs(count):
+    """count independent pairs on the GF(2^3) grid, x halves first."""
+    return [(1 << i, 0) if i < 3 else (0, 1 << i - 3) for i in range(count)]
+
+
+# name: build(count, F) on inputs fit for the family but for F, at n = 8
+# (m = 4) or on the GF(2^3) grid (m = 3), and the family's fixed shift
+# count (None: count shifts)
+ARITY_CASES = {
+    "kasami_general": (lambda t, F: cx.kasami_general(
+        make_field(8), 1, subfield_units(make_field(8))[:t], F), None),
+    "kasami_subfield": (lambda t, F: cx.kasami_subfield(
+        make_field(8), 1, subfield_basis(make_field(8), t), F), None),
+    "kasami_idempotent": (lambda t, F: cx.kasami_idempotent(
+        make_field(8), make_field(8).find_normal(), F), 4),
+    "kasami_antiselfdual": (lambda t, F: cx.kasami_antiselfdual(
+        make_field(8), F), 3),
+    "quad_family": (lambda t, F: cx.quad_family(
+        make_field(8), [0, 0, 0, 0, 1], 0,
+        subfield_units(make_field(8))[:t], F), None),
+    "quad_idempotent_family": (lambda t, F: cx.quad_idempotent_family(
+        make_field(8), [0, 0, 0, 0, 1], 0, make_field(8).find_normal(), F),
+        4),
+    "gold_like": (lambda t, F: cx.gold_like(
+        make_field(8), make_field(8).solve_semilinear(6, 1),
+        subfield_units(make_field(8))[:t], F), None),
+    "niho_family": (lambda t, F: cx.niho_family(
+        make_field(8), 3, subfield_units(make_field(8))[:t], F), None),
+    "mm_linear": (lambda t, F: cx.mm_linear(
+        make_field(3), [1, 2, 4], 0, _grid_pairs(t), F), None),
+    "mm_monomial": (lambda t, F: cx.mm_monomial(
+        make_field(3), 3, _grid_pairs(t), F), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARITY_CASES))
+def test_every_family_refuses_an_f_of_another_arity(name):
+    """F needs one variable per shift, in every family, whatever else the
+    family checks; the family itself builds with a fitting F."""
+    build, fixed = ARITY_CASES[name]
+    for count in ([fixed] if fixed else [1, 2]):
+        build(count, mp.elementary_symmetric(count, 1))
+        for tau in {count - 1, count + 1} - {0}:
+            with pytest.raises(ArityMismatch, match=(
+                    f"^F has {tau} variables but {count} shifts$")):
+                build(count, mp.elementary_symmetric(tau, 1))
+
+
+@pytest.mark.parametrize("name", ["gold_like", "kasami_general", "mm_linear",
+                                  "mm_monomial", "niho_family", "quad_family"])
+def test_every_family_bounds_tau_by_half_of_n(name):
+    """n/2 + 1 shifts and an F of as many variables are refused at every
+    family that admits that many shifts."""
+    build, _ = ARITY_CASES[name]
+    half = 3 if name.startswith("mm_") else 4
+    with pytest.raises(ArityMismatch,
+                       match=f"^tau={half + 1} outside 1..{half}$"):
+        build(half + 1, mp.elementary_symmetric(half + 1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -523,7 +523,7 @@ def test_the_dual_theorem_holds_on_every_pair_family(sample, data, seed):
         assert d == translate(d, dom.n, uj)      # D_uj D_ui g~ = 0
     fdual = bf.dual(bf.walsh(pair.f)).bits
     rebuilt = cx._shifted(cx.Base(dom, pair.base.bits, gdual, None),
-                          pair.shifts)(pair.poly, pair.notes)
+                          pair.shifts, pair.poly, pair.notes)
     assert rebuilt.f == pair.f
     assert rebuilt.predicted_dual.bits == fdual
     if pair.predicted_dual is not None:
@@ -567,7 +567,7 @@ def spectrum_dual(base) -> int:
 
 
 def row_holds(row, u: int, v: int) -> bool:
-    """The samplers' and _shifted's pair test on the family's row."""
+    """The samplers' and _differences' pair test on the family's row."""
     return not pw.parity(row(u) & v)
 
 

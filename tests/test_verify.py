@@ -170,10 +170,10 @@ def test_demo_carlet_seed_changes_normal_element():
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_demo_carlet_translates_each_shift_once(m, monkeypatch):
-    """The rungs share one checked base through _shifted's memo: m
+    """The rungs share one checked base through _differences' memo: m
     translations of g~ in all, one per orbit shift, not m at each of the
     m - 1 rungs."""
-    cx._shifted.cache_clear()
+    cx._differences.cache_clear()
     shifts = []
     translate = cx.translate
 
@@ -189,10 +189,10 @@ def test_demo_carlet_translates_each_shift_once(m, monkeypatch):
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_demo_mesnager_translates_each_shift_once(m, monkeypatch):
-    """The four pairs share one anti-self-dual base through _shifted's
+    """The four pairs share one anti-self-dual base through _differences'
     memo: m - 1 translations of g~ in all, one per trace-zero shift, not
     m - 1 for each pair; an F of another arity is still ArityMismatch."""
-    cx._shifted.cache_clear()
+    cx._differences.cache_clear()
     shifts = []
     translate = cx.translate
 
