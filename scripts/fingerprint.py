@@ -31,7 +31,11 @@ shows which parts moved and which stayed.  The parts, in order:
 Equal digests before and after a change mean these outputs are equal bit
 for bit.  The script reads only long-standing entry points, so one copy of
 it usually runs on two neighbouring commits; where a signature changed,
-run each commit's own copy.  It takes about 3 s on a 2-core Xeon.
+run each commit's own copy.  Run each commit's own copy, too, across the
+change that made specs.build return a ConstructedPair for QuadIdem, which
+had built a bare table: this copy tells QuadIdem's pair by its empty
+shifts and prints for it the lines that earlier copies print for the
+table.  It takes about 3 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bentkit import boolfun, constructions, multipoly  # noqa: E402
 from bentkit import specs, verify  # noqa: E402
-from bentkit.constructions import ConstructedPair  # noqa: E402
 from bentkit.gf2n import make_field  # noqa: E402
 
 SAMPLES_PER_SIZE = 3
@@ -108,13 +111,13 @@ def _sampled() -> list:
 
 def samples():
     for family, m, built in _sampled():
-        if isinstance(built, ConstructedPair):
+        if not built.shifts:  # QuadIdem: the bare base
+            yield f"{family} m={m} {_table(built.f)}"
+        else:
             yield (f"{built.notes} {_table(built.f)} "
                    f"{_table(built.base)} "
                    f"{_table(built.predicted_dual)} "
                    f"{[hex(u) for u in built.shifts]}")
-        else:
-            yield f"{family} m={m} {_table(built)}"
 
 
 def _decisions(name: str, build, shifts, rng=None, count=0):
@@ -179,11 +182,11 @@ def polynomials():
     for entry in _carlet_entries():
         yield f"{entry.d} {_anf(entry.pair.f)}"
     for family, m, built in _sampled():
-        if isinstance(built, ConstructedPair):
+        if not built.shifts:  # QuadIdem: the bare base
+            yield f"{family} m={m} {_anf(built.f)}"
+        else:
             yield (f"{family} m={m} {_anf(built.f)} {_anf(built.base)} "
                    f"{multipoly.fourier(built.poly)}")
-        else:
-            yield f"{family} m={m} {_anf(built)}"
     for tau in range(1, 7):
         for d in range(1, tau + 1):
             yield multipoly.format_poly(

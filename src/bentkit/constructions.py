@@ -18,7 +18,9 @@ Each pair also carries the base, the shifts u_i and F, so the identity
 
     W_f(beta) = 2^(n/2 - tau) * sum_w chat[w] * (-1)^(gdual(beta + w.u))
 
-can be re-checked against any instance.
+can be re-checked against any instance.  A pair carries its claims too:
+the Expectation its constructor's theorem guarantees, set where the
+hypotheses are checked (_shifted claims bent, and a family adds the rest).
 
 The Kasami, Gold and MMLinear bases are quadratic, and one rule gives
 their g~ and row from g's polar matrix B and the Walsh index map T:
@@ -52,7 +54,7 @@ from functools import lru_cache, partial
 from itertools import combinations
 
 from . import multipoly
-from .boolfun import TruthTable
+from .boolfun import DualityClass, Expectation, TruthTable
 from .errors import (
     ArityMismatch,
     BadDimension,
@@ -86,9 +88,9 @@ from .gf2n import (
 from .multipoly import ReducedPoly
 
 # f = base + poly(Tr(shifts[0] x), ...), its dual (None where the family
-# has no dual formula) and a one-line label
+# has no dual formula), a one-line label and the Expectation f must meet
 ConstructedPair = namedtuple(
-    "ConstructedPair", "f predicted_dual notes base shifts poly")
+    "ConstructedPair", "f predicted_dual notes base shifts poly claims")
 
 
 # a bent base on dom: tables g, g~ (None: no dual formula) and the pair test
@@ -118,13 +120,6 @@ def _check_lambda(field: Field, lam: int) -> None:
         raise BadLambda(f"lambda {lam:#x} is not in the subfield")
 
 
-def _check_tau(F: ReducedPoly, count: int, bound: int) -> None:
-    if F.tau != count:
-        raise ArityMismatch(f"F has {F.tau} variables but {count} shifts")
-    if not 1 <= F.tau <= bound:
-        raise ArityMismatch(f"tau={F.tau} outside 1..{bound}")
-
-
 def _check_subfield_units(field: Field, us) -> None:
     m = field.m
     for u in us:
@@ -145,18 +140,24 @@ def _full(dom) -> int:
 
 
 def _shifted(base: Base, shifts: tuple[int, ...], F: ReducedPoly,
-             notes: str) -> ConstructedPair:
+             notes: str, **claims) -> ConstructedPair:
     """The pair f = g + F(Tr(u_1 x), ..., Tr(u_tau x)), with the dual
-    g~ + F(D_u1 g~, ...) when g~ is known.  F needs one variable per
-    shift, and 1 <= tau <= n/2: checked before any pair is judged."""
+    g~ + F(D_u1 g~, ...) when g~ is known, claimed bent and whatever else
+    claims adds.  F needs one variable per shift, and 1 <= tau <= n/2:
+    checked before any pair is judged."""
     dom, g, gdual, _ = base
-    _check_tau(F, len(shifts), dom.n // 2)
+    if F.tau != len(shifts):
+        raise ArityMismatch(
+            f"F has {F.tau} variables but {len(shifts)} shifts")
+    if not 1 <= F.tau <= dom.n // 2:
+        raise ArityMismatch(f"tau={F.tau} outside 1..{dom.n // 2}")
     diffs = _differences(base, shifts)
     return ConstructedPair(
         f=TruthTable(dom, g ^ multipoly.compose_traces(dom, F, shifts)),
         predicted_dual=(None if diffs is None else TruthTable(
             dom, gdual ^ multipoly.compose(F, diffs, _full(dom)))),
-        notes=notes, base=TruthTable(dom, g), shifts=shifts, poly=F)
+        notes=notes, base=TruthTable(dom, g), shifts=shifts, poly=F,
+        claims=Expectation(bent=True, **claims))
 
 
 # The demos build many F on one base and one shift list (a degree ladder,
@@ -257,36 +258,40 @@ def kasami_subfield(field: Field, lam: int, us, F: ReducedPoly) -> ConstructedPa
     _check_subfield_units(field, us)
     if rank(us) != len(us):
         raise NotIndependent("shift elements are dependent over F_2")
+    # degree deg F, or 2 (the quadratic base) for an affine F
     return _shifted(_kasami_base(field, lam), us, F,
-                    f"KasamiSubfield n={field.n} lam={lam:#x} tau={F.tau}")
+                    f"KasamiSubfield n={field.n} lam={lam:#x} tau={F.tau}",
+                    degree=max(2, F.degree()))
 
 
-def _normal_orbit(field: Field, u: int) -> tuple[int, ...]:
-    """Shifts u, u^2, ..., u^(2^(m-1)) of a normal subfield element u."""
+def _idempotent_orbit(field: Field, u: int, F: ReducedPoly) -> tuple:
+    """The shifts u, u^2, ..., u^(2^(m-1)) of a normal subfield element u,
+    for a rotation-symmetric F, and the claims they add to bent: f is
+    idempotent, of degree deg F, or 2 (the quadratic base) for an affine F.
+    """
     _require_half(field)
     if not field.is_normal(u):
         raise NotNormal(f"{u:#x} is not a normal element of the subfield")
-    return tuple(field.orbit(u))
-
-
-def _check_rotsym(F: ReducedPoly) -> None:
     if not multipoly.is_rotation_symmetric(F):
         raise NotRotationSymmetric("F must be invariant under cyclic shift")
+    return (tuple(field.orbit(u)),
+            {"idempotent": True, "degree": max(2, F.degree())})
 
 
 def kasami_idempotent(field: Field, u: int, F: ReducedPoly) -> ConstructedPair:
     """Bent idempotent from a normal subfield orbit and rotation-symmetric F."""
-    us = _normal_orbit(field, u)
-    _check_rotsym(F)
+    us, claims = _idempotent_orbit(field, u, F)
     return _shifted(_kasami_base(field, 1), us, F,
-                    f"KasamiIdempotent n={field.n} u={u:#x} d={F.degree()}")
+                    f"KasamiIdempotent n={field.n} u={u:#x} d={F.degree()}",
+                    **claims)
 
 
 def kasami_antiselfdual(field: Field, F: ReducedPoly) -> ConstructedPair:
     """Anti-self-dual family over the trace-zero hyperplane basis."""
     _require_half(field)
     return _shifted(_kasami_base(field, 1), tuple(field.trace_zero_basis()), F,
-                    f"KasamiAntiSelfDual n={field.n} d={F.degree()}")
+                    f"KasamiAntiSelfDual n={field.n} d={F.degree()}",
+                    duality=DualityClass.ANTI_SELF_DUAL)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +329,14 @@ def quad_idempotent_g(field: Field, c, eps: int = 0) -> TruthTable:
     """Quadratic idempotent sum_i c_i Tr(x^(2^i+1)) + c_m Tr_sub(x^(2^m+1)) + eps."""
     c = _quad_coeffs(field, c)
     return TruthTable(field, _quad_base(field, c, eps & 1).g)
+
+
+def quad_idempotent_pair(field: Field, c, eps: int = 0) -> ConstructedPair:
+    """quad_idempotent_g as a pair with no shifts and no dual, claimed
+    idempotent, and bent iff c passes is_quad_bent_gcd."""
+    f = quad_idempotent_g(field, c, eps)  # its own base, with no F
+    return ConstructedPair(f, None, f"QuadIdem m={field.m}", f, (), None,
+                           Expectation(is_quad_bent_gcd(c), idempotent=True))
 
 
 def is_quad_bent_gcd(c) -> bool:
@@ -364,11 +377,11 @@ def quad_family(field: Field, c, eps: int, us, F: ReducedPoly) -> ConstructedPai
 def quad_idempotent_family(field: Field, c, eps: int, u: int,
                            F: ReducedPoly) -> ConstructedPair:
     """Bent idempotent of prescribed degree from any quadratic base."""
-    us = _normal_orbit(field, u)
-    _check_rotsym(F)
+    us, claims = _idempotent_orbit(field, u, F)
     pair = quad_family(field, c, eps, us, F)
     return pair._replace(
-        notes=f"QuadIdemFamily n={field.n} u={u:#x} d={F.degree()}")
+        notes=f"QuadIdemFamily n={field.n} u={u:#x} d={F.degree()}",
+        claims=pair.claims._replace(**claims))
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +523,11 @@ def _mm_linear_form(K: Field, pi: tuple[int, ...]) -> Quadratic:
                       transpose(pi) + [0] * m)
 
 
+@_base_cache
+def _mm_linear_base(K: Field, pi: tuple[int, ...], b: int) -> Base:
+    return _quadratic_base(_mm_linear_form(K, pi), K.trace_mask(b))
+
+
 def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
     """Tr(x pi(y)) + Tr(b y) + F of pair trace forms on K = GF(2^m).
 
@@ -518,9 +536,10 @@ def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
     m = K.n
     if len(pi) != m or any(row >> m for row in pi):  # also every row < 0
         raise SingularPermutation(f"pi must be {m}x{m}")
-    q = _mm_linear_form(K, tuple(pi))
+    pi = tuple(pi)
+    _mm_linear_form(K, pi)  # a singular pi is refused before the pairs
     shifts = _check_pairs(K, us)
-    return _shifted(_quadratic_base(q, K.trace_mask(b)), shifts, F,
+    return _shifted(_mm_linear_base(K, pi, b), shifts, F,
                     f"MMLinear m={m} b={b:#x} tau={F.tau}")
 
 
@@ -541,6 +560,15 @@ def _mm_monomial_row(K: Field):
                       | K.trace_mask(K.frob(u >> K.n, 1)))
 
 
+@_base_cache
+def _mm_monomial_base(K: Field, s: int) -> Base:
+    """Tr(x y^d) on the grid, d inverting 2^s + 1; no dual formula."""
+    cs = coordinate_tables(2 * K.n)  # x is an index's high half, y its low
+    yd = K.pow_planes(cs[:K.n], monomial_inverse_exponent(K.n, s))
+    g = apply_linear(K.mul_planes(cs[K.n:], yd), K.trace_mask(1))
+    return Base(BivariateDomain(K), g, None, _mm_monomial_row(K))
+
+
 def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
     """Tr(x y^d) + F of pair trace forms on K = GF(2^m), d inverting 2^s + 1.
 
@@ -557,9 +585,5 @@ def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
         if K.frob(u1, s) != u1 or K.frob(u2, s) != u2:
             raise PreconditionViolated(
                 f"pair ({u1:#x},{u2:#x}) is not in GF(2^{s}) x GF(2^{s})")
-    cs = coordinate_tables(dom.n)  # x is the high half of an index, y the low
-    xs, ys = cs[m:], cs[:m]
-    base = Base(dom, apply_linear(K.mul_planes(xs, K.pow_planes(ys, d)),
-                                  K.trace_mask(1)), None, _mm_monomial_row(K))
-    return _shifted(base, shifts, F,
+    return _shifted(_mm_monomial_base(K, s), shifts, F,
                     f"MMMonomial m={m} s={s} d={d} tau={F.tau}")

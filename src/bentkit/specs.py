@@ -1,11 +1,13 @@
 """Seeded parameter search, ConstructionSpec with its JSON codec, and the
-family registry FAMILIES, whose build materializes a spec through the
-constructors of bentkit.constructions.  The samplers _draw shifts
-uniformly from the kernel of the picked shifts' rows, the rows the
-constructors check: for a quadratic base the matrix T B^-1 T of its
-_kasami_form, _gold_form or _mm_linear_form, which builds no table and is
-cached per parameters, so a draw and its build share it.  Only construct
-and sweep load this module; the demos call the constructors directly.
+family registry FAMILIES, whose build materializes a spec as the
+ConstructedPair of a constructor of bentkit.constructions, for every
+family; the pair carries its claims, so the registry states none.  The
+samplers _draw shifts uniformly from the kernel of the picked shifts'
+rows, the rows the constructors check: for a quadratic base the matrix
+T B^-1 T of its _kasami_form, _gold_form or _mm_linear_form, which builds
+no table and is cached per parameters, so a draw and its build share it.
+Only construct and sweep load this module; the demos call the
+constructors directly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import random
 from collections import namedtuple
 
 from . import constructions, gf2n, multipoly
-from .boolfun import DualityClass
 from .constructions import (
     ConstructedPair,
     _gold_form,
@@ -233,7 +234,7 @@ def spec_from_json(text: str) -> ConstructionSpec:
 
 
 # ---------------------------------------------------------------------------
-# the family registry: spec fields, size rule, build, sampler and claims
+# the family registry: spec fields, size rule, build and sampler
 # ---------------------------------------------------------------------------
 
 def _F(spec: ConstructionSpec, tau: int | None = None) -> ReducedPoly:
@@ -326,27 +327,19 @@ def _sample_mm_monomial(n: int, rng: random.Random) -> ConstructionSpec:
     return _with_shifts("MMMonomial", n, pairs, rng, s=s)
 
 
-def _idempotent_claims(spec: ConstructionSpec, built: ConstructedPair) -> dict:
-    """A bent idempotent of degree deg F, or 2 (the quadratic base) for an
-    affine F."""
-    return {"bent": True, "idempotent": True,
-            "degree": max(2, built.poly.degree())}
-
-
 # One family.  build and sample call the constructors as
 # constructions.<name> at call time, so a tracer that rebinds them
 # (perfbench/shim.py) sees every instance.
 #   fields    spec keys it needs besides family and n
-#   build     (spec, field) -> ConstructedPair, or TruthTable (QuadIdem)
+#   build     (spec, field) -> ConstructedPair, with its claims
 #   sample    (n, rng) -> a random valid ConstructionSpec
-#   claims    (spec, built) -> the Expectation's keywords; default bent
 #   scale     n = scale * size; the size is m, or k (n = 4k); default 2
 #   least     the least size the family is defined at; default 2
 #   pairs     u holds [x, y] pairs on the GF(2^m)^2 grid; default False
 #   optional  spec keys it may take besides mod; default none
 Family = namedtuple(
-    "Family", "fields build sample claims scale least pairs optional",
-    defaults=(lambda spec, built: {"bent": True}, 2, 2, False, ()))
+    "Family", "fields build sample scale least pairs optional",
+    defaults=(2, 2, False, ()))
 
 
 FAMILIES = {
@@ -357,15 +350,12 @@ FAMILIES = {
     "KasamiSubfield": Family(
         ("lambda", "u", "F"),
         lambda s, K: constructions.kasami_subfield(K, s.lam, s.u, _F(s)),
-        lambda n, rng: _sample_kasami("KasamiSubfield", n, rng, True),
-        # degree deg F, or 2 (the quadratic base) for an affine F
-        lambda s, b: {"bent": True, "degree": max(2, b.poly.degree())}),
+        lambda n, rng: _sample_kasami("KasamiSubfield", n, rng, True)),
     "KasamiIdempotent": Family(
         ("u", "F"), _build_kasami_idempotent,
         lambda n, rng: ConstructionSpec("KasamiIdempotent", n, u=(
             gf2n.make_field(n).find_normal(rng.randrange((1 << n // 2) - 1)),),
-            F=multipoly.format_poly(random_rotsym_poly(n // 2, rng))),
-        _idempotent_claims),
+            F=multipoly.format_poly(random_rotsym_poly(n // 2, rng)))),
     "KasamiAntiSelfDual": Family(
         ("F",),
         # the size is checked before F is read in m - 1 variables
@@ -373,20 +363,15 @@ FAMILIES = {
             K, _F(s, _require_half(K) - 1)),
         lambda n, rng: ConstructionSpec("KasamiAntiSelfDual", n, F=(
             multipoly.format_poly(random_poly(
-                _require_half(gf2n.make_field(n)) - 1, rng)))),
-        lambda s, b: {"bent": True, "duality": DualityClass.ANTI_SELF_DUAL}),
+                _require_half(gf2n.make_field(n)) - 1, rng))))),
     "QuadIdem": Family(
         ("c",),
-        lambda s, K: constructions.quad_idempotent_g(K, s.c, s.eps or 0),
+        lambda s, K: constructions.quad_idempotent_pair(K, s.c, s.eps or 0),
         lambda n, rng: ConstructionSpec("QuadIdem", n, c=tuple(
             rng.randint(0, 1) for _ in range(n // 2 + 1)), eps=rng.randint(0, 1)),
-        lambda s, b: {"bent": is_quad_bent_gcd(s.c), "idempotent": True},
         least=1, optional=("eps",)),
     "QuadFamily": Family(
         ("c", "u", "F"), _build_quad_family, _sample_quad_family,
-        # one shift expanded into its normal orbit: the idempotent branch
-        lambda s, b: (_idempotent_claims(s, b) if len(b.shifts) != len(s.u)
-                      else {"bent": True}),
         least=1, optional=("eps",)),
     "GoldLike": Family(("u", "F"), _build_gold_like, _sample_gold_like,
                        scale=4, least=1, optional=("lambda", "k")),
@@ -414,12 +399,8 @@ def lookup_family(name) -> Family:
     return family
 
 
-def build(spec: ConstructionSpec):
-    """Materialize a ConstructionSpec.
-
-    Returns a ConstructedPair, except for the bare QuadIdem base which
-    returns its TruthTable.
-    """
+def build(spec: ConstructionSpec) -> ConstructedPair:
+    """Materialize a ConstructionSpec as its family's ConstructedPair."""
     family = lookup_family(spec.family)
     if spec.n < 1:
         raise BadSpec(f"{spec.family} needs n >= 1, got n={spec.n}")

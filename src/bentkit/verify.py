@@ -18,8 +18,8 @@ import time
 from collections import namedtuple
 
 from . import boolfun, multipoly
-from .boolfun import (DualityClass, Expectation, ReducedPoly, TruthTable,
-                      VerificationReport, _json_fields, verify)
+from .boolfun import (Expectation, ReducedPoly, VerificationReport,
+                      _json_fields, verify)
 from .errors import (BadRange, DimensionTooSmall, NoSolution,
                      PreconditionViolated)
 from .gf2n import make_field, require_table_degree, translate
@@ -34,16 +34,13 @@ Checked = namedtuple("Checked", "label f predicted_dual report")
 
 
 def check(spec: ConstructionSpec) -> Checked:
-    """Build a spec and verify its family's claims, and f against the
+    """Build a spec and verify the pair's claims, and f against the
     predicted dual where the family has one."""
     from . import specs
-    built = specs.build(spec)
-    exp = Expectation(**specs.FAMILIES[spec.family].claims(spec, built))
-    if isinstance(built, TruthTable):  # QuadIdem: the bare base, no dual
-        label, f, dual = f"{spec.family} m={spec.n // 2}", built, None
-    else:
-        label, f, dual = built.notes, built.f, built.predicted_dual
-    return Checked(label, f, dual, verify(f, exp, predicted_dual=dual))
+    pair = specs.build(spec)
+    return Checked(pair.notes, pair.f, pair.predicted_dual,
+                   verify(pair.f, pair.claims,
+                          predicted_dual=pair.predicted_dual))
 
 
 def master_identity_holds(pair: ConstructedPair) -> bool:
@@ -100,11 +97,8 @@ def demo_carlet(m: int, seed: int = 0) -> list[CarletEntry]:
     for d in range(2, m + 1):
         pair = constructions.kasami_idempotent(
             field, u, multipoly.elementary_symmetric(m, d))
-        rep = verify(pair.f,
-                     Expectation(bent=True, degree=d, idempotent=True),
-                     predicted_dual=pair.predicted_dual)
-        dual_idem = (rep.is_bent and
-                     boolfun.is_idempotent(rep.computed_dual))
+        rep = verify(pair.f, pair.claims, predicted_dual=pair.predicted_dual)
+        dual_idem = rep.is_bent and boolfun.is_idempotent(rep.computed_dual)
         out.append(CarletEntry(d, pair, rep, dual_idem))
     return out
 
@@ -137,13 +131,12 @@ def demo_mesnager(m: int, F1: ReducedPoly | str | None = None,
                   else F
                   for F, mask in ((F1, 0b11), (F2, 0b10), (F3, 0b01)))
     field = make_field(2 * m)
-    want = Expectation(bent=True, duality=DualityClass.ANTI_SELF_DUAL)
     pairs = [constructions.kasami_antiselfdual(field, F) for F in (F1, F2, F3)]
-    reports = [verify(p.f, want, predicted_dual=p.predicted_dual)
+    direct = constructions.kasami_antiselfdual(field, F1 + F2 + F3)
+    reports = [verify(p.f, p.claims, predicted_dual=p.predicted_dual)
                for p in pairs]
     total = boolfun.add(boolfun.add(pairs[0].f, pairs[1].f), pairs[2].f)
-    reports.append(verify(total, want))
-    direct = constructions.kasami_antiselfdual(field, F1 + F2 + F3)
+    reports.append(verify(total, direct.claims))  # what the sum must meet
     return MesnagerBundle(reports, total, total.bits == direct.f.bits)
 
 

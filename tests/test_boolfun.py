@@ -233,8 +233,7 @@ def _field_of(f):
     '[0, 1, 0], [0, 0, 1]], "u": [["0x1", "0x0"]], "F": "X1"}',
 ], ids=["field", "grid"])
 def test_tables_and_specs_share_one_field(tmp_path, doc):
-    built = sp.build(sp.spec_from_json(doc))
-    f = getattr(built, "f", built)  # QuadIdem builds a bare table
+    f = sp.build(sp.spec_from_json(doc)).f
     bf.save_tt(f, tmp_path / "f.tt")
     loaded = bf.load_tt(tmp_path / "f.tt")
     assert loaded == f and _field_of(loaded) is _field_of(f)

@@ -212,8 +212,7 @@ def random_tables(rng: random.Random):
             grid = BivariateDomain(make_field(n // 2))
             yield bf.TruthTable(grid, rng.getrandbits(grid.size))
     for name in ("QuadIdem", "KasamiGeneral", "MMLinear"):
-        built = sp.build(sp.FAMILIES[name].sample(6, rng))
-        yield getattr(built, "f", built)
+        yield sp.build(sp.FAMILIES[name].sample(6, rng)).f
 
 
 @pytest.mark.parametrize("command", ["verify", "walsh", "anf", "dual"])

@@ -417,6 +417,19 @@ def test_differences_memo_keys_the_base_by_identity():
     hash(cx.Base(field, [], None, None))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: cx.mm_monomial(make_field(3), 1, [(1, 1)], mp.poly(1, 1)),
+    lambda: cx.mm_linear(make_field(3), (1, 2, 4), 5, [(1, 0)],
+                         mp.poly(1, 1)),
+], ids=["MMMonomial", "MMLinear"])
+def test_a_repeated_mm_build_reuses_its_base(build):
+    """The grid bases are cached as the field bases are, so a second
+    build hands _differences the same Base and its memo hits."""
+    cx._differences.cache_clear()
+    assert build() == build()
+    assert cx._differences.cache_info().hits == 1
+
+
 def _grid_pairs(count):
     """count independent pairs on the GF(2^3) grid, x halves first."""
     return [(1 << i, 0) if i < 3 else (0, 1 << i - 3) for i in range(count)]
@@ -944,6 +957,46 @@ def test_every_sampler_draws_a_buildable_spec_in_one_pass(name):
             sp.build(spec)
 
 
+def _registry_claims(spec, built) -> dict:
+    """The claims the family registry stated, one rule per family, before
+    each pair carried its own."""
+    if spec.family == "QuadIdem":
+        return {"bent": cx.is_quad_bent_gcd(spec.c), "idempotent": True}
+    degree = max(2, built.poly.degree())
+    if spec.family == "KasamiSubfield":
+        return {"bent": True, "degree": degree}
+    # QuadFamily expands one shift into its normal orbit: the idempotent
+    if spec.family == "KasamiIdempotent" or (
+            spec.family == "QuadFamily" and len(built.shifts) != len(spec.u)):
+        return {"bent": True, "idempotent": True, "degree": degree}
+    if spec.family == "KasamiAntiSelfDual":
+        return {"bent": True, "duality": bf.DualityClass.ANTI_SELF_DUAL}
+    return {"bent": True}
+
+
+@pytest.mark.parametrize("name", sorted(sp.FAMILIES))
+def test_each_pair_carries_the_claims_the_registry_stated(name):
+    record = sp.FAMILIES[name]
+    rng = random.Random(f"claims {name}")
+    specs = [record.sample(record.scale * size, rng)
+             for size in (range(1, 3) if name == "GoldLike" else range(2, 7))
+             for _ in range(3)]
+    if name == "QuadFamily":  # one normal element, F in m variables
+        u = make_field(8).find_normal(0)
+        specs += [sp.ConstructionSpec(name, 8, c=(1, 0, 0, 0, 1), u=(u,), F=F)
+                  for F in ("X1*X2*X3+X2*X3*X4+X3*X4*X1+X4*X1*X2",
+                            "X1+X2+X3+X4")]
+    rules = []
+    for spec in specs:
+        built = sp.build(spec)
+        rules.append(_registry_claims(spec, built))
+        assert built.claims == bf.Expectation(**rules[-1]), spec
+    if name == "QuadIdem":  # under a passing and a failing gcd test
+        assert {rule["bent"] for rule in rules} == {True, False}
+    if name == "QuadFamily":  # both branches of its build
+        assert {"idempotent" in rule for rule in rules} == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # spec serialization
 # ---------------------------------------------------------------------------
@@ -979,9 +1032,8 @@ def test_spec_roundtrip_every_shape():
     for spec in sampled:
         built = sp.build(spec)
         again = sp.build(sp.spec_from_json(sp.spec_to_json(spec)))
-        if isinstance(built, cx.ConstructedPair):  # QuadIdem gives a table
-            built, again = [(p.f, p.base, p.predicted_dual, p.notes)
-                            for p in (built, again)]
+        built, again = [(p.f, p.base, p.predicted_dual, p.notes)
+                        for p in (built, again)]
         assert built == again
 
 
@@ -993,9 +1045,9 @@ def test_build_dispatches_and_validates():
     pair = sp.build(spec)
     assert_bent_with_dual(pair)
 
-    table = sp.build(sp.ConstructionSpec(family="QuadIdem", n=6, mod=0x43,
-                                         c=(0, 0, 0, 1), eps=0))
-    assert table.bits == pw.kasami_base(field, 1).bits
+    quad = sp.build(sp.ConstructionSpec(family="QuadIdem", n=6, mod=0x43,
+                                        c=(0, 0, 0, 1), eps=0))
+    assert quad.f.bits == pw.kasami_base(field, 1).bits
 
     u_norm = field.find_normal(0)
     idem = sp.build(sp.ConstructionSpec(

@@ -271,6 +271,9 @@ def test_sweep_refuses_a_size_below_the_familys_least_before_checking_any(
     pytest.param("KasamiGeneral", [5], 40, "_kasami_base", id="KasamiGeneral"),
     pytest.param("GoldLike", [1, 2], 4, "_gold_base", id="GoldLike"),
     pytest.param("Niho", [5, 7, 8, 9], 16, "_niho_base", id="Niho"),
+    pytest.param("MMLinear", [3], 40, "_mm_linear_base", id="MMLinear"),
+    pytest.param("MMMonomial", [3, 5], 20, "_mm_monomial_base",
+                 id="MMMonomial"),
 ])
 def test_a_sweep_keeps_at_most_16_base_tables(family, sizes, trials, builder):
     cache = getattr(cx, builder)
@@ -316,24 +319,25 @@ def test_quad_idempotent_family_claims_idempotence_and_degree():
     spec = sp.spec_from_json(QUAD_IDEM_FAMILY)
     built = sp.build(spec)
     assert built.notes.startswith("QuadIdemFamily")
-    assert sp.FAMILIES["QuadFamily"].claims(spec, built) == {
-        "bent": True, "idempotent": True, "degree": 3}
+    assert built.claims == bf.Expectation(bent=True, idempotent=True,
+                                          degree=3)
     checked = vf.check(spec)
     assert checked.label == built.notes and checked.report.all_claims_met
     # affine F: the degree is the quadratic base's
     affine = sp.spec_from_json(QUAD_IDEM_FAMILY.replace(
         "X1*X2*X3+X2*X3*X4+X3*X4*X1+X4*X1*X2", "X1+X2+X3+X4"))
-    assert sp.FAMILIES["QuadFamily"].claims(
-        affine, sp.build(affine))["degree"] == 2
+    assert sp.build(affine).claims.degree == 2
     # several shifts, F in one variable per shift: only bentness is claimed
     plain = sp.ConstructionSpec("QuadFamily", 8, c=(1, 0, 0, 0, 1),
                                 u=(0xc, 0xd), F="X1*X2")
-    assert sp.FAMILIES["QuadFamily"].claims(
-        plain, sp.build(plain)) == {"bent": True}
+    assert sp.build(plain).claims == bf.Expectation(bent=True)
 
 
 def test_check_labels_the_bare_quad_base_by_m():
     spec = sp.ConstructionSpec("QuadIdem", 6, c=(1, 0, 0, 0))
+    pair = sp.build(spec)
+    assert pair.notes == "QuadIdem m=3" and pair.shifts == ()
+    assert pair.claims == bf.Expectation(bent=False, idempotent=True)
     checked = vf.check(spec)
     assert checked.label == "QuadIdem m=3"
     assert checked.predicted_dual is None
