@@ -312,12 +312,10 @@ def verify(f: TruthTable, exp: Expectation,
     spec = walsh(f)
     lo, hi = spec.extrema()
     flat = 1 << (f.domain.n // 2)
-    even = f.domain.n % 2 == 0
-    off = spec.off_flat_mask() if even else None  # the beta off 2^(n/2)
-    bent = even and not off
+    bent = f.domain.n % 2 == 0 and lo == flat and hi == flat
     deg = degree(f)
     idem = is_idempotent(f)
-    computed_dual = TruthTable(f.domain, spec.planes[-1]) if bent else None
+    computed_dual = dual(spec) if bent else None
     dcls = (duality_class(f, computed_dual) if bent
             else DualityClass.NEITHER)
     dual_match = None
@@ -335,9 +333,10 @@ def verify(f: TruthTable, exp: Expectation,
                                 f"first at beta={beta:#x}")
 
     if exp.bent is not None and bent != exp.bent:
-        if exp.bent and not even:
+        if exp.bent and f.domain.n % 2:
             failures.append(f"expected bent but n={f.domain.n} is odd")
         elif exp.bent:
+            off = spec.off_flat_mask()
             bad = (off & -off).bit_length() - 1
             failures.append(
                 f"expected bent but W({bad:#x}) = {spec.value(bad)}; "

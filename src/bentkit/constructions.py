@@ -88,7 +88,8 @@ from .gf2n import (
 from .multipoly import ReducedPoly
 
 # f = base + poly(Tr(shifts[0] x), ...), its dual (None where the family
-# has no dual formula), a one-line label and the Expectation f must meet
+# has no dual formula), a one-line label and the Expectation f must meet;
+# a bare base (QuadIdem) has f = base, no shifts, poly None and no dual
 ConstructedPair = namedtuple(
     "ConstructedPair", "f predicted_dual notes base shifts poly claims")
 
@@ -523,11 +524,6 @@ def _mm_linear_form(K: Field, pi: tuple[int, ...]) -> Quadratic:
                       transpose(pi) + [0] * m)
 
 
-@_base_cache
-def _mm_linear_base(K: Field, pi: tuple[int, ...], b: int) -> Base:
-    return _quadratic_base(_mm_linear_form(K, pi), K.trace_mask(b))
-
-
 def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
     """Tr(x pi(y)) + Tr(b y) + F of pair trace forms on K = GF(2^m).
 
@@ -536,10 +532,9 @@ def mm_linear(K: Field, pi, b: int, us, F: ReducedPoly) -> ConstructedPair:
     m = K.n
     if len(pi) != m or any(row >> m for row in pi):  # also every row < 0
         raise SingularPermutation(f"pi must be {m}x{m}")
-    pi = tuple(pi)
-    _mm_linear_form(K, pi)  # a singular pi is refused before the pairs
+    q = _mm_linear_form(K, tuple(pi))
     shifts = _check_pairs(K, us)
-    return _shifted(_mm_linear_base(K, pi, b), shifts, F,
+    return _shifted(_quadratic_base(q, K.trace_mask(b)), shifts, F,
                     f"MMLinear m={m} b={b:#x} tau={F.tau}")
 
 
@@ -561,12 +556,12 @@ def _mm_monomial_row(K: Field):
 
 
 @_base_cache
-def _mm_monomial_base(K: Field, s: int) -> Base:
-    """Tr(x y^d) on the grid, d inverting 2^s + 1; no dual formula."""
-    cs = coordinate_tables(2 * K.n)  # x is an index's high half, y its low
-    yd = K.pow_planes(cs[:K.n], monomial_inverse_exponent(K.n, s))
-    g = apply_linear(K.mul_planes(cs[K.n:], yd), K.trace_mask(1))
-    return Base(BivariateDomain(K), g, None, _mm_monomial_row(K))
+def _mm_monomial_base(dom: BivariateDomain, d: int) -> Base:
+    """Tr(x y^d) on the grid; no dual formula."""
+    K, cs = dom.base, coordinate_tables(dom.n)  # x is the high half, y low
+    g = apply_linear(K.mul_planes(cs[K.n:], K.pow_planes(cs[:K.n], d)),
+                     K.trace_mask(1))
+    return Base(dom, g, None, _mm_monomial_row(K))
 
 
 def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
@@ -585,5 +580,5 @@ def mm_monomial(K: Field, s: int, us, F: ReducedPoly) -> ConstructedPair:
         if K.frob(u1, s) != u1 or K.frob(u2, s) != u2:
             raise PreconditionViolated(
                 f"pair ({u1:#x},{u2:#x}) is not in GF(2^{s}) x GF(2^{s})")
-    return _shifted(_mm_monomial_base(K, s), shifts, F,
+    return _shifted(_mm_monomial_base(dom, d), shifts, F,
                     f"MMMonomial m={m} s={s} d={d} tau={F.tau}")

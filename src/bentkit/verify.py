@@ -48,7 +48,10 @@ def master_identity_holds(pair: ConstructedPair) -> bool:
 
     g~ is read from the base's spectrum, w.u is the XOR of the u_i with i
     in w, and the sum over w is added on bit planes, for every beta at once.
+    A bare base (QuadIdem) has no F, so no identity: PreconditionViolated.
     """
+    if not pair.shifts:
+        raise PreconditionViolated(f"{pair.notes} has no shifts and no F")
     dom = pair.f.domain
     chat = multipoly.fourier(pair.poly)
     gdual = boolfun.dual(boolfun.walsh(pair.base)).bits
@@ -97,7 +100,8 @@ def demo_carlet(m: int, seed: int = 0) -> list[CarletEntry]:
     for d in range(2, m + 1):
         pair = constructions.kasami_idempotent(
             field, u, multipoly.elementary_symmetric(m, d))
-        rep = verify(pair.f, pair.claims, predicted_dual=pair.predicted_dual)
+        rep = verify(pair.f, pair.claims._replace(degree=d),  # rung d
+                     predicted_dual=pair.predicted_dual)
         dual_idem = rep.is_bent and boolfun.is_idempotent(rep.computed_dual)
         out.append(CarletEntry(d, pair, rep, dual_idem))
     return out

@@ -148,6 +148,15 @@ def test_demo_carlet_small():
         assert e.dual_idempotent
 
 
+def test_demo_carlet_states_each_rungs_degree_itself(monkeypatch):
+    """Rung d claims degree d, not the degree of the F it was handed."""
+    quadratic = mp.elementary_symmetric(4, 2)
+    monkeypatch.setattr(mp, "elementary_symmetric", lambda m, d: quadratic)
+    entries = vf.demo_carlet(4)
+    assert [e.ok for e in entries] == [True, False, False]
+    assert entries[2].report.failures == ["degree 2 != expected 4"]
+
+
 def test_demo_carlet_needs_a_degree_two_rung():
     with pytest.raises(DimensionTooSmall):
         vf.demo_carlet(1)
@@ -271,7 +280,6 @@ def test_sweep_refuses_a_size_below_the_familys_least_before_checking_any(
     pytest.param("KasamiGeneral", [5], 40, "_kasami_base", id="KasamiGeneral"),
     pytest.param("GoldLike", [1, 2], 4, "_gold_base", id="GoldLike"),
     pytest.param("Niho", [5, 7, 8, 9], 16, "_niho_base", id="Niho"),
-    pytest.param("MMLinear", [3], 40, "_mm_linear_base", id="MMLinear"),
     pytest.param("MMMonomial", [3, 5], 20, "_mm_monomial_base",
                  id="MMMonomial"),
 ])
@@ -343,3 +351,6 @@ def test_check_labels_the_bare_quad_base_by_m():
     assert checked.predicted_dual is None
     assert checked.report.dual_match is None
     assert not checked.report.is_bent and checked.report.all_claims_met
+    with pytest.raises(PreconditionViolated,
+                       match="QuadIdem m=3 has no shifts and no F"):
+        vf.master_identity_holds(pair)
